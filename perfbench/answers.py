@@ -31,7 +31,6 @@ from pathlib import Path
 
 REL_TOL = 1.0e-10
 SOLVER_TOL = 1.0e-6
-LOCALIZED_BOUNDARY_FRACTION = 1.0e-4
 
 # recorded for the trace metrics and the notes; s_lower gates the ascent
 UNGATED = {"iterations", "virial_rel", "certified_steps"}
@@ -73,14 +72,14 @@ def fingerprint(command: str, out: Path, exit_code: int) -> dict:
             rows = list(csv.reader(line for line in fh if not line.startswith("#")))
         fp["rows"] = [[_cell(c) for c in row] for row in rows[1:]]
     elif command == "best-constant":
-        from spslab.fields import boundary_mass_fraction, load_snapshot
+        from spslab.bestconst import _is_localized
+        from spslab.fields import load_snapshot
 
         doc = _load(out / "estimate.json")
-        maximizer = load_snapshot(out / "maximizer.spsf")
         fp.update(
             s_lower=doc["s_lower"],
             certified_steps=[int(t[0]) for t in doc["ascent_trace"]],
-            localized=boundary_mass_fraction(maximizer) < LOCALIZED_BOUNDARY_FRACTION,
+            localized=_is_localized(load_snapshot(out / "maximizer.spsf")),
         )
     return fp
 

@@ -14,12 +14,13 @@ for every workload or for one:
 
     python3 perfbench/run.py --record-refs [--workload W]
 
-Each run generates its inputs from the seed in one process, times
-``SETUP_SAMPLES`` fresh processes up to their first op (``setup_s`` is the
-median), then runs the workload's ops in rounds in one single-threaded
-process for ``--seconds``.  The last line of standard output is one JSON
-object: ``correct``, ``attempted``, ``failed`` and ``metrics`` (end-to-end
-metrics with ``--trace 0``, per-layer metrics with ``--trace 1``).
+Each run generates its inputs from the seed in one process, then runs the
+workload's ops in rounds in one single-threaded process for ``--seconds``.
+That process and ``SETUP_SAMPLES - 1`` fresh ones spawned during the run
+are timed up to their first op; ``setup_s`` is the median.  The last line
+of standard output is one JSON object: ``correct``, ``attempted``,
+``failed`` and ``metrics`` (end-to-end metrics with ``--trace 0``,
+per-layer metrics with ``--trace 1``).
 """
 
 from __future__ import annotations
@@ -32,17 +33,16 @@ import shutil
 import statistics
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
+from worker import spawn_until_ready
 from workloads import GRIDS
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKER = HERE / "worker.py"
 OUT = HERE / "out"
-SETUP_SAMPLES = 7
 DEADLINE_S = 170.0
 WORKLOADS = tuple(GRIDS)
 SINGLE_THREAD = {
@@ -72,24 +72,6 @@ def _call(argv: list[str], timeout: float) -> None:
         raise BenchError(f"{' '.join(argv[1:3])} exited {proc.returncode}")
 
 
-def _spawn_until_ready(argv: list[str], timeout: float):
-    """Start a worker and return (process, seconds until its ready line)."""
-    started = time.perf_counter()
-    proc = subprocess.Popen(argv, env=_env(), stdout=subprocess.PIPE, text=True)
-    watchdog = threading.Timer(timeout, proc.kill)
-    watchdog.start()
-    try:
-        line = proc.stdout.readline()
-    finally:
-        watchdog.cancel()
-    ready = time.perf_counter() - started
-    if not line.startswith('{"ready"'):
-        proc.kill()
-        proc.wait()
-        raise BenchError(f"{argv[2]} worker died during set-up")
-    return proc, ready
-
-
 def _remaining(deadline: float) -> float:
     left = deadline - time.monotonic()
     if left <= 0:
@@ -114,30 +96,23 @@ def run_workload(workload: str, seed: int, seconds: float, trace: bool) -> dict:
     try:
         _call(_worker("generate", workload, "--seed", str(seed), "--dir", str(work)),
               _remaining(deadline))
-        setups = []
-        for _ in range(SETUP_SAMPLES - 1):
-            proc, ready = _spawn_until_ready(_worker("setup", workload), _remaining(deadline))
-            setups.append(ready)
-            _finish(proc, deadline)
         argv = _worker("run", workload, "--seed", str(seed), "--dir", str(work),
                        "--seconds", str(seconds), "--trace", str(int(trace)))
-        proc, ready = _spawn_until_ready(argv, _remaining(deadline))
-        setups.append(ready)
+        proc, ready = spawn_until_ready(argv, _remaining(deadline), env=_env())
         report_line = _finish(proc, deadline)
         if proc.returncode != 0 or not report_line.strip():
             raise BenchError(f"{workload} worker exited {proc.returncode}")
         report = json.loads(report_line.strip().splitlines()[-1])
     finally:
         shutil.rmtree(work, ignore_errors=True)
-    report["setup_s"] = statistics.median(setups)
-    report["setup_samples"] = setups
+    report["setup_samples"] = [ready, *report["setup_s"]]
     return report
 
 
 def end_to_end(report: dict) -> dict:
     return {
-        "round_s_p50": {"value": statistics.median(report["round_s"]), "unit": "s"},
-        "setup_s": {"value": report["setup_s"], "unit": "s"},
+        "round_ref_p50": {"value": statistics.median(report["round_ref"]), "unit": "ref"},
+        "setup_s": {"value": statistics.median(report["setup_samples"]), "unit": "s"},
         "peak_rss_mb": {"value": report["peak_rss_mb"], "unit": "MiB"},
     }
 
@@ -203,7 +178,11 @@ def describe(workload: str, report: dict, trace: bool) -> None:
     for op_id, times in report["op_s"].items():
         print(f"#   op {op_id}: p50 {statistics.median(times):.4f} s over {len(times)}, "
               f"answer {json.dumps(report['answers'].get(op_id, {}))[:160]}")
-    print(f"#   round times (s): {', '.join(f'{s:.3f}' for s in report['round_s'])}")
+    print(f"#   round times (s): {', '.join(f'{s:.3f}' for s in report['round_s'])}; "
+          f"p50 {statistics.median(report['round_s']):.4f} s")
+    print(f"#   round / reference: {', '.join(f'{r:.2f}' for r in report['round_ref'])}; "
+          f"reference p50 {statistics.median(report['reference_s']) * 1e3:.2f} ms "
+          f"over {len(report['reference_s'])}")
     print(f"#   setup samples (s): {', '.join(f'{s:.3f}' for s in report['setup_samples'])}")
     metrics = per_layer(report) if trace else end_to_end(report)
     for name, m in metrics.items():
@@ -220,17 +199,20 @@ def run_all(seed: int, seconds: float) -> int:
         describe(workload, traced, trace=True)
         attempted = plain["attempted"] + traced["attempted"]
         failed = plain["failed"] + traced["failed"]
-        overhead = statistics.median(traced["round_s"]) - statistics.median(plain["round_s"])
+        # in reference units, so a change of machine phase between the two
+        # runs does not read as tracing cost
+        overhead = statistics.median(traced["round_ref"]) / statistics.median(plain["round_ref"]) - 1
         print(f"# {workload}: fail_ratio {failed}/{attempted}, "
-              f"tracing overhead {overhead:.4g} s per round")
+              f"tracing overhead {overhead:+.1%} of round_ref_p50")
         results["workloads"][workload] = {
             "end_to_end": end_to_end(plain),
+            "round_s_p50": statistics.median(plain["round_s"]),
             "per_layer": per_layer(traced),
             "rounds": {"untraced": plain["rounds"], "traced": traced["rounds"]},
             "attempted": attempted,
             "failed": failed,
             "fail_ratio": failed / attempted,
-            "trace_overhead_s": overhead,
+            "trace_overhead_share": overhead,
         }
         results["machine"] = machine(traced)
     OUT.mkdir(exist_ok=True)
@@ -271,7 +253,7 @@ def main() -> int:
             parser.error("--workload, --all or --record-refs is required")
         trace = bool(args.trace)
         report = run_workload(args.workload, args.seed, args.seconds, trace)
-    except (BenchError, subprocess.TimeoutExpired, OSError, ValueError) as exc:
+    except (RuntimeError, subprocess.TimeoutExpired, OSError, ValueError) as exc:
         print(f"benchmark failed: {exc}", file=sys.stderr)
         return 1
     describe(args.workload, report, trace)

@@ -29,7 +29,6 @@ CALL_SITES = [
     ("cli", "energy_of", "energy.energy"),
     ("cli", "estimate_best_constant", "bestconst.estimate_best_constant"),
     ("cli", "blowdown_experiment", "experiments.blowdown_experiment"),
-    ("cli", "blowup_experiment", "experiments.blowup_experiment"),
     ("cli", "project_mass", "minimize.project_mass"),
     ("cli", "make_grid", "grid.make_grid"),
     ("cli", "load_snapshot", "fields.load_snapshot"),
@@ -41,24 +40,15 @@ CALL_SITES = [
     ("minimize", "evaluate", "energy.evaluate"),
     ("minimize", "identity_report", "identities.identity_report"),
     ("minimize", "coulomb_kernel", "coulomb.coulomb_kernel"),
-    ("minimize", "lagrange_multiplier", "minimize.lagrange_multiplier"),
-    ("minimize", "recenter", "minimize.recenter"),
-    ("minimize", "boundary_mass_fraction", "fields.boundary_mass_fraction"),
     ("identities", "evaluate", "energy.evaluate"),
     ("identities", "coulomb_kernel", "coulomb.coulomb_kernel"),
     ("identities", "hartree_double_integral", "coulomb.hartree_double_integral"),
     ("energy", "evaluate", "energy.evaluate"),
     ("energy", "coulomb_kernel", "coulomb.coulomb_kernel"),
     ("energy", "_double_integral_from_density_fft", "coulomb.double_integral"),
-    ("bestconst", "norms", "energy.norms"),
     ("bestconst", "coulomb_kernel", "coulomb.coulomb_kernel"),
     ("bestconst", "hartree_double_integral", "coulomb.hartree_double_integral"),
-    ("bestconst", "weinstein_quotient", "bestconst.weinstein_quotient"),
     ("bestconst", "_log_quotient_gradient", "bestconst.log_quotient_gradient"),
-    ("bestconst", "_gauge_fixed_direction", "bestconst.gauge_fixed_direction"),
-    ("bestconst", "boundary_mass_fraction", "fields.boundary_mass_fraction"),
-    ("bestconst", "random_field", "fields.random_field"),
-    ("bestconst", "gaussian_field", "fields.gaussian_field"),
     ("experiments", "energy", "energy.energy"),
     ("experiments", "scale_mass_preserving", "rescale.scale_mass_preserving"),
     ("experiments", "_evaluate_row", "experiments.evaluate_row"),

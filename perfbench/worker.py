@@ -7,11 +7,12 @@
 
 ``setup`` and ``run`` print a ``ready`` line once the process has imported
 spslab, built the workload's grid and Coulomb kernel and done one warm-up
-transform; the parent times a fresh process up to that line.  ``run`` then
-calls the CLI entry point in-process, one op at a time, in rounds, and
-prints one JSON line with the timings, the answer checks and (traced) the
-per-layer metrics.  ``record`` writes the answer references for every seed
-slot.
+transform; a fresh process is timed up to that line.  ``run`` then calls
+the CLI entry point in-process, one op at a time, in rounds, and prints one
+JSON line with the timings, the answer checks and (traced) the per-layer
+metrics.  Between ops, outside every timed op, it times the reference
+kernel and, spread over the run, fresh ``setup`` processes.  ``record``
+writes the answer references for every seed slot.
 """
 
 from __future__ import annotations
@@ -22,7 +23,9 @@ import io
 import json
 import resource
 import statistics
+import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -33,6 +36,9 @@ from tracing import Tracer, layer_metrics
 HERE = Path(__file__).resolve().parent
 REFS = HERE / "refs"
 MIN_ROUNDS = 2
+SETUP_SAMPLES = 9
+REFERENCE_LOOP = 500_000
+REFERENCE_POINTS = 2**19
 
 
 def emit(document: dict) -> None:
@@ -53,6 +59,65 @@ def set_up(workload: str):
     fft.fftn(np.ones(grid.shape, dtype=np.complex128))
     emit({"ready": True})
     return spslab.cli
+
+
+def spawn_until_ready(argv: list[str], timeout: float, env: dict | None = None):
+    """Start a worker and return (process, seconds until its ready line).
+
+    The process is killed if no line arrives within ``timeout``."""
+    started = time.perf_counter()
+    proc = subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, text=True)
+    watchdog = threading.Timer(timeout, proc.kill)
+    watchdog.start()
+    try:
+        line = proc.stdout.readline()
+    finally:
+        watchdog.cancel()
+    ready = time.perf_counter() - started
+    if not line.startswith('{"ready"'):
+        proc.kill()
+        proc.wait()
+        raise RuntimeError(f"{' '.join(argv[1:5])}: worker died during set-up")
+    return proc, ready
+
+
+def time_setup(workload: str) -> float:
+    """Seconds from spawning a fresh ``setup`` worker to its ready line."""
+    proc, ready = spawn_until_ready(
+        [sys.executable, __file__, "setup", "--workload", workload], timeout=120.0)
+    try:
+        proc.communicate(timeout=60.0)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    if proc.returncode != 0:
+        raise RuntimeError(f"setup worker exited {proc.returncode}")
+    return ready
+
+
+def time_reference(workload: str) -> float:
+    """Seconds of the reference kernel, which touches no spslab code.
+
+    A fixed pure-Python loop, then forward transforms of a constant field
+    of the workload's grid (``REFERENCE_POINTS`` points in all), so it slows
+    with the machine both in the interpreter and in memory, as the ops do.
+    Timed next to the ops, it tracks how fast this machine runs at that
+    moment; ``round_ref`` divides round time by it.  The field is built
+    before the clock starts and dropped after, so it adds to no op's memory.
+    """
+    import numpy as np
+    from scipy import fft
+
+    n = workloads.GRIDS[workload][0]
+    field = np.full((n, n, n), 1.0 + 1.0j)
+    started = time.perf_counter()
+    x = 0
+    for i in range(REFERENCE_LOOP):
+        x += i * i % 7
+    for _ in range(max(1, REFERENCE_POINTS // n**3)):
+        np.abs(fft.fftn(field)) ** 2
+    return time.perf_counter() - started
 
 
 def run_op(cli, op: dict, tracer=None) -> tuple[int | None, float, str]:
@@ -99,15 +164,29 @@ def cmd_run(args, workload: str) -> None:
         tracer.install()
 
     round_s: list[float] = []
+    round_ref: list[float] = []
+    reference_s: list[float] = []
+    setup_s: list[float] = []
     op_s: dict[str, list[float]] = {op["id"]: [] for op in ops}
     attempted = failed = 0
     problems: list[str] = []
     answers: dict[str, dict] = {}
     start = time.perf_counter()
     while True:
-        began = time.perf_counter()
-        outcomes = [(op, *run_op(cli, op, tracer)) for op in ops]
-        round_s.append(time.perf_counter() - began)
+        outcomes, references = [], []
+        for op in ops:
+            # one fresh set-up every seconds / SETUP_SAMPLES, so the samples
+            # spread over the run like the rounds do; this process's own
+            # set-up, timed by the parent, is the first
+            due = (len(setup_s) + 1) * args.seconds / SETUP_SAMPLES
+            if len(setup_s) < SETUP_SAMPLES - 1 and time.perf_counter() - start > due:
+                setup_s.append(time_setup(workload))
+            references.append(time_reference(workload))
+            outcomes.append((op, *run_op(cli, op, tracer)))
+        references.append(time_reference(workload))
+        round_s.append(sum(seconds for _, _, seconds, _ in outcomes))
+        round_ref.append(round_s[-1] / statistics.fmean(references))
+        reference_s += references
         for op, code, seconds, error in outcomes:
             op_s[op["id"]].append(seconds)
             attempted += 1
@@ -121,6 +200,8 @@ def cmd_run(args, workload: str) -> None:
         # the budget, so every workload's run lasts about --seconds
         if len(round_s) >= MIN_ROUNDS and elapsed + statistics.median(round_s) / 2 > args.seconds:
             break
+    while len(setup_s) < SETUP_SAMPLES - 1:
+        setup_s.append(time_setup(workload))
 
     import numpy
     import scipy
@@ -128,6 +209,9 @@ def cmd_run(args, workload: str) -> None:
     result = {
         "rounds": len(round_s),
         "round_s": round_s,
+        "round_ref": round_ref,
+        "reference_s": reference_s,
+        "setup_s": setup_s,
         "op_s": op_s,
         "attempted": attempted,
         "failed": failed,

@@ -20,6 +20,10 @@ GS_RHOS = (0.05, 0.1, 0.25)
 GS_MINIMIZE = {"grad_tol": 5.0e-7, "max_iters": 8000}
 BC_GRID = (64, 16.0)
 BC_STEPS = 20
+# a narrow start and a small first step keep every iterate localized, so
+# each of the BC_STEPS steps is certified and s_lower depends on all of
+# them; at the default step of 0.5 only the starting field is certified
+BC_ASCENT = {"steps": BC_STEPS, "step_size": 0.005, "init_width": 0.8}
 CERT_GRID = (128, 24.0)
 CERT_RHO = 0.05
 CERT_THETAS = [1.0, 0.5, 0.25]
@@ -77,7 +81,7 @@ def generate(workload: str, slot: int, work: Path) -> list[dict]:
     if workload == "best_constant":
         config = {
             "grid": _grid_block(BC_GRID),
-            "ascent": {"steps": BC_STEPS, "init_kind": "random", "seed": slot},
+            "ascent": {**BC_ASCENT, "init_kind": "random", "seed": slot},
         }
         return [_op(work, "best-constant", "best-constant", config)]
     if workload == "certify":
