@@ -70,6 +70,7 @@ from .identities import (
     IdentityReport,
     el_residual,
     identity_report,
+    lagrange_multiplier,
     pohozaev_kinetic_term,
     pohozaev_residual,
     scaling_derivative_check,
@@ -79,7 +80,6 @@ from .minimize import (
     GroundStateResult,
     MinimizeConfig,
     TracePoint,
-    lagrange_multiplier,
     minimize,
     project_mass,
     recenter,

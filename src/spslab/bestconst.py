@@ -21,8 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as _fft
 
-from .coulomb import coulomb_kernel, hartree_double_integral
-from .energy import norms
+from .coulomb import CoulombKernel, _potential_values, coulomb_kernel
+# perfbench/tracing.py wraps this by attribute on this module
+from .coulomb import hartree_double_integral  # noqa: F401
+from .energy import Evaluation, evaluate, power_term
 from .errors import (
     ConfigurationError,
     DegenerateFieldError,
@@ -30,8 +32,23 @@ from .errors import (
 )
 from .fields import Field, boundary_mass_fraction, gaussian_field, random_field
 from .grid import Grid
+from .params import Params
 
 P_CRITICAL = 8.0 / 3.0
+# Q reads ||phi||_{8/3}, the homogeneous seminorm and D off one
+# homogeneous-variant evaluation; couplings and mass do not enter it
+_QUOTIENT_PARAMS = Params(alpha=1.0, beta=1.0, p=P_CRITICAL, rho=1.0)
+
+
+def _quotient(ev: Evaluation) -> float:
+    ns = ev.breakdown.norms
+    d_value = ev.breakdown.d_value
+    if ns.hdot_half_sq <= 0 or d_value <= 0:
+        raise DegenerateFieldError(
+            "weinstein_quotient needs nonzero seminorm and Coulomb energy"
+        )
+    numerator = ns.lp_p ** (3.0 / 8.0)
+    return float(numerator / (ns.hdot_half_sq**0.25 * d_value**0.125))
 
 
 def weinstein_quotient(phi: Field) -> float:
@@ -39,14 +56,7 @@ def weinstein_quotient(phi: Field) -> float:
     phi.require_finite("weinstein_quotient input")
     if phi.is_zero():
         raise DegenerateFieldError("weinstein_quotient needs a nonzero field")
-    ns = norms(phi, P_CRITICAL)
-    d_value = hartree_double_integral(phi)
-    if ns.hdot_half_sq <= 0 or d_value <= 0:
-        raise DegenerateFieldError(
-            "weinstein_quotient needs nonzero seminorm and Coulomb energy"
-        )
-    numerator = ns.lp_p ** (3.0 / 8.0)
-    return float(numerator / (ns.hdot_half_sq**0.25 * d_value**0.125))
+    return _quotient(evaluate(phi, _QUOTIENT_PARAMS, "homogeneous"))
 
 
 @dataclass(frozen=True)
@@ -101,47 +111,41 @@ class BestConstantEstimate:
         return doc
 
 
-def _log_quotient_gradient(phi: Field) -> np.ndarray:
-    """L2 gradient of log Q at phi (amplitude gauge direction removed later
-    by the per-step renormalization)."""
-    grid = phi.grid
-    kernel = coulomb_kernel(grid)
-    v = phi.values
-    abs_v = np.abs(v)
-    lp_p = float(np.sum(abs_v**P_CRITICAL) * grid.cell_volume)
-    f = _fft.fftn(v)
-    hdot = float(np.sum(grid.k_abs * (f.real**2 + f.imag**2)) * grid.fourier_weight)
-    density_fft = _fft.fftn(abs_v**2)
-    d_value = float(
-        np.sum(kernel.symbol * (density_fft.real**2 + density_fft.imag**2))
-        * grid.fourier_weight
-    )
+def _log_quotient_gradient(
+    phi: Field, ev: Evaluation, kernel: CoulombKernel
+) -> np.ndarray:
+    """L2 gradient of log Q at phi from its quotient evaluation ``ev``
+    (amplitude gauge direction removed later by the per-step
+    renormalization)."""
+    ns = ev.breakdown.norms
+    lp_p, hdot, d_value = ns.lp_p, ns.hdot_half_sq, ev.breakdown.d_value
     if lp_p <= 0 or hdot <= 0 or d_value <= 0:
         raise DegenerateFieldError("ascent left the admissible cone")
-    kinetic_part = _fft.ifftn(grid.k_abs * f)
-    potential = _fft.ifftn(kernel.symbol * density_fft).real
+    kinetic_part = _fft.ifftn(phi.grid.k_abs * ev.u_fft)
+    potential = _potential_values(ev.density_fft, kernel)
+    v = phi.values
     # log Q = 3/8 log ||phi||_{8/3}^{8/3} - 1/4 log hdot - 1/8 log D
     return (
-        (abs_v ** (P_CRITICAL - 2.0)) * v / lp_p
+        power_term(v, P_CRITICAL) / lp_p
         - kinetic_part / (2.0 * hdot)
         - potential * v / (2.0 * d_value)
     )
 
 
-def _dilation_generator(phi: Field) -> np.ndarray:
-    """Generator 3/2 phi + x . grad phi of the mass-preserving dilation."""
+def _dilation_generator(phi: Field, u_fft: np.ndarray) -> np.ndarray:
+    """Generator 3/2 phi + x . grad phi of the mass-preserving dilation,
+    from ``u_fft = fftn(phi)``."""
     grid = phi.grid
-    f = _fft.fftn(phi.values)
     k1 = grid.wavenumbers
     out = 1.5 * phi.values.astype(np.complex128)
     x, y, z = grid.meshgrid()
-    out += x * _fft.ifftn(1j * k1[:, None, None] * f)
-    out += y * _fft.ifftn(1j * k1[None, :, None] * f)
-    out += z * _fft.ifftn(1j * k1[None, None, :] * f)
+    out += x * _fft.ifftn(1j * k1[:, None, None] * u_fft)
+    out += y * _fft.ifftn(1j * k1[None, :, None] * u_fft)
+    out += z * _fft.ifftn(1j * k1[None, None, :] * u_fft)
     return out
 
 
-def _gauge_fixed_direction(phi: Field, raw: np.ndarray) -> np.ndarray:
+def _gauge_fixed_direction(phi: Field, raw: np.ndarray, u_fft: np.ndarray) -> np.ndarray:
     """Remove the flat directions of Q from the ascent direction.
 
     On the continuum Q is invariant under amplitude scaling and dilation, so
@@ -155,7 +159,7 @@ def _gauge_fixed_direction(phi: Field, raw: np.ndarray) -> np.ndarray:
     """
     grid = phi.grid
     direction = raw - np.mean(raw)  # no pumping of the uniform mode
-    for flat in (phi.values, _dilation_generator(phi)):
+    for flat in (phi.values, _dilation_generator(phi, u_fft)):
         overlap = np.sum(direction * np.conj(flat)).real
         norm_sq = np.sum(flat.real**2 + flat.imag**2)
         if norm_sq > 0:
@@ -194,9 +198,11 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
         )
     phi = Field(grid, phi.values / np.sqrt(phi.mass()))
 
+    kernel = coulomb_kernel(grid)
     trace: list[tuple[int, float]] = []
     try:
-        q = weinstein_quotient(phi)
+        ev = evaluate(phi, _QUOTIENT_PARAMS, "homogeneous", kernel)
+        q = _quotient(ev)
     except DegenerateFieldError as exc:
         raise NumericalFailureError(f"ascent init degenerate: {exc}", trace) from exc
     if not np.isfinite(q):
@@ -208,13 +214,14 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
         trace.append((0, best_q))
     step = config.step_size
     for it in range(1, config.steps + 1):
+        # phi's transforms come from the evaluation that accepted it
         try:
-            raw = _log_quotient_gradient(phi)
+            raw = _log_quotient_gradient(phi, ev, kernel)
         except DegenerateFieldError as exc:
             raise NumericalFailureError(
                 f"ascent became degenerate at step {it}: {exc}", trace
             ) from exc
-        direction = _gauge_fixed_direction(phi, raw)
+        direction = _gauge_fixed_direction(phi, raw, ev.u_fft)
         trial_values = phi.values + step * direction
         trial_mass = float(
             np.sum(trial_values.real**2 + trial_values.imag**2) * grid.cell_volume
@@ -224,7 +231,8 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
             continue
         trial = Field(grid, trial_values / np.sqrt(trial_mass))
         try:
-            trial_q = weinstein_quotient(trial)
+            trial_ev = evaluate(trial, _QUOTIENT_PARAMS, "homogeneous", kernel)
+            trial_q = _quotient(trial_ev)
         except DegenerateFieldError:
             step *= 0.5
             continue
@@ -233,7 +241,7 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
                 f"non-finite quotient at ascent step {it}", trace
             )
         if trial_q > q:
-            phi, q = trial, trial_q
+            phi, q, ev = trial, trial_q, trial_ev
             step = min(step * 1.25, 10.0 * config.step_size)
             if q > best_q and _is_localized(phi):
                 best_q, best_phi = q, phi

@@ -105,6 +105,18 @@ def _require(config: dict, key: str, context: str):
     return config[key]
 
 
+def _convert(key: str, value, convert):
+    """``convert(value)``; a value it rejects is a configuration error."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad {key} {value!r}: {exc}") from exc
+
+
+def _float_list(values) -> list[float]:
+    return [float(v) for v in values]
+
+
 def _grid_from_config(config: dict) -> Grid:
     block = _require(config, "grid", "run")
     try:
@@ -188,6 +200,8 @@ def cmd_minimize(config: dict, out: Path, workers: int, seed: int | None) -> int
     params = _params_from_config(config)
     mconfig = _minimize_config(config, seed)
     seeds = config.get("seeds")
+    if seeds:
+        seeds = _convert("seeds", seeds, lambda ss: [int(s) for s in ss])
     manifest = _Manifest(out, "minimize", config, grid)
 
     if seeds:
@@ -195,7 +209,6 @@ def cmd_minimize(config: dict, out: Path, workers: int, seed: int | None) -> int
             raise ConfigurationError(
                 "multi-start 'seeds' requires init_kind 'random'"
             )
-        seeds = [int(s) for s in seeds]
         tasks = [
             (grid.n, grid.box_length, params.to_dict(), mconfig.to_dict(), s)
             for s in seeds
@@ -245,7 +258,7 @@ def cmd_minimize(config: dict, out: Path, workers: int, seed: int | None) -> int
 
 def cmd_curve(config: dict, out: Path, workers: int, seed: int | None) -> int:
     grid = _grid_from_config(config)
-    rhos = [float(r) for r in _require(config, "rhos", "curve")]
+    rhos = _convert("rhos", _require(config, "rhos", "curve"), _float_list)
     if len(rhos) < 2:
         raise ConfigurationError("curve needs at least 2 rho values")
     if any(r <= 0 for r in rhos):
@@ -316,7 +329,11 @@ def cmd_best_constant(config: dict, out: Path, workers: int, seed: int | None) -
     if unknown:
         raise ConfigurationError(f"unknown ascent config keys: {sorted(unknown)}")
     ascent = AscentConfig(**ascent_block)
-    pairs = [(float(a), float(b)) for a, b in config.get("pairs", [])]
+    pairs = _convert(
+        "pairs",
+        config.get("pairs", []),
+        lambda ps: [(float(a), float(b)) for a, b in ps],
+    )
     manifest = _Manifest(out, "best-constant", config, grid)
 
     estimate = estimate_best_constant(grid, ascent)
@@ -338,7 +355,7 @@ def _scaling_inputs(config: dict, grid: Grid, params: Params):
     init = dict(config.get("init", {"kind": "gaussian", "width": grid.box_length / 8.0}))
     kind = init.get("kind", "gaussian")
     if kind == "gaussian":
-        width = float(init.get("width", grid.box_length / 8.0))
+        width = _convert("init.width", init.get("width", grid.box_length / 8.0), float)
         profile = GaussianProfile(width=width)
         sampled = profile.sample(grid)
         mass = sampled.mass()
@@ -358,7 +375,7 @@ def cmd_scaling(config: dict, out: Path, workers: int, seed: int | None) -> int:
     grid = _grid_from_config(config)
     params = _params_from_config(config)
     experiment = _require(config, "experiment", "scaling")
-    thetas = [float(t) for t in _require(config, "thetas", "scaling")]
+    thetas = _convert("thetas", _require(config, "thetas", "scaling"), _float_list)
     field, profile = _scaling_inputs(config, grid, params)
     manifest = _Manifest(out, "scaling", config, grid)
 
@@ -397,10 +414,10 @@ def _verify_tolerances(config: dict) -> dict:
         raise ConfigurationError(
             f"tolerances must map keys of {VERIFY_TOLERANCE_KEYS} to numbers, got {block!r}"
         )
-    try:
-        return {**DEFAULT_VERIFY_TOLERANCES, **{k: float(v) for k, v in block.items()}}
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad tolerances block {block!r}: {exc}") from exc
+    custom = _convert(
+        "tolerances block", block, lambda b: {k: float(v) for k, v in b.items()}
+    )
+    return {**DEFAULT_VERIFY_TOLERANCES, **custom}
 
 
 def cmd_verify(config: dict, out: Path, workers: int, seed: int | None) -> int:
@@ -408,12 +425,12 @@ def cmd_verify(config: dict, out: Path, workers: int, seed: int | None) -> int:
     params = _params_from_config(config, rho_fallback=field.mass() or 1.0)
     variant = _variant(config)
     omega = config.get("omega")
+    if omega is not None:
+        omega = _convert("omega", omega, float)
     tolerances = _verify_tolerances(config)
     manifest = _Manifest(out, "verify", config, field.grid)
 
-    report = identity_report(
-        field, params, omega=None if omega is None else float(omega), variant=variant
-    )
+    report = identity_report(field, params, omega=omega, variant=variant)
     measured = {
         "virial_rel": report.virial_rel,
         "pohozaev_rel": report.pohozaev_rel,

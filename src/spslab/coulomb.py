@@ -55,20 +55,32 @@ def coulomb_kernel(grid: Grid, truncation_radius: float | None = None) -> Coulom
 
 
 def _potential_values(
-    density: np.ndarray, kernel: CoulombKernel
+    density_fft: np.ndarray, kernel: CoulombKernel
 ) -> np.ndarray:
-    """ifft(symbol * fft(density)); real for real densities."""
-    return _fft.ifftn(kernel.symbol * _fft.fftn(density)).real
+    """Phi from ``density_fft = rfftn(density)`` of a real density.
+
+    The density and Phi are real, so both transforms run on the half
+    spectrum kz >= 0, where the symbol is the leading slice of the full one.
+    """
+    half = kernel.symbol[..., : density_fft.shape[-1]]
+    return _fft.irfftn(half * density_fft, s=kernel.grid.shape)
 
 
 def _double_integral_from_density_fft(
     density_fft: np.ndarray, kernel: CoulombKernel
 ) -> float:
-    grid = kernel.grid
-    return float(
-        np.sum(kernel.symbol * (density_fft.real**2 + density_fft.imag**2))
-        * grid.fourier_weight
+    """sum_k symbol(k) |rho_hat(k)|^2 from the half spectrum ``rfftn(density)``.
+
+    Hermitian weights: each interior plane 0 < kz < n/2 also stands for its
+    mirror image -kz; the kz = 0 and Nyquist planes appear once.
+    """
+    terms = kernel.symbol[..., : density_fft.shape[-1]] * (
+        density_fft.real**2 + density_fft.imag**2
     )
+    total = (
+        2.0 * np.sum(terms[..., 1:-1]) + np.sum(terms[..., 0]) + np.sum(terms[..., -1])
+    )
+    return float(total * kernel.grid.fourier_weight)
 
 
 def hartree_potential(u: Field, kernel: CoulombKernel | None = None) -> Field:
@@ -81,8 +93,8 @@ def hartree_potential(u: Field, kernel: CoulombKernel | None = None) -> Field:
     u.require_finite("hartree_potential input")
     if kernel is None:
         kernel = coulomb_kernel(u.grid)
-    density = np.abs(u.values) ** 2
-    return Field(u.grid, _potential_values(density, kernel).astype(np.complex128))
+    density_fft = _fft.rfftn(np.abs(u.values) ** 2)
+    return Field(u.grid, _potential_values(density_fft, kernel))
 
 
 def hartree_double_integral(u: Field, kernel: CoulombKernel | None = None) -> float:
@@ -95,5 +107,5 @@ def hartree_double_integral(u: Field, kernel: CoulombKernel | None = None) -> fl
     u.require_finite("hartree_double_integral input")
     if kernel is None:
         kernel = coulomb_kernel(u.grid)
-    density = np.abs(u.values) ** 2
-    return _double_integral_from_density_fft(_fft.fftn(density), kernel)
+    density_fft = _fft.rfftn(np.abs(u.values) ** 2)
+    return _double_integral_from_density_fft(density_fft, kernel)

@@ -21,7 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as _fft
 
-from .coulomb import CoulombKernel, _double_integral_from_density_fft, coulomb_kernel
+from .coulomb import (
+    CoulombKernel,
+    _double_integral_from_density_fft,
+    _potential_values,
+    coulomb_kernel,
+)
 from .fields import Field
 from .params import Params, check_variant
 
@@ -77,32 +82,27 @@ class EnergyBreakdown:
         }
 
 
-def _weighted_fourier_sums(grid, f_abs_sq: np.ndarray) -> tuple[float, float, float]:
+def _norm_set(
+    grid, abs_u: np.ndarray, density: np.ndarray, p: float, spectrum_sq: np.ndarray
+) -> NormSet:
+    """The five norms from |u|, |u|^2 and the power spectrum |fftn(u)|^2."""
     w = grid.fourier_weight
     mult = grid.half_wave_multiplier
-    h_half = float(np.sum(mult * f_abs_sq) * w)
-    hdot = float(np.sum(grid.k_abs * f_abs_sq) * w)
-    h_minus = float(np.sum(f_abs_sq / mult) * w)
-    return h_half, hdot, h_minus
+    return NormSet(
+        l2_sq=float(np.sum(density) * grid.cell_volume),
+        lp_p=float(np.sum(abs_u**p) * grid.cell_volume),
+        h_half_sq=float(np.sum(mult * spectrum_sq) * w),
+        hdot_half_sq=float(np.sum(grid.k_abs * spectrum_sq) * w),
+        h_minus_half_sq=float(np.sum(spectrum_sq / mult) * w),
+    )
 
 
 def norms(u: Field, p: float) -> NormSet:
     """All five norms of ``u`` (``lp_p`` is ||u||_p^p for the given p)."""
     u.require_finite("norms input")
-    grid = u.grid
     abs_u = np.abs(u.values)
-    l2_sq = float(np.sum(abs_u**2) * grid.cell_volume)
-    lp_p = float(np.sum(abs_u**p) * grid.cell_volume)
     f = _fft.fftn(u.values)
-    f_abs_sq = f.real**2 + f.imag**2
-    h_half, hdot, h_minus = _weighted_fourier_sums(grid, f_abs_sq)
-    return NormSet(
-        l2_sq=l2_sq,
-        lp_p=lp_p,
-        h_half_sq=h_half,
-        hdot_half_sq=hdot,
-        h_minus_half_sq=h_minus,
-    )
+    return _norm_set(u.grid, abs_u, abs_u**2, p, f.real**2 + f.imag**2)
 
 
 def apply_half_wave(u: Field) -> Field:
@@ -126,9 +126,17 @@ def power_term(values: np.ndarray, p: float) -> np.ndarray:
 
 @dataclass
 class Evaluation:
-    """Energy (and optionally gradient) of one field, sharing transforms."""
+    """Energy (and optionally gradient) of one field, with the transforms
+    every other quantity of that field is read from.
+
+    ``u_fft`` is fftn(u), ``spectrum_sq`` its power spectrum |u_fft|^2 and
+    ``density_fft`` the half spectrum rfftn(|u|^2) of the real density.
+    """
 
     breakdown: EnergyBreakdown
+    u_fft: np.ndarray
+    spectrum_sq: np.ndarray
+    density_fft: np.ndarray
     gradient: np.ndarray | None = None
 
 
@@ -147,43 +155,36 @@ def evaluate(
         kernel = coulomb_kernel(grid)
     v = u.values
     abs_u = np.abs(v)
-    l2_sq = float(np.sum(abs_u**2) * grid.cell_volume)
-    lp_p = float(np.sum(abs_u**params.p) * grid.cell_volume)
-
-    f = _fft.fftn(v)
-    f_abs_sq = f.real**2 + f.imag**2
-    h_half, hdot, h_minus = _weighted_fourier_sums(grid, f_abs_sq)
-
     density = abs_u**2
-    density_fft = _fft.fftn(density)
+    f = _fft.fftn(v)
+    spectrum_sq = f.real**2 + f.imag**2
+    ns = _norm_set(grid, abs_u, density, params.p, spectrum_sq)
+    del abs_u
+    density_fft = _fft.rfftn(density)
+    del density
     d_value = _double_integral_from_density_fft(density_fft, kernel)
 
-    kinetic = 0.5 * (h_half if variant == "inhomogeneous" else hdot)
+    kinetic = 0.5 * (ns.h_half_sq if variant == "inhomogeneous" else ns.hdot_half_sq)
     hartree = params.alpha * d_value
-    potential = params.beta * lp_p
+    potential = params.beta * ns.lp_p
     breakdown = EnergyBreakdown(
         kinetic=kinetic,
         hartree=hartree,
         potential=potential,
         total=kinetic + hartree - potential,
-        norms=NormSet(
-            l2_sq=l2_sq,
-            lp_p=lp_p,
-            h_half_sq=h_half,
-            hdot_half_sq=hdot,
-            h_minus_half_sq=h_minus,
-        ),
+        norms=ns,
         d_value=d_value,
     )
-    grad = None
+    ev = Evaluation(breakdown, f, spectrum_sq, density_fft)
     if with_gradient:
         mult = grid.half_wave_multiplier if variant == "inhomogeneous" else grid.k_abs
         kinetic_part = _fft.ifftn(mult * f)
-        potential_values = _fft.ifftn(kernel.symbol * density_fft).real
+        potential_values = _potential_values(density_fft, kernel)
         grad = kinetic_part + (4.0 * params.alpha) * potential_values * v
         if params.beta != 0.0:
             grad = grad - (params.beta * params.p) * power_term(v, params.p)
-    return Evaluation(breakdown=breakdown, gradient=grad)
+        ev.gradient = grad
+    return ev
 
 
 def energy(

@@ -25,8 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as _fft
 
-from .coulomb import CoulombKernel, coulomb_kernel, hartree_double_integral
-from .energy import evaluate
+from .coulomb import CoulombKernel
+# perfbench/tracing.py wraps these two by attribute on this module
+from .coulomb import coulomb_kernel, hartree_double_integral  # noqa: F401
+from .energy import Evaluation, evaluate
 from .errors import DegenerateFieldError
 from .fields import Field
 from .params import Params, check_variant
@@ -71,6 +73,43 @@ def _scale(*terms: float) -> float:
     return s if s > 0 else 1.0
 
 
+# each residual reads one evaluation, so a full report costs one ``evaluate``
+
+
+def _virial(ev: Evaluation, params: Params) -> tuple[float, float]:
+    coulomb_term = 2.0 * params.alpha * ev.breakdown.d_value
+    power_term = params.beta * (params.p - 2.0) * ev.breakdown.norms.lp_p
+    return coulomb_term - power_term, _scale(coulomb_term, power_term)
+
+
+def _dilation_kinetic(grid, spectrum_sq: np.ndarray, variant: str) -> float:
+    if variant == "inhomogeneous":
+        mult = grid.k_sq / grid.half_wave_multiplier
+    else:
+        mult = grid.k_abs
+    return 0.5 * float(np.sum(mult * spectrum_sq) * grid.fourier_weight)
+
+
+def _pohozaev(ev: Evaluation, grid, params: Params, variant: str) -> tuple[float, float]:
+    kinetic_term = _dilation_kinetic(grid, ev.spectrum_sq, variant)
+    coulomb_term = params.alpha * ev.breakdown.d_value
+    power_term = params.beta * (3.0 * params.p - 6.0) / 2.0 * ev.breakdown.norms.lp_p
+    residual = kinetic_term + coulomb_term - power_term
+    return residual, _scale(kinetic_term, coulomb_term, power_term)
+
+
+def _omega(ev: Evaluation, v: Field) -> float:
+    """Rayleigh quotient Re<grad E(v), v> / ||v||_2^2 of a gradient evaluation."""
+    overlap = np.sum(ev.gradient * np.conj(v.values)).real * v.grid.cell_volume
+    return float(overlap / ev.breakdown.norms.l2_sq)
+
+
+def _el_rel(ev: Evaluation, v: Field, omega: float) -> float:
+    resid = ev.gradient - omega * v.values
+    num = np.sum(resid.real**2 + resid.imag**2) * v.grid.cell_volume
+    return float(np.sqrt(num / ev.breakdown.norms.l2_sq))
+
+
 def virial_residual(
     v: Field, params: Params, kernel: CoulombKernel | None = None
 ) -> tuple[float, float]:
@@ -78,11 +117,7 @@ def virial_residual(
     v.require_finite("virial_residual input")
     if v.is_zero():
         return 0.0, 1.0
-    d_value = hartree_double_integral(v, kernel)
-    lp_p = float(np.sum(np.abs(v.values) ** params.p) * v.grid.cell_volume)
-    coulomb_term = 2.0 * params.alpha * d_value
-    power_term = params.beta * (params.p - 2.0) * lp_p
-    return coulomb_term - power_term, _scale(coulomb_term, power_term)
+    return _virial(evaluate(v, params, kernel=kernel), params)
 
 
 def pohozaev_kinetic_term(v: Field, variant: str = "inhomogeneous") -> float:
@@ -93,14 +128,8 @@ def pohozaev_kinetic_term(v: Field, variant: str = "inhomogeneous") -> float:
     exact arithmetic.  Homogeneous: 1/2 ||v||^2 in the homogeneous seminorm.
     """
     check_variant(variant)
-    grid = v.grid
     f = _fft.fftn(v.values)
-    f_abs_sq = f.real**2 + f.imag**2
-    if variant == "inhomogeneous":
-        mult = grid.k_sq / grid.half_wave_multiplier
-    else:
-        mult = grid.k_abs
-    return 0.5 * float(np.sum(mult * f_abs_sq) * grid.fourier_weight)
+    return _dilation_kinetic(v.grid, f.real**2 + f.imag**2, variant)
 
 
 def pohozaev_residual(
@@ -113,13 +142,7 @@ def pohozaev_residual(
     v.require_finite("pohozaev_residual input")
     if v.is_zero():
         return 0.0, 1.0
-    kinetic_term = pohozaev_kinetic_term(v, variant)
-    d_value = hartree_double_integral(v, kernel)
-    lp_p = float(np.sum(np.abs(v.values) ** params.p) * v.grid.cell_volume)
-    coulomb_term = params.alpha * d_value
-    power_term = params.beta * (3.0 * params.p - 6.0) / 2.0 * lp_p
-    residual = kinetic_term + coulomb_term - power_term
-    return residual, _scale(kinetic_term, coulomb_term, power_term)
+    return _pohozaev(evaluate(v, params, variant, kernel), v.grid, params, variant)
 
 
 def el_residual(
@@ -133,11 +156,20 @@ def el_residual(
     v.require_finite("el_residual input")
     if v.is_zero():
         raise DegenerateFieldError("el_residual needs a nonzero field")
-    ev = evaluate(v, params, variant, kernel=kernel, with_gradient=True)
-    resid = ev.gradient - omega * v.values
-    num = np.sqrt(np.sum(resid.real**2 + resid.imag**2))
-    den = np.sqrt(np.sum(np.abs(v.values) ** 2))
-    return float(num / den)
+    return _el_rel(evaluate(v, params, variant, kernel, True), v, omega)
+
+
+def lagrange_multiplier(
+    v: Field,
+    params: Params,
+    variant: str = "inhomogeneous",
+    kernel: CoulombKernel | None = None,
+) -> float:
+    """Rayleigh-quotient multiplier omega = Re<grad E(v), v> / ||v||_2^2."""
+    v.require_finite("lagrange_multiplier input")
+    if v.is_zero():
+        raise DegenerateFieldError("lagrange_multiplier needs a nonzero field")
+    return _omega(evaluate(v, params, variant, kernel, True), v)
 
 
 def scaling_derivative_check(
@@ -159,10 +191,10 @@ def scaling_derivative_check(
     v.require_finite("scaling_derivative_check input")
     if v.is_zero():
         raise DegenerateFieldError("scaling_derivative_check needs a nonzero field")
-    mass = v.mass()
-    vres, _ = virial_residual(v, params, kernel)
-    pres, _ = pohozaev_residual(v, params, variant, kernel)
-    return vres / mass, pres
+    ev = evaluate(v, params, variant, kernel)
+    vres, _ = _virial(ev, params)
+    pres, _ = _pohozaev(ev, v.grid, params, variant)
+    return vres / ev.breakdown.norms.l2_sq, pres
 
 
 def identity_report(
@@ -172,26 +204,22 @@ def identity_report(
     variant: str = "inhomogeneous",
     kernel: CoulombKernel | None = None,
 ) -> IdentityReport:
-    """Full report; extracts omega by Rayleigh quotient when not supplied."""
+    """Full report from one gradient evaluation of ``v``; extracts omega by
+    Rayleigh quotient when not supplied."""
     v.require_finite("identity_report input")
     if v.is_zero():
         return IdentityReport(0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
-    if kernel is None:
-        kernel = coulomb_kernel(v.grid)
+    ev = evaluate(v, params, variant, kernel, True)
     if omega is None:
-        from .minimize import lagrange_multiplier
-
-        omega = lagrange_multiplier(v, params, variant, kernel=kernel)
-    vres, vscale = virial_residual(v, params, kernel)
-    pres, pscale = pohozaev_residual(v, params, variant, kernel)
-    el_rel = el_residual(v, params, omega, variant, kernel)
-    f_prime, g_prime = scaling_derivative_check(v, params, variant, kernel)
+        omega = _omega(ev, v)
+    vres, vscale = _virial(ev, params)
+    pres, pscale = _pohozaev(ev, v.grid, params, variant)
     return IdentityReport(
         virial_residual=vres,
         virial_scale=vscale,
         pohozaev_residual=pres,
         pohozaev_scale=pscale,
-        el_residual_rel=el_rel,
-        f_prime_at_1=f_prime,
-        g_prime_at_1=g_prime,
+        el_residual_rel=_el_rel(ev, v, omega),
+        f_prime_at_1=vres / ev.breakdown.norms.l2_sq,
+        g_prime_at_1=pres,
     )

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coulomb import CoulombKernel, coulomb_kernel
+from .coulomb import coulomb_kernel
 from .energy import EnergyBreakdown, evaluate
 from .errors import (
     ConfigurationError,
     DegenerateFieldError,
+    NumericalFailureError,
     UnboundedEnergyError,
 )
 from .fields import (
@@ -171,22 +172,6 @@ def project_mass(u: Field, rho: float) -> Field:
     return Field(u.grid, u.values * np.sqrt(rho / mass))
 
 
-def lagrange_multiplier(
-    v: Field,
-    params: Params,
-    variant: str = "inhomogeneous",
-    kernel: CoulombKernel | None = None,
-) -> float:
-    """Rayleigh-quotient multiplier omega = Re<grad E(v), v> / ||v||_2^2."""
-    v.require_finite("lagrange_multiplier input")
-    mass = v.mass()
-    if mass == 0.0:
-        raise DegenerateFieldError("lagrange_multiplier needs a nonzero field")
-    ev = evaluate(v, params, variant, kernel=kernel, with_gradient=True)
-    overlap = np.sum(ev.gradient * np.conj(v.values)).real * v.grid.cell_volume
-    return float(overlap / mass)
-
-
 def recenter(u: Field) -> Field:
     """Circularly shift so the density centroid sits at the box center.
 
@@ -265,7 +250,9 @@ def minimize(
     sphere first.  Raises ``UnboundedEnergyError`` when the energy passes
     below ``config.energy_floor`` (the signature of an unbounded regime).
     A line search that cannot find a decreasing step at machine precision
-    sets the stagnation flag and returns with ``converged=False``.
+    sets the stagnation flag and returns with ``converged=False``; a
+    non-finite trial energy (other than -inf) raises
+    ``NumericalFailureError`` with the trace attached.
     """
     if config is None:
         config = MinimizeConfig()
@@ -314,18 +301,22 @@ def minimize(
                 trial = Field(grid, trial_values * np.sqrt(rho / trial_mass))
                 trial_ev = evaluate(trial, params, variant, kernel=kernel, with_gradient=True)
                 trial_energy = trial_ev.breakdown.total
-                if np.isfinite(trial_energy) and (
-                    trial_energy <= current - config.armijo_c * tau * grad_norm**2
-                ):
-                    u = trial
-                    ev = trial_ev
-                    accepted = True
-                    break
                 if trial_energy == -np.inf:
                     raise UnboundedEnergyError(
                         "energy diverged to -inf during line search",
                         trace=[t.to_list() for t in trace],
                     )
+                if not np.isfinite(trial_energy):
+                    raise NumericalFailureError(
+                        f"non-finite trial energy {trial_energy} at iteration "
+                        f"{iteration}, step {tau:.3g}",
+                        trace=[t.to_list() for t in trace],
+                    )
+                if trial_energy <= current - config.armijo_c * tau * grad_norm**2:
+                    u = trial
+                    ev = trial_ev
+                    accepted = True
+                    break
             tau *= config.backtrack_factor
         iterations = iteration + 1
         if not accepted:

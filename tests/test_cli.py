@@ -1,5 +1,7 @@
 """Command-line surface: configs, exit codes, persisted files, manifests."""
 
+import dataclasses
+import importlib
 import json
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 import spslab as sl
 from spslab.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_UNBOUNDED,
     EXIT_VERIFY,
@@ -131,6 +134,32 @@ class TestMinimizeCommand:
         assert run(["minimize", "--config", cfg, "--out", str(out)]) == EXIT_UNBOUNDED
         report = json.loads((out / "unbounded.json").read_text())
         assert report["trace"]
+
+    def test_nan_trial_energy_exit_code(self, tmp_path, monkeypatch):
+        minimize_module = importlib.import_module("spslab.minimize")
+        evaluate = minimize_module.evaluate
+        calls = []
+
+        def nan_after_start(*args, **kwargs):
+            ev = evaluate(*args, **kwargs)
+            calls.append(ev)
+            if len(calls) > 1:
+                ev.breakdown = dataclasses.replace(ev.breakdown, total=float("nan"))
+            return ev
+
+        monkeypatch.setattr(minimize_module, "evaluate", nan_after_start)
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {
+                "grid": GRID16,
+                "params": {"alpha": 1.0, "beta": 1.0, "p": 2.5, "rho": 0.1},
+                "minimize": {"max_iters": 20},
+            },
+        )
+        out = tmp_path / "run"
+        assert run(["minimize", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        assert not (out / "result.json").exists()
 
     def test_multistart_requires_random(self, tmp_path):
         cfg = write_config(
@@ -450,6 +479,50 @@ class TestConfigErrors:
             },
         )
         assert run(["minimize", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+PARAMS = {"alpha": 1.0, "beta": 1.0, "p": 2.5, "rho": 0.1}
+
+
+@pytest.mark.parametrize(
+    "command, key, bad",
+    [
+        ("scaling", "thetas", ["x"]),
+        ("scaling", "init.width", "wide"),
+        ("curve", "rhos", [0.1, "y"]),
+        ("best-constant", "pairs", [[1.0, "z"]]),
+        ("verify", "omega", "w"),
+        ("minimize", "seeds", [0, "v"]),
+    ],
+)
+def test_non_numeric_config_number_is_config_error(tmp_path, capsys, command, key, bad):
+    snap, _ = make_gaussian_snapshot(tmp_path, sl.make_grid(16, 8.0))
+    configs = {
+        "scaling": {
+            "grid": GRID16,
+            "params": {**PARAMS, "p": 8.0 / 3.0},
+            "experiment": "blowdown",
+            "thetas": [1.0, 0.5],
+            "init": {"kind": "gaussian", "width": 1.0},
+        },
+        "curve": {"grid": GRID16, "params": PARAMS, "rhos": [0.1, 0.2]},
+        "best-constant": {"grid": GRID16, "pairs": [[1.0, 1.0]]},
+        "verify": {"snapshot": snap, "params": PARAMS, "omega": 1.0},
+        "minimize": {
+            "grid": GRID16,
+            "params": PARAMS,
+            "minimize": {"init_kind": "random"},
+            "seeds": [0, 1],
+        },
+    }
+    config = configs[command]
+    if key == "init.width":
+        config["init"]["width"] = bad
+    else:
+        config[key] = bad
+    cfg = write_config(tmp_path, "cfg.json", config)
+    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    assert f"bad {key}" in capsys.readouterr().err
 
 
 class TestReproducibility:

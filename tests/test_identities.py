@@ -1,7 +1,11 @@
 """Identity residuals: zero conventions, algebraic equivalences, FD checks."""
 
+import importlib
+from collections import Counter
+
 import numpy as np
 import pytest
+import scipy.fft
 
 import spslab as sl
 from conftest import relerr
@@ -116,3 +120,57 @@ def test_discrimination_off_minimizer(grid32, params):
     _, vscale = sl.virial_residual(u, params)
     vres, _ = sl.virial_residual(u, params)
     assert abs(vres) / vscale > 1e-2
+
+
+class TestSharedEvaluation:
+    """``identity_report`` reads every residual off one gradient evaluation."""
+
+    @pytest.mark.parametrize("variant", ["inhomogeneous", "homogeneous"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_report_agrees_with_components(self, grid32, params, variant, kind):
+        u = smooth_random_field(grid32, 31)
+        if kind == "real":
+            u = sl.Field(grid32, u.values.real)
+        rayleigh = sl.lagrange_multiplier(u, params, variant)
+        for omega in (None, 0.3):
+            report = sl.identity_report(u, params, omega=omega, variant=variant)
+            el_omega = rayleigh if omega is None else omega
+            assert (report.virial_residual, report.virial_scale) == sl.virial_residual(u, params)
+            assert (report.pohozaev_residual, report.pohozaev_scale) == sl.pohozaev_residual(
+                u, params, variant
+            )
+            assert report.el_residual_rel == sl.el_residual(u, params, el_omega, variant)
+            assert (report.f_prime_at_1, report.g_prime_at_1) == sl.scaling_derivative_check(
+                u, params, variant
+            )
+
+    def test_report_is_one_evaluation_of_four_transforms(self, grid32, params, monkeypatch):
+        counts = Counter()
+
+        class CountingFft:
+            def __getattr__(self, name):
+                def counted(*args, **kwargs):
+                    counts[name] += 1
+                    return getattr(scipy.fft, name)(*args, **kwargs)
+
+                return counted
+
+        for name in ("energy", "coulomb", "identities"):
+            monkeypatch.setattr(importlib.import_module(f"spslab.{name}"), "_fft", CountingFft())
+        identities = importlib.import_module("spslab.identities")
+        evaluate = identities.evaluate
+        calls = []
+
+        def counted_evaluate(*args, **kwargs):
+            calls.append(args[4] if len(args) > 4 else kwargs.get("with_gradient", False))
+            return evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(identities, "evaluate", counted_evaluate)
+        u = smooth_random_field(grid32, 37)
+        for omega in (None, 0.3):
+            calls.clear()
+            counts.clear()
+            sl.identity_report(u, params, omega=omega)
+            assert calls == [True]
+            # fftn(u), rfftn(|u|^2) and the two inverse transforms of the gradient
+            assert counts == {"fftn": 1, "rfftn": 1, "ifftn": 1, "irfftn": 1}

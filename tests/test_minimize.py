@@ -1,5 +1,8 @@
 """Projected gradient flow: projection, descent, certificates, edge cases."""
 
+import dataclasses
+import importlib
+
 import numpy as np
 import pytest
 
@@ -173,6 +176,27 @@ class TestEdgeCases:
         with pytest.raises(sl.UnboundedEnergyError) as excinfo:
             sl.minimize(grid, params, cfg)
         assert len(excinfo.value.trace) > 0
+
+    def test_nan_trial_energy_fails_loudly(self, grid16, monkeypatch):
+        # a NaN trial must not backtrack down to MIN_STEP and end "stagnated"
+        minimize_module = importlib.import_module("spslab.minimize")
+        evaluate = minimize_module.evaluate
+        calls = []
+
+        def nan_on_second_trial(*args, **kwargs):
+            ev = evaluate(*args, **kwargs)
+            calls.append(ev)
+            if len(calls) == 3:  # initial evaluation, accepted trial, this trial
+                ev.breakdown = dataclasses.replace(ev.breakdown, total=float("nan"))
+            return ev
+
+        monkeypatch.setattr(minimize_module, "evaluate", nan_on_second_trial)
+        params = sl.Params(alpha=1.0, beta=1.0, p=2.5, rho=0.1)
+        with pytest.raises(sl.NumericalFailureError, match="non-finite trial energy") as info:
+            sl.minimize(grid16, params, sl.MinimizeConfig(max_iters=20))
+        assert len(calls) == 3
+        assert [point[0] for point in info.value.trace] == [0, 1]
+        assert all(np.isfinite(point[1]) for point in info.value.trace)
 
     def test_random_init_seeded(self, grid16):
         params = sl.Params(alpha=1.0, beta=1.0, p=2.5, rho=0.1)

@@ -171,3 +171,41 @@ class TestCoulomb:
             assert np.max(np.abs(phi_fft - phi_direct)) / scale < 1e-6
             d_direct = direct_sum_double_integral(grid16, density, kappa)
             assert relerr(sl.hartree_double_integral(u, kern), d_direct) < 1e-6
+
+
+class TestRealTransforms:
+    """The real density and Phi go through r2c/c2r transforms on the half
+    spectrum; they must match the full c2c computation."""
+
+    def test_r2c_matches_c2c_including_nyquist_plane(self, grid16):
+        kern = sl.coulomb_kernel(grid16)
+        params = sl.Params(alpha=1.0, beta=1.0, p=2.5, rho=1.0)
+        alt = (-1.0) ** np.arange(grid16.n)
+        rng = np.random.default_rng(5)
+        white = rng.standard_normal(grid16.shape) + 1j * rng.standard_normal(grid16.shape)
+        # density with energy on the kz = n/2 plane and on the corner mode
+        nyquist = np.broadcast_to(
+            1.0 + 0.5 * alt[None, None, :] + 0.3 * alt[:, None, None] * alt[None, None, :],
+            grid16.shape,
+        ).astype(complex)
+        for values in (white, nyquist, smooth_random_field(grid16, 3).values):
+            u = sl.Field(grid16, values)
+            density_fft = fft.fftn(np.abs(values) ** 2)
+            assert np.max(np.abs(density_fft[..., grid16.n // 2])) > 1e-3 * np.abs(
+                density_fft[0, 0, 0]
+            )
+            phi_c2c = fft.ifftn(kern.symbol * density_fft).real
+            d_c2c = float(
+                np.sum(kern.symbol * np.abs(density_fft) ** 2) * grid16.fourier_weight
+            )
+            phi = sl.hartree_potential(u, kern).values
+            assert np.max(np.abs(phi - phi_c2c)) <= 1e-13 * np.max(np.abs(phi_c2c))
+            assert relerr(sl.hartree_double_integral(u, kern), d_c2c) <= 1e-13
+            assert relerr(sl.energy(u, params).d_value, d_c2c) <= 1e-13
+            grad_c2c = (
+                fft.ifftn(grid16.half_wave_multiplier * fft.fftn(values))
+                + 4.0 * phi_c2c * values
+                - 2.5 * np.abs(values) ** 0.5 * values
+            )
+            grad = sl.gradient(u, params).values
+            assert np.max(np.abs(grad - grad_c2c)) <= 1e-13 * np.max(np.abs(grad_c2c))
