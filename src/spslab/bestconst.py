@@ -16,7 +16,7 @@ can certify the unbounded side and must otherwise return indeterminate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import fft as _fft
@@ -81,15 +81,6 @@ class AscentConfig:
                 f"ascent init must be gaussian or random, got {self.init_kind!r}"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "steps": self.steps,
-            "step_size": self.step_size,
-            "seed": self.seed,
-            "init_kind": self.init_kind,
-            "init_width": self.init_width,
-        }
-
 
 @dataclass(frozen=True)
 class BestConstantEstimate:
@@ -107,7 +98,7 @@ class BestConstantEstimate:
             "ascent_trace": [list(t) for t in self.ascent_trace],
         }
         if config is not None:
-            doc["ascent_config"] = config.to_dict()
+            doc["ascent_config"] = asdict(config)
         return doc
 
 

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import pickle
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict, dataclass, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -46,7 +47,7 @@ from .fields import (
 from .grid import Grid, make_grid
 from .identities import identity_report
 from .minimize import GroundStateResult, MinimizeConfig, minimize, project_mass
-from .params import Params, check_variant
+from .params import Params, check_variant, read_block, read_list, read_value
 from .reporting import write_json, write_table
 
 EXIT_OK = 0
@@ -55,14 +56,36 @@ EXIT_NUMERICAL = 3
 EXIT_UNBOUNDED = 4
 EXIT_VERIFY = 5
 
-# At a constrained minimizer the virial residual equals
-# 2 rho^2 d/drho [I(rho)/rho], nonzero away from stationary masses of the
-# ratio curve, so "virial_rel" is gated only when a config sets it.
-DEFAULT_VERIFY_TOLERANCES = {
-    "pohozaev_rel": 1.0e-4,
-    "el_rel": 1.0e-6,
-}
-VERIFY_TOLERANCE_KEYS = ("virial_rel", "pohozaev_rel", "el_rel")
+
+@dataclass(frozen=True)
+class _Tolerances:
+    """``verify`` gates on the relative residuals.
+
+    At a constrained minimizer the virial residual equals
+    2 rho^2 d/drho [I(rho)/rho], nonzero away from stationary masses of the
+    ratio curve, so ``virial_rel`` is gated only when a config sets it.
+    """
+
+    pohozaev_rel: float = 1.0e-4
+    el_rel: float = 1.0e-6
+    virial_rel: float | None = None
+
+    def gates(self) -> dict:
+        return {key: tol for key, tol in asdict(self).items() if tol is not None}
+
+
+DEFAULT_VERIFY_TOLERANCES = _Tolerances().gates()
+
+
+@dataclass(frozen=True)
+class _ScalingInit:
+    """``scaling`` starting field: a Gaussian (width default L/8) or a
+    snapshot file."""
+
+    kind: str = "gaussian"
+    width: float | None = None
+    path: str | None = None
+
 
 CURVE_COLUMNS = (
     "rho",
@@ -105,38 +128,22 @@ def _require(config: dict, key: str, context: str):
     return config[key]
 
 
-def _convert(key: str, value, convert):
-    """``convert(value)``; a value it rejects is a configuration error."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad {key} {value!r}: {exc}") from exc
-
-
-def _float_list(values) -> list[float]:
-    return [float(v) for v in values]
-
-
 def _grid_from_config(config: dict) -> Grid:
-    block = _require(config, "grid", "run")
-    try:
-        return make_grid(int(block["n"]), float(block["box_length"]))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigurationError(f"bad grid block {block!r}: {exc}") from exc
+    return read_block(Grid, _require(config, "grid", "run"), "grid", make=make_grid)
 
 
 def _params_from_config(config: dict, rho_fallback: float | None = None) -> Params:
-    block = dict(_require(config, "params", "run"))
-    if block.get("rho") is None and rho_fallback is not None:
-        block["rho"] = rho_fallback
-    return Params.from_dict(block)
+    """The ``params`` block; ``rho_fallback`` stands in for an absent or
+    null ``rho``."""
+    block = _require(config, "params", "run")
+    if rho_fallback is None or (isinstance(block, dict) and block.get("rho") is not None):
+        return read_block(Params, block, "params")
+    return read_block(Params, block, "params", rho=rho_fallback)
 
 
 def _minimize_config(config: dict, seed_override: int | None) -> MinimizeConfig:
-    block = dict(config.get("minimize", {}))
-    if seed_override is not None:
-        block["init_seed"] = seed_override
-    return MinimizeConfig.from_dict(block)
+    fixed = {} if seed_override is None else {"init_seed": seed_override}
+    return read_block(MinimizeConfig, config.get("minimize", {}), "minimize", **fixed)
 
 
 def _variant(config: dict) -> str:
@@ -144,8 +151,7 @@ def _variant(config: dict) -> str:
 
 
 def _load_snapshot_field(config: dict) -> Field:
-    path = _require(config, "snapshot", "run")
-    return load_snapshot(path)
+    return load_snapshot(read_value(_require(config, "snapshot", "run"), str, "snapshot"))
 
 
 def _result_files(out: Path, result: GroundStateResult, params: Params,
@@ -175,16 +181,15 @@ def cmd_energy(config: dict, out: Path, workers: int, seed: int | None) -> int:
     return EXIT_OK
 
 
-def _run_seed(task: tuple) -> tuple[int, dict, bytes | None]:
-    """Worker for multi-start runs; returns (seed, summary, pickled result)."""
-    n, box_length, params_dict, config_dict, seed = task
-    grid = make_grid(n, box_length)
-    params = Params.from_dict(params_dict)
-    config = MinimizeConfig.from_dict({**config_dict, "init_seed": seed})
+def _run_seed(
+    grid: Grid, params: Params, config: MinimizeConfig
+) -> tuple[dict, GroundStateResult | None]:
+    """One start of a multi-start run: (summary, result or None if unbounded)."""
+    seed = config.init_seed
     try:
         result = minimize(grid, params, config)
     except UnboundedEnergyError as exc:
-        return seed, {"seed": seed, "unbounded": True, "error": str(exc)}, None
+        return {"seed": seed, "unbounded": True, "error": str(exc)}, None
     summary = {
         "seed": seed,
         "unbounded": False,
@@ -192,48 +197,39 @@ def _run_seed(task: tuple) -> tuple[int, dict, bytes | None]:
         "converged": result.converged,
         "iterations": result.iterations,
     }
-    return seed, summary, pickle.dumps(result)
+    return summary, result
 
 
 def cmd_minimize(config: dict, out: Path, workers: int, seed: int | None) -> int:
     grid = _grid_from_config(config)
     params = _params_from_config(config)
     mconfig = _minimize_config(config, seed)
-    seeds = config.get("seeds")
-    if seeds:
-        seeds = _convert("seeds", seeds, lambda ss: [int(s) for s in ss])
+    seeds = read_list(config.get("seeds", []), int, "seeds")
+    if seeds and mconfig.init_kind != "random":
+        raise ConfigurationError("multi-start 'seeds' requires init_kind 'random'")
     manifest = _Manifest(out, "minimize", config, grid)
 
     if seeds:
-        if mconfig.init_kind != "random":
-            raise ConfigurationError(
-                "multi-start 'seeds' requires init_kind 'random'"
-            )
-        tasks = [
-            (grid.n, grid.box_length, params.to_dict(), mconfig.to_dict(), s)
-            for s in seeds
-        ]
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(_run_seed, tasks))
+        starts = [replace(mconfig, init_seed=s) for s in seeds]
+        run_start = partial(_run_seed, grid, params)
+        # a fork pool starts every worker up front: no more than there are starts
+        pool_size = min(workers, len(starts))
+        if pool_size > 1:
+            with ProcessPoolExecutor(max_workers=pool_size) as pool:
+                outcomes = list(pool.map(run_start, starts))
         else:
-            outcomes = [_run_seed(t) for t in tasks]
-        summaries = [o[1] for o in outcomes]
+            outcomes = [run_start(c) for c in starts]
+        summaries = [summary for summary, _ in outcomes]
         write_json(out / "multistart.json", {"seeds": summaries})
-        finished = [
-            (o[1]["energy"], o[0], o[2]) for o in outcomes if o[2] is not None
-        ]
+        finished = [(s["energy"], s["seed"], r) for s, r in outcomes if r is not None]
         if not finished:
             # all seeds collapsed: the unbounded signature
             manifest.finalize()
             write_json(out / "unbounded.json", {"seeds": summaries})
             print("unbounded regime detected on every start")
             return EXIT_UNBOUNDED
-        finished.sort(key=lambda item: (item[0], item[1]))
-        result = pickle.loads(finished[0][2])
-        best_config = MinimizeConfig.from_dict(
-            {**mconfig.to_dict(), "init_seed": finished[0][1]}
-        )
+        _, best_seed, result = min(finished, key=lambda item: item[:2])
+        best_config = replace(mconfig, init_seed=best_seed)
     else:
         try:
             result = minimize(grid, params, mconfig)
@@ -258,16 +254,16 @@ def cmd_minimize(config: dict, out: Path, workers: int, seed: int | None) -> int
 
 def cmd_curve(config: dict, out: Path, workers: int, seed: int | None) -> int:
     grid = _grid_from_config(config)
-    rhos = _convert("rhos", _require(config, "rhos", "curve"), _float_list)
+    rhos = read_list(_require(config, "rhos", "curve"), float, "rhos")
     if len(rhos) < 2:
         raise ConfigurationError("curve needs at least 2 rho values")
     if any(r <= 0 for r in rhos):
         raise ConfigurationError("curve rho values must be positive")
-    base = dict(_require(config, "params", "curve"))
+    base = _require(config, "params", "curve")
     mconfig = _minimize_config(config, seed)
-    save_fields = bool(config.get("save_fields", False))
+    save_fields = read_value(config.get("save_fields", False), bool, "save_fields")
     # every point's parameters are validated before any computation starts
-    sweep = [(rho, Params.from_dict({**base, "rho": rho})) for rho in rhos]
+    sweep = [(rho, read_block(Params, base, "params", rho=rho)) for rho in rhos]
     manifest = _Manifest(out, "curve", config, grid)
 
     points = []
@@ -321,19 +317,11 @@ def cmd_curve(config: dict, out: Path, workers: int, seed: int | None) -> int:
 
 def cmd_best_constant(config: dict, out: Path, workers: int, seed: int | None) -> int:
     grid = _grid_from_config(config)
-    ascent_block = dict(config.get("ascent", {}))
-    if seed is not None:
-        ascent_block["seed"] = seed
-    known = {f.name for f in AscentConfig.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    unknown = set(ascent_block) - known
-    if unknown:
-        raise ConfigurationError(f"unknown ascent config keys: {sorted(unknown)}")
-    ascent = AscentConfig(**ascent_block)
-    pairs = _convert(
-        "pairs",
-        config.get("pairs", []),
-        lambda ps: [(float(a), float(b)) for a, b in ps],
-    )
+    fixed = {} if seed is None else {"seed": seed}
+    ascent = read_block(AscentConfig, config.get("ascent", {}), "ascent", **fixed)
+    pairs = [read_list(p, float, "pairs") for p in read_list(config.get("pairs", []), list, "pairs")]
+    if any(len(pair) != 2 for pair in pairs):
+        raise ConfigurationError(f"bad pairs {pairs!r}: each pair is [alpha, beta]")
     manifest = _Manifest(out, "best-constant", config, grid)
 
     estimate = estimate_best_constant(grid, ascent)
@@ -352,10 +340,9 @@ def cmd_best_constant(config: dict, out: Path, workers: int, seed: int | None) -
 
 
 def _scaling_inputs(config: dict, grid: Grid, params: Params):
-    init = dict(config.get("init", {"kind": "gaussian", "width": grid.box_length / 8.0}))
-    kind = init.get("kind", "gaussian")
-    if kind == "gaussian":
-        width = _convert("init.width", init.get("width", grid.box_length / 8.0), float)
+    init = read_block(_ScalingInit, config.get("init", {}), "init")
+    if init.kind == "gaussian":
+        width = init.width if init.width is not None else grid.box_length / 8.0
         profile = GaussianProfile(width=width)
         sampled = profile.sample(grid)
         mass = sampled.mass()
@@ -363,30 +350,32 @@ def _scaling_inputs(config: dict, grid: Grid, params: Params):
             raise ConfigurationError("gaussian init has zero mass")
         profile = GaussianProfile(width=width, amplitude=np.sqrt(params.rho / mass))
         return profile.sample(grid), profile
-    if kind == "from_file":
-        field = load_snapshot(_require(init, "path", "scaling init"))
+    if init.kind == "from_file":
+        if init.path is None:
+            raise ConfigurationError("scaling init config is missing the key 'path'")
+        field = load_snapshot(init.path)
         if field.grid != grid:
             raise ConfigurationError("snapshot grid does not match the run grid")
         return project_mass(field, params.rho), None
-    raise ConfigurationError(f"scaling init kind must be gaussian or from_file, got {kind!r}")
+    raise ConfigurationError(
+        f"scaling init kind must be gaussian or from_file, got {init.kind!r}"
+    )
 
 
 def cmd_scaling(config: dict, out: Path, workers: int, seed: int | None) -> int:
     grid = _grid_from_config(config)
     params = _params_from_config(config)
     experiment = _require(config, "experiment", "scaling")
-    thetas = _convert("thetas", _require(config, "thetas", "scaling"), _float_list)
-    field, profile = _scaling_inputs(config, grid, params)
-    manifest = _Manifest(out, "scaling", config, grid)
-
-    if experiment == "blowup":
-        result = blowup_experiment(field, params, thetas, profile=profile)
-    elif experiment == "blowdown":
-        result = blowdown_experiment(field, params, thetas, profile=profile)
-    else:
+    if experiment not in ("blowup", "blowdown"):
         raise ConfigurationError(
             f"experiment must be blowup or blowdown, got {experiment!r}"
         )
+    thetas = read_list(_require(config, "thetas", "scaling"), float, "thetas")
+    field, profile = _scaling_inputs(config, grid, params)
+    manifest = _Manifest(out, "scaling", config, grid)
+
+    follow = blowup_experiment if experiment == "blowup" else blowdown_experiment
+    result = follow(field, params, thetas, profile=profile)
 
     rows = [r.to_list() for r in result.rows]
     for theta in result.skipped_thetas:
@@ -408,26 +397,14 @@ def cmd_scaling(config: dict, out: Path, workers: int, seed: int | None) -> int:
     return EXIT_OK
 
 
-def _verify_tolerances(config: dict) -> dict:
-    block = config.get("tolerances", {})
-    if not isinstance(block, dict) or not set(block) <= set(VERIFY_TOLERANCE_KEYS):
-        raise ConfigurationError(
-            f"tolerances must map keys of {VERIFY_TOLERANCE_KEYS} to numbers, got {block!r}"
-        )
-    custom = _convert(
-        "tolerances block", block, lambda b: {k: float(v) for k, v in b.items()}
-    )
-    return {**DEFAULT_VERIFY_TOLERANCES, **custom}
-
-
 def cmd_verify(config: dict, out: Path, workers: int, seed: int | None) -> int:
     field = _load_snapshot_field(config)
     params = _params_from_config(config, rho_fallback=field.mass() or 1.0)
     variant = _variant(config)
     omega = config.get("omega")
     if omega is not None:
-        omega = _convert("omega", omega, float)
-    tolerances = _verify_tolerances(config)
+        omega = read_value(omega, float, "omega")
+    tolerances = read_block(_Tolerances, config.get("tolerances", {}), "tolerances").gates()
     manifest = _Manifest(out, "verify", config, field.grid)
 
     report = identity_report(field, params, omega=omega, variant=variant)
@@ -450,13 +427,14 @@ def cmd_verify(config: dict, out: Path, workers: int, seed: int | None) -> int:
     return EXIT_OK if passed else EXIT_VERIFY
 
 
+# each command with the top-level config keys it reads
 COMMANDS = {
-    "energy": cmd_energy,
-    "minimize": cmd_minimize,
-    "curve": cmd_curve,
-    "best-constant": cmd_best_constant,
-    "scaling": cmd_scaling,
-    "verify": cmd_verify,
+    "energy": (cmd_energy, ("snapshot", "params", "variant")),
+    "minimize": (cmd_minimize, ("grid", "params", "minimize", "seeds")),
+    "curve": (cmd_curve, ("grid", "params", "rhos", "minimize", "save_fields")),
+    "best-constant": (cmd_best_constant, ("grid", "ascent", "pairs")),
+    "scaling": (cmd_scaling, ("grid", "params", "experiment", "thetas", "init")),
+    "verify": (cmd_verify, ("snapshot", "params", "variant", "omega", "tolerances")),
 }
 
 
@@ -483,9 +461,17 @@ def run(argv: list[str] | None = None) -> int:
             config = json.load(fh)
         if not isinstance(config, dict):
             raise ConfigurationError("config root must be a JSON object")
+        command, keys = COMMANDS[args.command]
+        unknown = set(config) - set(keys)
+        if unknown:
+            raise ConfigurationError(
+                f"unknown top-level keys {sorted(unknown)}: {args.command} reads {list(keys)}"
+            )
+        if args.workers < 1:
+            raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return COMMANDS[args.command](config, out, args.workers, args.seed)
+        return command(config, out, args.workers, args.seed)
     except (ConfigurationError, SnapshotFormatError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

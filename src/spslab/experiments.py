@@ -144,35 +144,6 @@ def _evaluate_row(field: Field, params: Params, theta: float, method: str) -> Sc
     )
 
 
-def _run_schedule(
-    kind: str,
-    phi: Field,
-    params: Params,
-    thetas: list[float],
-    profile: GaussianProfile | None,
-) -> tuple[tuple[ScalingRow, ...], bool, tuple[float, ...]]:
-    rows: list[ScalingRow] = []
-    skipped: list[float] = []
-    for theta in thetas:
-        rescaled, method = _rescaled_field(phi, theta, profile)
-        if rescaled is None:
-            skipped.append(theta)
-            warnings.warn(
-                f"{kind}: theta = {theta} dropped, rescaled field exceeds the "
-                "grid resolution or the box",
-                ResolutionWarning,
-                stacklevel=3,
-            )
-            continue
-        rows.append(_evaluate_row(rescaled, params, theta, method))
-    return tuple(rows), bool(skipped), tuple(skipped)
-
-
-def _base_e_tilde(phi: Field, params: Params) -> float:
-    breakdown = energy(phi, params, variant="homogeneous")
-    return breakdown.total
-
-
 def _validated_thetas(thetas, increasing: bool) -> list[float]:
     thetas = [float(t) for t in thetas]
     if not thetas:
@@ -186,6 +157,43 @@ def _validated_thetas(thetas, increasing: bool) -> list[float]:
     return thetas
 
 
+def _experiment(
+    kind: str,
+    phi: Field,
+    params: Params,
+    thetas,
+    profile: GaussianProfile | None,
+) -> ScalingExperimentResult:
+    _check_critical(params)
+    phi.require_finite(f"{kind}_experiment input")
+    thetas = _validated_thetas(thetas, increasing=kind == "blowup")
+    e_tilde = energy(phi, params, variant="homogeneous").total
+    # blow-up needs a negative seed; a nonnegative one stops at the sign report
+    proceeded = kind == "blowdown" or e_tilde < 0
+    rows: list[ScalingRow] = []
+    skipped: list[float] = []
+    for theta in thetas if proceeded else ():
+        rescaled, method = _rescaled_field(phi, theta, profile)
+        if rescaled is None:
+            skipped.append(theta)
+            warnings.warn(
+                f"{kind}: theta = {theta} dropped, rescaled field exceeds the "
+                "grid resolution or the box",
+                ResolutionWarning,
+                stacklevel=3,
+            )
+            continue
+        rows.append(_evaluate_row(rescaled, params, theta, method))
+    return ScalingExperimentResult(
+        kind=kind,
+        e_tilde_base=e_tilde,
+        proceeded=proceeded,
+        rows=tuple(rows),
+        truncated=bool(skipped),
+        skipped_thetas=tuple(skipped),
+    )
+
+
 def blowup_experiment(
     phi: Field,
     params: Params,
@@ -197,28 +205,7 @@ def blowup_experiment(
     When E_hom(phi) >= 0 the experiment reports the sign and stops: the
     divergence mechanism needs a negative seed.
     """
-    _check_critical(params)
-    phi.require_finite("blowup_experiment input")
-    thetas = _validated_thetas(thetas, increasing=True)
-    e_tilde = _base_e_tilde(phi, params)
-    if e_tilde >= 0:
-        return ScalingExperimentResult(
-            kind="blowup",
-            e_tilde_base=e_tilde,
-            proceeded=False,
-            rows=(),
-            truncated=False,
-            skipped_thetas=(),
-        )
-    rows, truncated, skipped = _run_schedule("blowup", phi, params, thetas, profile)
-    return ScalingExperimentResult(
-        kind="blowup",
-        e_tilde_base=e_tilde,
-        proceeded=True,
-        rows=rows,
-        truncated=truncated,
-        skipped_thetas=skipped,
-    )
+    return _experiment("blowup", phi, params, thetas, profile)
 
 
 def blowdown_experiment(
@@ -229,16 +216,4 @@ def blowdown_experiment(
 ) -> ScalingExperimentResult:
     """Follow theta -> 0: mass stays fixed while the homogeneous energy and
     seminorm shrink linearly, exhibiting the nonattainment mechanism."""
-    _check_critical(params)
-    phi.require_finite("blowdown_experiment input")
-    thetas = _validated_thetas(thetas, increasing=False)
-    e_tilde = _base_e_tilde(phi, params)
-    rows, truncated, skipped = _run_schedule("blowdown", phi, params, thetas, profile)
-    return ScalingExperimentResult(
-        kind="blowdown",
-        e_tilde_base=e_tilde,
-        proceeded=True,
-        rows=rows,
-        truncated=truncated,
-        skipped_thetas=skipped,
-    )
+    return _experiment("blowdown", phi, params, thetas, profile)

@@ -62,9 +62,6 @@ class Field:
     def is_zero(self) -> bool:
         return not np.any(self.values)
 
-    def copy_with(self, values: np.ndarray) -> "Field":
-        return Field(self.grid, values)
-
 
 def zero_field(grid: Grid) -> Field:
     return Field(grid, np.zeros(grid.shape, dtype=np.complex128))

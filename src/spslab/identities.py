@@ -209,7 +209,13 @@ def identity_report(
     v.require_finite("identity_report input")
     if v.is_zero():
         return IdentityReport(0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
-    ev = evaluate(v, params, variant, kernel, True)
+    return _report(evaluate(v, params, variant, kernel, True), v, params, omega, variant)
+
+
+def _report(
+    ev: Evaluation, v: Field, params: Params, omega: float | None, variant: str
+) -> IdentityReport:
+    """``identity_report`` of a nonzero ``v`` from its gradient evaluation ``ev``."""
     if omega is None:
         omega = _omega(ev, v)
     vres, vscale = _virial(ev, params)

@@ -9,7 +9,7 @@ up to rounding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,7 +29,9 @@ from .fields import (
     random_field,
 )
 from .grid import Grid
-from .identities import IdentityReport, identity_report
+from .identities import IdentityReport, _report
+# perfbench/tracing.py wraps this by attribute on this module
+from .identities import identity_report  # noqa: F401
 from .params import Params, check_variant
 
 # line search gives up once the step underflows this value
@@ -94,30 +96,6 @@ class MinimizeConfig:
             )
         check_variant(self.variant)
 
-    def to_dict(self) -> dict:
-        return {
-            "max_iters": self.max_iters,
-            "grad_tol": self.grad_tol,
-            "initial_step": self.initial_step,
-            "backtrack_factor": self.backtrack_factor,
-            "armijo_c": self.armijo_c,
-            "init_kind": self.init_kind,
-            "init_width": self.init_width,
-            "init_seed": self.init_seed,
-            "init_path": self.init_path,
-            "recenter_every": self.recenter_every,
-            "energy_floor": self.energy_floor,
-            "variant": self.variant,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MinimizeConfig":
-        known = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigurationError(f"unknown minimize config keys: {sorted(unknown)}")
-        return cls(**data)
-
 
 @dataclass(frozen=True)
 class TracePoint:
@@ -147,7 +125,7 @@ class GroundStateResult:
     def to_document(self, params: Params, config: MinimizeConfig) -> dict:
         return {
             "params": params.to_dict(),
-            "config": config.to_dict(),
+            "config": asdict(config),
             "grid": self.field.grid.describe(),
             "variant": self.variant,
             "converged": self.converged,
@@ -346,7 +324,7 @@ def minimize(
     final_ev = evaluate(v, params, variant, kernel=kernel, with_gradient=True)
     overlap = np.sum(final_ev.gradient * np.conj(v.values)).real * grid.cell_volume
     omega = float(overlap / rho)
-    residuals = identity_report(v, params, omega=omega, variant=variant, kernel=kernel)
+    residuals = _report(final_ev, v, params, omega, variant)
     return GroundStateResult(
         field=v,
         energy=final_ev.breakdown,

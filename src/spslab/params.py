@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import typing
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
@@ -44,19 +45,7 @@ class Params:
             raise ConfigurationError(f"rho must be positive, got {self.rho}")
 
     def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta, "p": self.p, "rho": self.rho}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Params":
-        try:
-            return cls(
-                alpha=float(data["alpha"]),
-                beta=float(data["beta"]),
-                p=float(data["p"]),
-                rho=float(data["rho"]),
-            )
-        except KeyError as exc:
-            raise ConfigurationError(f"params block missing key {exc}") from exc
+        return asdict(self)
 
 
 def check_variant(variant: str) -> str:
@@ -65,3 +54,67 @@ def check_variant(variant: str) -> str:
             f"variant must be one of {VARIANTS}, got {variant!r}"
         )
     return variant
+
+
+def _integral(value) -> int:
+    if type(value) is float and value.is_integer():
+        return int(value)
+    if type(value) is not int:
+        raise TypeError("expected an integer")
+    return value
+
+
+def _number(value) -> float:
+    if type(value) not in (int, float):
+        raise TypeError("expected a number")
+    return float(value)
+
+
+# a bool or a string is never a number, and an int field takes only
+# integral numbers; any other type takes only values of that JSON type
+_CONVERTERS = {int: _integral, float: _number}
+
+
+def read_value(value, kind: type, key: str):
+    """``value`` as a ``kind``; anything else is a ``ConfigurationError``."""
+    try:
+        if kind in _CONVERTERS:
+            return _CONVERTERS[kind](value)
+        if type(value) is not kind:
+            raise TypeError(f"expected a {kind.__name__}")
+        return value
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"bad {key} {value!r}: {exc}") from exc
+
+
+def read_list(values, kind: type, key: str) -> list:
+    return [read_value(v, kind, key) for v in read_value(values, list, key)]
+
+
+def read_block(cls, block, name: str, make=None, **fixed):
+    """Build ``cls`` (through ``make`` when given) from the JSON object
+    ``block``.
+
+    Every key must be a public field of the dataclass ``cls``; each value is
+    converted by the field's annotation (``X | None`` also takes null).
+    ``fixed`` values override the block's and are taken as they are.
+    """
+    block = read_value(block, dict, name)
+    hints = typing.get_type_hints(cls)
+    public = [f for f in fields(cls) if not f.name.startswith("_")]
+    unknown = set(block) - {f.name for f in public}
+    if unknown:
+        raise ConfigurationError(f"unknown {name} config keys: {sorted(unknown)}")
+    values = {}
+    for f in public:
+        if f.name in fixed:
+            continue
+        if f.name in block:
+            value = block[f.name]
+            kinds = typing.get_args(hints[f.name]) or (hints[f.name],)  # X | None: (X, None)
+            if value is not None or type(None) not in kinds:
+                value = read_value(value, kinds[0], f"{name}.{f.name}")
+            values[f.name] = value
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigurationError(f"{name} block is missing the key {f.name!r}")
+    return (make or cls)(**values, **fixed)

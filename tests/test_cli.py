@@ -484,6 +484,42 @@ class TestConfigErrors:
 PARAMS = {"alpha": 1.0, "beta": 1.0, "p": 2.5, "rho": 0.1}
 
 
+def malformed_configs(snap):
+    """A valid config per command, to be broken one key at a time."""
+    return {
+        "energy": {"snapshot": snap, "params": {**PARAMS}},
+        "scaling": {
+            "grid": {**GRID16},
+            "params": {**PARAMS, "p": 8.0 / 3.0},
+            "experiment": "blowdown",
+            "thetas": [1.0, 0.5],
+            "init": {"kind": "gaussian", "width": 1.0},
+        },
+        "curve": {"grid": {**GRID16}, "params": {**PARAMS}, "rhos": [0.1, 0.2]},
+        "best-constant": {"grid": {**GRID16}, "ascent": {"steps": 2}, "pairs": [[1.0, 1.0]]},
+        "verify": {"snapshot": snap, "params": {**PARAMS}, "omega": 1.0, "tolerances": {}},
+        "minimize": {
+            "grid": {**GRID16},
+            "params": {**PARAMS},
+            "minimize": {"init_kind": "random"},
+            "seeds": [0, 1],
+        },
+    }
+
+
+def run_malformed(tmp_path, command, key, bad):
+    """Set the dotted ``key`` of ``command``'s valid config to ``bad`` and run
+    it; the run must fail before its manifest is written."""
+    snap, _ = make_gaussian_snapshot(tmp_path, sl.make_grid(16, 8.0))
+    config = malformed_configs(snap)[command]
+    block, _, leaf = key.rpartition(".")
+    (config[block] if block else config)[leaf] = bad
+    cfg = write_config(tmp_path, "cfg.json", config)
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize(
     "command, key, bad",
     [
@@ -493,36 +529,84 @@ PARAMS = {"alpha": 1.0, "beta": 1.0, "p": 2.5, "rho": 0.1}
         ("best-constant", "pairs", [[1.0, "z"]]),
         ("verify", "omega", "w"),
         ("minimize", "seeds", [0, "v"]),
+        ("minimize", "params.alpha", "x"),
+        ("minimize", "params.rho", True),
+        ("minimize", "minimize.max_iters", "2"),
+        ("minimize", "minimize.max_iters", 2.7),
+        ("minimize", "minimize.grad_tol", None),
+        ("minimize", "minimize.init_width", "w"),
+        ("minimize", "grid.n", 16.5),
+        ("best-constant", "ascent.steps", 2.5),
+        ("best-constant", "pairs", [[1.0, 2.0, 3.0]]),
+        ("curve", "save_fields", "no"),
+        ("verify", "tolerances.el_rel", True),
+        ("energy", "snapshot", 5),
     ],
 )
 def test_non_numeric_config_number_is_config_error(tmp_path, capsys, command, key, bad):
-    snap, _ = make_gaussian_snapshot(tmp_path, sl.make_grid(16, 8.0))
-    configs = {
-        "scaling": {
-            "grid": GRID16,
-            "params": {**PARAMS, "p": 8.0 / 3.0},
-            "experiment": "blowdown",
-            "thetas": [1.0, 0.5],
-            "init": {"kind": "gaussian", "width": 1.0},
-        },
-        "curve": {"grid": GRID16, "params": PARAMS, "rhos": [0.1, 0.2]},
-        "best-constant": {"grid": GRID16, "pairs": [[1.0, 1.0]]},
-        "verify": {"snapshot": snap, "params": PARAMS, "omega": 1.0},
-        "minimize": {
-            "grid": GRID16,
-            "params": PARAMS,
-            "minimize": {"init_kind": "random"},
-            "seeds": [0, 1],
-        },
-    }
-    config = configs[command]
-    if key == "init.width":
-        config["init"]["width"] = bad
-    else:
-        config[key] = bad
-    cfg = write_config(tmp_path, "cfg.json", config)
-    assert run([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+    run_malformed(tmp_path, command, key, bad)
     assert f"bad {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, key, bad",
+    [
+        ("minimize", "variant", "homogeneous"),
+        ("energy", "grid", GRID16),
+        ("curve", "seeds", [0, 1]),
+        ("minimize", "grid.m", 1),
+        ("scaling", "params.gamma", 1.0),
+        ("scaling", "init.widht", 1.0),
+        ("minimize", "params", [1]),
+        ("best-constant", "ascent", [1]),
+        ("scaling", "grid", 16),
+        ("scaling", "init", "gaussian"),
+    ],
+)
+def test_unknown_key_or_non_object_block_is_config_error(
+    tmp_path, capsys, command, key, bad
+):
+    run_malformed(tmp_path, command, key, bad)
+    err = capsys.readouterr().err
+    assert ("unknown" in err and key.rpartition(".")[2] in err) or f"bad {key}" in err
+
+
+class TestWorkers:
+    CONFIG = {
+        "grid": GRID16,
+        "params": PARAMS,
+        "minimize": {"max_iters": 2, "init_kind": "random"},
+        "seeds": [0, 1],
+    }
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_rejected(self, tmp_path, workers):
+        cfg = write_config(tmp_path, "cfg.json", self.CONFIG)
+        out = tmp_path / "o"
+        argv = ["minimize", "--config", cfg, "--out", str(out), "--workers", workers]
+        assert run(argv) == EXIT_CONFIG
+        assert not (out / "manifest.json").exists()
+
+    def test_pool_capped_at_seed_count(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr("spslab.cli.ProcessPoolExecutor", SerialPool)
+        cfg = write_config(tmp_path, "cfg.json", self.CONFIG)
+        argv = ["minimize", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "64"]
+        assert run(argv) == EXIT_OK
+        assert sizes == [2]
 
 
 class TestReproducibility:

@@ -168,6 +168,25 @@ class TestEdgeCases:
         assert not res.converged and res.iterations == 0
         assert relerr(res.field.mass(), params.rho) < 1e-12
 
+    def test_output_field_evaluated_once(self, grid16, monkeypatch):
+        # the start and the output field: omega, the energy and the
+        # certificate all read the output's one evaluation
+        calls = []
+        for name in ("spslab.minimize", "spslab.identities"):
+            module = importlib.import_module(name)
+
+            def counted(*args, _evaluate=module.evaluate, **kwargs):
+                calls.append(args[0])
+                return _evaluate(*args, **kwargs)
+
+            monkeypatch.setattr(module, "evaluate", counted)
+        params = sl.Params(alpha=1.0, beta=1.0, p=2.5, rho=0.1)
+        res = sl.minimize(grid16, params, sl.MinimizeConfig(max_iters=0))
+        assert len(calls) == 2
+        assert calls[1] is res.field
+        report = sl.identity_report(res.field, params, omega=res.omega)
+        assert report == res.residuals
+
     def test_unbounded_regime_detected(self):
         grid = sl.make_grid(16, 8.0)
         params = sl.Params(alpha=1.0, beta=40.0, p=8.0 / 3.0, rho=40.0)
