@@ -24,13 +24,20 @@ from scipy import fft as _fft
 from .coulomb import CoulombKernel, _potential_values, coulomb_kernel
 # perfbench/tracing.py wraps this by attribute on this module
 from .coulomb import hartree_double_integral  # noqa: F401
-from .energy import Evaluation, evaluate, power_term
+from .energy import Evaluation, evaluate
 from .errors import (
     ConfigurationError,
     DegenerateFieldError,
     NumericalFailureError,
 )
-from .fields import Field, boundary_mass_fraction, gaussian_field, random_field
+from .fields import (
+    Components,
+    Field,
+    boundary_mass_fraction,
+    dot,
+    gaussian_field,
+    random_field,
+)
 from .grid import Grid
 from .params import Params
 
@@ -103,40 +110,48 @@ class BestConstantEstimate:
 
 
 def _log_quotient_gradient(
-    phi: Field, ev: Evaluation, kernel: CoulombKernel
-) -> np.ndarray:
-    """L2 gradient of log Q at phi from its quotient evaluation ``ev``
-    (amplitude gauge direction removed later by the per-step
-    renormalization)."""
+    phi: Components, ev: Evaluation, kernel: CoulombKernel
+) -> tuple[np.ndarray, ...]:
+    """L2 gradient of log Q at phi from its quotient evaluation ``ev``, one
+    real array per component (amplitude gauge direction removed later by
+    the per-step renormalization)."""
     ns = ev.breakdown.norms
     lp_p, hdot, d_value = ns.lp_p, ns.hdot_half_sq, ev.breakdown.d_value
     if lp_p <= 0 or hdot <= 0 or d_value <= 0:
         raise DegenerateFieldError("ascent left the admissible cone")
-    kinetic_part = _fft.ifftn(phi.grid.k_abs * ev.u_fft)
-    potential = _potential_values(ev.density_fft, kernel)
-    v = phi.values
+    grid = phi.grid
+    mult = grid.kinetic_symbol("homogeneous")
     # log Q = 3/8 log ||phi||_{8/3}^{8/3} - 1/4 log hdot - 1/8 log D
-    return (
-        power_term(v, P_CRITICAL) / lp_p
-        - kinetic_part / (2.0 * hdot)
-        - potential * v / (2.0 * d_value)
+    local = phi.density() ** (0.5 * (P_CRITICAL - 2.0)) / lp_p
+    local -= _potential_values(ev.density_fft, kernel) / (2.0 * d_value)
+    return tuple(
+        local * c - _fft.irfftn(mult * f, s=grid.shape) / (2.0 * hdot)
+        for c, f in zip(phi.parts, ev.parts_fft)
     )
 
 
-def _dilation_generator(phi: Field, u_fft: np.ndarray) -> np.ndarray:
+def _dilation_generator(
+    phi: Components, parts_fft: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, ...]:
     """Generator 3/2 phi + x . grad phi of the mass-preserving dilation,
-    from ``u_fft = fftn(phi)``."""
+    per component, from the half spectra ``parts_fft``."""
     grid = phi.grid
     k1 = grid.wavenumbers
-    out = 1.5 * phi.values.astype(np.complex128)
+    kz = k1[: grid.n // 2 + 1]
     x, y, z = grid.meshgrid()
-    out += x * _fft.ifftn(1j * k1[:, None, None] * u_fft)
-    out += y * _fft.ifftn(1j * k1[None, :, None] * u_fft)
-    out += z * _fft.ifftn(1j * k1[None, None, :] * u_fft)
-    return out
+    out = []
+    for c, f in zip(phi.parts, parts_fft):
+        g = 1.5 * c
+        g += x * _fft.irfftn(1j * k1[:, None, None] * f, s=grid.shape)
+        g += y * _fft.irfftn(1j * k1[None, :, None] * f, s=grid.shape)
+        g += z * _fft.irfftn(1j * kz[None, None, :] * f, s=grid.shape)
+        out.append(g)
+    return tuple(out)
 
 
-def _gauge_fixed_direction(phi: Field, raw: np.ndarray, u_fft: np.ndarray) -> np.ndarray:
+def _gauge_fixed_direction(
+    phi: Components, raw: tuple[np.ndarray, ...], parts_fft: tuple[np.ndarray, ...]
+) -> tuple[np.ndarray, ...]:
     """Remove the flat directions of Q from the ascent direction.
 
     On the continuum Q is invariant under amplitude scaling and dilation, so
@@ -148,20 +163,19 @@ def _gauge_fixed_direction(phi: Field, raw: np.ndarray, u_fft: np.ndarray) -> np
     localized shapes, where the discrete quotient is a meaningful lower
     bound for the continuum constant.
     """
-    grid = phi.grid
-    direction = raw - np.mean(raw)  # no pumping of the uniform mode
-    for flat in (phi.values, _dilation_generator(phi, u_fft)):
-        overlap = np.sum(direction * np.conj(flat)).real
-        norm_sq = np.sum(flat.real**2 + flat.imag**2)
+    direction = tuple(r - np.mean(r) for r in raw)  # no pumping of the uniform mode
+    for flat in (phi.parts, _dilation_generator(phi, parts_fft)):
+        overlap = dot(direction, flat)
+        norm_sq = dot(flat, flat)
         if norm_sq > 0:
-            direction = direction - (overlap / norm_sq) * flat
+            direction = tuple(d - (overlap / norm_sq) * f for d, f in zip(direction, flat))
     return direction
 
 
-def _is_localized(phi: Field) -> bool:
+def _is_localized(phi: Field | Components) -> bool:
     """Boundary-shell mass small: the quotient of a box-filling field is a
     torus artifact and must not be certified."""
-    if phi.is_zero():
+    if not np.any(phi.density()):
         return False
     return boundary_mass_fraction(phi) < 1.0e-4
 
@@ -187,7 +201,7 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
         phi = Field(
             grid, envelope.values * (1.0 + 0.3 * noise.values / scale)
         )
-    phi = Field(grid, phi.values / np.sqrt(phi.mass()))
+    phi = Components.of(Field(grid, phi.values / np.sqrt(phi.mass())))
 
     kernel = coulomb_kernel(grid)
     trace: list[tuple[int, float]] = []
@@ -212,15 +226,13 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
             raise NumericalFailureError(
                 f"ascent became degenerate at step {it}: {exc}", trace
             ) from exc
-        direction = _gauge_fixed_direction(phi, raw, ev.u_fft)
-        trial_values = phi.values + step * direction
-        trial_mass = float(
-            np.sum(trial_values.real**2 + trial_values.imag**2) * grid.cell_volume
-        )
+        direction = _gauge_fixed_direction(phi, raw, ev.parts_fft)
+        trial_parts = tuple(c + step * d for c, d in zip(phi.parts, direction))
+        trial_mass = dot(trial_parts, trial_parts) * grid.cell_volume
         if trial_mass <= 0 or not np.isfinite(trial_mass):
             step *= 0.5
             continue
-        trial = Field(grid, trial_values / np.sqrt(trial_mass))
+        trial = Components(grid, tuple(c / np.sqrt(trial_mass) for c in trial_parts))
         try:
             trial_ev = evaluate(trial, _QUOTIENT_PARAMS, "homogeneous", kernel)
             trial_q = _quotient(trial_ev)
@@ -248,7 +260,7 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
         )
     return BestConstantEstimate(
         s_lower=best_q,
-        maximizer=best_phi,
+        maximizer=best_phi.field(),
         ascent_trace=tuple(trace),
         grid_meta=grid.describe(),
     )

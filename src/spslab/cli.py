@@ -35,7 +35,13 @@ from .errors import (
     SpsLabError,
     UnboundedEnergyError,
 )
-from .experiments import TABLE_COLUMNS, blowdown_experiment, blowup_experiment
+from .experiments import (
+    TABLE_COLUMNS,
+    _check_critical,
+    _validated_thetas,
+    blowdown_experiment,
+    blowup_experiment,
+)
 from .fields import (
     Field,
     GaussianProfile,
@@ -371,6 +377,8 @@ def cmd_scaling(config: dict, out: Path, workers: int, seed: int | None) -> int:
             f"experiment must be blowup or blowdown, got {experiment!r}"
         )
     thetas = read_list(_require(config, "thetas", "scaling"), float, "thetas")
+    _check_critical(params)
+    thetas = _validated_thetas(thetas, increasing=experiment == "blowup")
     field, profile = _scaling_inputs(config, grid, params)
     manifest = _Manifest(out, "scaling", config, grid)
 

@@ -8,7 +8,7 @@ this symbol reproduces the free-space convolution; the default T = L/2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as _fft
@@ -18,40 +18,56 @@ from .fields import Field
 from .grid import Grid
 
 
-def truncated_kernel_symbol(grid: Grid, truncation_radius: float) -> np.ndarray:
-    """Spectral symbol of the radius-T truncation of 1/|x|, one value per mode."""
+def _symbol(k_sq: np.ndarray, truncation_radius: float) -> np.ndarray:
     if truncation_radius <= 0:
         raise ConfigurationError(
             f"truncation radius must be positive, got {truncation_radius}"
         )
-    k = grid.k_abs
     with np.errstate(divide="ignore", invalid="ignore"):
-        symbol = 4.0 * np.pi * (1.0 - np.cos(truncation_radius * k)) / grid.k_sq
+        symbol = 4.0 * np.pi * (1.0 - np.cos(truncation_radius * np.sqrt(k_sq))) / k_sq
     symbol[0, 0, 0] = 2.0 * np.pi * truncation_radius**2
     return symbol
 
 
+def truncated_kernel_symbol(grid: Grid, truncation_radius: float) -> np.ndarray:
+    """Spectral symbol of the radius-T truncation of 1/|x|, one value per mode."""
+    return _symbol(grid.k_sq, truncation_radius)
+
+
 @dataclass(frozen=True)
 class CoulombKernel:
-    """Truncated Coulomb kernel bound to one grid."""
+    """Truncated Coulomb kernel bound to one grid.
+
+    ``half_symbol`` is the symbol on the half spectrum kz >= 0 (it drives
+    Phi), ``double_integral_weight`` the same times the Hermitian plane
+    weights (it drives D); ``symbol`` is the full array, built on demand.
+    """
 
     grid: Grid
     truncation_radius: float
-    symbol: np.ndarray
+    half_symbol: np.ndarray = field(repr=False)
+    double_integral_weight: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        if self.symbol.shape != self.grid.shape:
-            raise ConfigurationError("kernel symbol shape does not match grid")
+    @property
+    def symbol(self) -> np.ndarray:
+        T = self.truncation_radius
+        return self.grid.cached(
+            ("coulomb_symbol", T), lambda: truncated_kernel_symbol(self.grid, T)
+        )
 
 
 def coulomb_kernel(grid: Grid, truncation_radius: float | None = None) -> CoulombKernel:
     """Kernel for ``grid``; symbols are cached per (grid, T)."""
     if truncation_radius is None:
         truncation_radius = grid.box_length / 2.0
-    key = ("coulomb_symbol", float(truncation_radius))
-    if key not in grid._cache:
-        grid._cache[key] = truncated_kernel_symbol(grid, truncation_radius)
-    return CoulombKernel(grid, float(truncation_radius), grid._cache[key])
+    T = float(truncation_radius)
+
+    def build():
+        half = _symbol(grid.wave_sq(half=True), T)
+        return half, half * grid.hermitian_weight
+
+    half, weight = grid.cached(("coulomb_half_symbol", T), build)
+    return CoulombKernel(grid, T, half, weight)
 
 
 def _potential_values(
@@ -60,27 +76,22 @@ def _potential_values(
     """Phi from ``density_fft = rfftn(density)`` of a real density.
 
     The density and Phi are real, so both transforms run on the half
-    spectrum kz >= 0, where the symbol is the leading slice of the full one.
+    spectrum kz >= 0.
     """
-    half = kernel.symbol[..., : density_fft.shape[-1]]
-    return _fft.irfftn(half * density_fft, s=kernel.grid.shape)
+    return _fft.irfftn(kernel.half_symbol * density_fft, s=kernel.grid.shape)
 
 
 def _double_integral_from_density_fft(
     density_fft: np.ndarray, kernel: CoulombKernel
 ) -> float:
-    """sum_k symbol(k) |rho_hat(k)|^2 from the half spectrum ``rfftn(density)``.
+    """sum_k symbol(k) |rho_hat(k)|^2 from the half spectrum ``rfftn(density)``,
+    with the Hermitian plane weights (see ``grid``)."""
+    power = density_fft.real**2 + density_fft.imag**2
+    return float(np.sum(kernel.double_integral_weight * power))
 
-    Hermitian weights: each interior plane 0 < kz < n/2 also stands for its
-    mirror image -kz; the kz = 0 and Nyquist planes appear once.
-    """
-    terms = kernel.symbol[..., : density_fft.shape[-1]] * (
-        density_fft.real**2 + density_fft.imag**2
-    )
-    total = (
-        2.0 * np.sum(terms[..., 1:-1]) + np.sum(terms[..., 0]) + np.sum(terms[..., -1])
-    )
-    return float(total * kernel.grid.fourier_weight)
+
+def _density_fft(u: Field) -> np.ndarray:
+    return _fft.rfftn(u.density())
 
 
 def hartree_potential(u: Field, kernel: CoulombKernel | None = None) -> Field:
@@ -93,8 +104,7 @@ def hartree_potential(u: Field, kernel: CoulombKernel | None = None) -> Field:
     u.require_finite("hartree_potential input")
     if kernel is None:
         kernel = coulomb_kernel(u.grid)
-    density_fft = _fft.rfftn(np.abs(u.values) ** 2)
-    return Field(u.grid, _potential_values(density_fft, kernel))
+    return Field(u.grid, _potential_values(_density_fft(u), kernel))
 
 
 def hartree_double_integral(u: Field, kernel: CoulombKernel | None = None) -> float:
@@ -107,5 +117,4 @@ def hartree_double_integral(u: Field, kernel: CoulombKernel | None = None) -> fl
     u.require_finite("hartree_double_integral input")
     if kernel is None:
         kernel = coulomb_kernel(u.grid)
-    density_fft = _fft.rfftn(np.abs(u.values) ** 2)
-    return _double_integral_from_density_fft(density_fft, kernel)
+    return _double_integral_from_density_fft(_density_fft(u), kernel)

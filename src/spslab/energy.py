@@ -12,6 +12,11 @@ Coulomb double integral.  Its unconstrained L2 gradient is
 
 (|D| u in the homogeneous variant), so that d/dt E(u + t v)|_0
 = Re <grad E(u), v>.
+
+A field enters as its real components (``fields.Components``): every term
+is real-linear in u or depends on |u| only, so each component takes one
+real-to-complex transform and the gradient one complex-to-real transform
+per component.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from .coulomb import (
     _potential_values,
     coulomb_kernel,
 )
-from .fields import Field
+from .fields import Components, Field
 from .params import Params, check_variant
 
 
@@ -82,46 +87,61 @@ class EnergyBreakdown:
         }
 
 
-def _norm_set(
-    grid, abs_u: np.ndarray, density: np.ndarray, p: float, spectrum_sq: np.ndarray
-) -> NormSet:
-    """The five norms from |u|, |u|^2 and the power spectrum |fftn(u)|^2."""
-    w = grid.fourier_weight
-    mult = grid.half_wave_multiplier
+def _spectra(parts: tuple[np.ndarray, ...]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Half spectra ``rfftn`` of the components and their summed power
+    spectrum, which is the half of |fftn(u)|^2 that the Hermitian weights
+    complete."""
+    parts_fft = tuple(_fft.rfftn(c) for c in parts)
+    spectrum_sq = parts_fft[0].real ** 2
+    spectrum_sq += parts_fft[0].imag ** 2
+    for f in parts_fft[1:]:
+        spectrum_sq += f.real**2
+        spectrum_sq += f.imag**2
+    return parts_fft, spectrum_sq
+
+
+def _norm_set(grid, density: np.ndarray, lp_p: float, spectrum_sq: np.ndarray) -> NormSet:
+    """The five norms from |u|^2, ||u||_p^p and the half power spectrum."""
+    # pairwise sums (not BLAS dots): the flow's Armijo test compares
+    # energies, and their rounding sets the smallest gradient it can reach
+    h_half, hdot_half, h_minus_half = np.sum(
+        grid.plancherel_weights * spectrum_sq.ravel(), axis=1
+    )
     return NormSet(
         l2_sq=float(np.sum(density) * grid.cell_volume),
-        lp_p=float(np.sum(abs_u**p) * grid.cell_volume),
-        h_half_sq=float(np.sum(mult * spectrum_sq) * w),
-        hdot_half_sq=float(np.sum(grid.k_abs * spectrum_sq) * w),
-        h_minus_half_sq=float(np.sum(spectrum_sq / mult) * w),
+        lp_p=lp_p,
+        h_half_sq=float(h_half),
+        hdot_half_sq=float(hdot_half),
+        h_minus_half_sq=float(h_minus_half),
     )
 
 
 def norms(u: Field, p: float) -> NormSet:
     """All five norms of ``u`` (``lp_p`` is ||u||_p^p for the given p)."""
     u.require_finite("norms input")
-    abs_u = np.abs(u.values)
-    f = _fft.fftn(u.values)
-    return _norm_set(u.grid, abs_u, abs_u**2, p, f.real**2 + f.imag**2)
+    comps = Components.of(u)
+    density = comps.density()
+    lp_p = float(np.sum(density ** (0.5 * p)) * u.grid.cell_volume)
+    return _norm_set(u.grid, density, lp_p, _spectra(comps.parts)[1])
+
+
+def _apply_kinetic(u: Field, variant: str) -> Field:
+    comps = Components.of(u)
+    mult = u.grid.kinetic_symbol(variant)
+    parts = tuple(_fft.irfftn(mult * _fft.rfftn(c), s=u.grid.shape) for c in comps.parts)
+    return Components(u.grid, parts).field()
 
 
 def apply_half_wave(u: Field) -> Field:
     """Apply sqrt(1 - Laplacian): Fourier multiplier sqrt(1 + |k|^2)."""
     u.require_finite("apply_half_wave input")
-    f = _fft.fftn(u.values)
-    return Field(u.grid, _fft.ifftn(u.grid.half_wave_multiplier * f))
+    return _apply_kinetic(u, "inhomogeneous")
 
 
 def apply_homogeneous_half_wave(u: Field) -> Field:
     """Apply |D|: Fourier multiplier |k| (the homogeneous kinetic operator)."""
     u.require_finite("apply_homogeneous_half_wave input")
-    f = _fft.fftn(u.values)
-    return Field(u.grid, _fft.ifftn(u.grid.k_abs * f))
-
-
-def power_term(values: np.ndarray, p: float) -> np.ndarray:
-    """|u|^{p-2} u; continuous through u = 0 because p > 2."""
-    return np.abs(values) ** (p - 2.0) * values
+    return _apply_kinetic(u, "homogeneous")
 
 
 @dataclass
@@ -129,37 +149,42 @@ class Evaluation:
     """Energy (and optionally gradient) of one field, with the transforms
     every other quantity of that field is read from.
 
-    ``u_fft`` is fftn(u), ``spectrum_sq`` its power spectrum |u_fft|^2 and
-    ``density_fft`` the half spectrum rfftn(|u|^2) of the real density.
+    ``u`` holds the field's real components, ``parts_fft`` their half
+    spectra ``rfftn``, ``spectrum_sq`` the summed half power spectrum and
+    ``density_fft`` the half spectrum ``rfftn(|u|^2)``.  ``gradient`` has
+    one real array per component.
     """
 
     breakdown: EnergyBreakdown
-    u_fft: np.ndarray
+    u: Components
+    parts_fft: tuple[np.ndarray, ...]
     spectrum_sq: np.ndarray
     density_fft: np.ndarray
-    gradient: np.ndarray | None = None
+    gradient: tuple[np.ndarray, ...] | None = None
 
 
 def evaluate(
-    u: Field,
+    u: Field | Components,
     params: Params,
     variant: str = "inhomogeneous",
     kernel: CoulombKernel | None = None,
     with_gradient: bool = False,
 ) -> Evaluation:
-    """Shared evaluation path: one forward transform of u and one of |u|^2
-    serve the norms, the energy, and (optionally) the gradient."""
+    """Shared evaluation path: one ``rfftn`` per real component of u and one
+    of |u|^2 serve the norms, the energy, and (optionally) the gradient,
+    which adds one ``irfftn`` per component and one for Phi."""
     check_variant(variant)
+    if not isinstance(u, Components):
+        u = Components.of(u)
     grid = u.grid
     if kernel is None:
         kernel = coulomb_kernel(grid)
-    v = u.values
-    abs_u = np.abs(v)
-    density = abs_u**2
-    f = _fft.fftn(v)
-    spectrum_sq = f.real**2 + f.imag**2
-    ns = _norm_set(grid, abs_u, density, params.p, spectrum_sq)
-    del abs_u
+    density = u.density()
+    # |u|^{p-2}: the Lp term is its pairing with the density
+    power = density ** (0.5 * (params.p - 2.0))
+    lp_p = float(np.sum(power * density) * grid.cell_volume)
+    parts_fft, spectrum_sq = _spectra(u.parts)
+    ns = _norm_set(grid, density, lp_p, spectrum_sq)
     density_fft = _fft.rfftn(density)
     del density
     d_value = _double_integral_from_density_fft(density_fft, kernel)
@@ -175,15 +200,22 @@ def evaluate(
         norms=ns,
         d_value=d_value,
     )
-    ev = Evaluation(breakdown, f, spectrum_sq, density_fft)
+    ev = Evaluation(breakdown, u, parts_fft, spectrum_sq, density_fft)
     if with_gradient:
-        mult = grid.half_wave_multiplier if variant == "inhomogeneous" else grid.k_abs
-        kinetic_part = _fft.ifftn(mult * f)
-        potential_values = _potential_values(density_fft, kernel)
-        grad = kinetic_part + (4.0 * params.alpha) * potential_values * v
+        # grad_j = K c_j + (4 alpha Phi - beta p |u|^{p-2}) c_j per component
+        mult = grid.kinetic_symbol(variant)
+        local = _potential_values(density_fft, kernel)
+        local *= 4.0 * params.alpha
         if params.beta != 0.0:
-            grad = grad - (params.beta * params.p) * power_term(v, params.p)
-        ev.gradient = grad
+            power *= params.beta * params.p
+            local -= power
+        del power
+        gradient = []
+        for c, f in zip(u.parts, parts_fft):
+            g = _fft.irfftn(mult * f, s=grid.shape)
+            g += local * c
+            gradient.append(g)
+        ev.gradient = tuple(gradient)
     return ev
 
 
@@ -207,7 +239,7 @@ def gradient(
     """Unconstrained L2 gradient of the energy at ``u``."""
     u.require_finite("gradient input")
     ev = evaluate(u, params, variant, kernel=kernel, with_gradient=True)
-    return Field(u.grid, ev.gradient)
+    return Components(u.grid, ev.gradient).field()
 
 
 def inner(a: Field, b: Field) -> complex:

@@ -55,12 +55,55 @@ class Field:
             raise DegenerateFieldError(f"{context} is identically zero")
         return self
 
+    def density(self) -> np.ndarray:
+        """|u|^2 at every grid point."""
+        return self.values.real**2 + self.values.imag**2
+
     def mass(self) -> float:
         """Discrete L2 mass h^3 sum |u|^2."""
-        return float(np.sum(np.abs(self.values) ** 2) * self.grid.cell_volume)
+        return float(np.sum(self.density()) * self.grid.cell_volume)
 
     def is_zero(self) -> bool:
         return not np.any(self.values)
+
+
+@dataclass(frozen=True)
+class Components:
+    """A field as its real components: ``(Re u,)`` when u is real and
+    ``(Re u, Im u)`` otherwise.
+
+    Every operator of the energy is real-linear or depends on |u| only, so
+    it acts on the components one at a time; a real field then costs one
+    real array and real (r2c/c2r) transforms.
+    """
+
+    grid: Grid
+    parts: tuple[np.ndarray, ...]
+
+    @classmethod
+    def of(cls, u: Field) -> "Components":
+        """Split ``u``; an exactly zero imaginary part gives one component."""
+        if np.any(u.values.imag):
+            return cls(u.grid, (u.values.real.copy(), u.values.imag.copy()))
+        return cls(u.grid, (u.values.real.copy(),))
+
+    def field(self) -> Field:
+        values = np.empty(self.grid.shape, dtype=np.complex128)
+        values.real = self.parts[0]
+        values.imag = self.parts[1] if len(self.parts) > 1 else 0.0
+        return Field(self.grid, values)
+
+    def density(self) -> np.ndarray:
+        """|u|^2, the sum of the squared components."""
+        density = self.parts[0] ** 2
+        for c in self.parts[1:]:
+            density += c**2
+        return density
+
+
+def dot(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> float:
+    """sum_j Re(a_j conj(b_j)) of two fields given by their components."""
+    return float(sum(np.sum(x * y) for x, y in zip(a, b)))
 
 
 def zero_field(grid: Grid) -> Field:
@@ -72,6 +115,7 @@ def boundary_mass_fraction(field: Field, shell_fraction: float = 0.1) -> float:
 
     Diagnostic for domain truncation: values near zero mean the periodic
     box holds the state; order-one values mean the field feels the box.
+    ``field`` is a ``Field`` or its ``Components``.
     """
     if not 0.0 < shell_fraction < 0.5:
         raise ConfigurationError(
@@ -79,7 +123,7 @@ def boundary_mass_fraction(field: Field, shell_fraction: float = 0.1) -> float:
         )
     n = field.grid.n
     shell = max(1, int(round(shell_fraction * n)))
-    density = np.abs(field.values) ** 2
+    density = field.density()
     total = float(np.sum(density))
     if total == 0.0:
         return 0.0

@@ -3,16 +3,28 @@
 All operators in this package are diagonal in the discrete Fourier basis of
 a periodic box [-L/2, L/2)^3 sampled at n points per axis.  The grid owns
 the wavenumber lattice and the derived multiplier arrays so they are built
-once per resolution.
+once per resolution, on first use.
+
+Fields enter the transforms as real components (see ``fields.Components``),
+so the operators work on the ``rfftn`` half spectrum kz >= 0, of shape
+(n, n, n/2 + 1).  A sum over the full spectrum of m(k) |fftn(c)(k)|^2 for a
+real c and an even m is the half-spectrum sum with Hermitian weights: each
+interior plane 0 < kz < n/2 also stands for its mirror -kz, and the kz = 0
+and Nyquist planes appear once.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError
+
+# grids kept by ``make_grid``; a repeated (n, L) returns the kept grid and
+# its cached spectral arrays
+GRID_MEMO_SIZE = 4
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -32,10 +44,11 @@ class Grid:
 
     Derived attributes (set in ``__post_init__``):
     ``spacing`` (h = L/n), ``axis`` (1-D physical coordinates, cell-centered
-    at -L/2 + j h), ``wavenumbers`` (1-D angular wavenumbers
-    (2 pi / L) * {-n/2, ..., n/2 - 1} in FFT storage order), ``k_sq`` and
-    ``k_abs`` (3-D |k|^2 and |k|), and ``half_wave_multiplier``
-    (sqrt(1 + |k|^2)).
+    at -L/2 + j h) and ``wavenumbers`` (1-D angular wavenumbers
+    (2 pi / L) * {-n/2, ..., n/2 - 1} in FFT storage order).  The 3-D arrays
+    ``k_sq``, ``k_abs`` and ``half_wave_multiplier`` (|k|^2, |k| and
+    sqrt(1 + |k|^2) on the full spectrum) and the half-spectrum arrays are
+    built on first use and cached.
     """
 
     n: int
@@ -60,13 +73,7 @@ class Grid:
         object.__setattr__(self, "box_length", L)
         object.__setattr__(self, "spacing", h)
         object.__setattr__(self, "axis", -L / 2 + h * np.arange(n))
-        k1 = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
-        object.__setattr__(self, "wavenumbers", k1)
-        kx, ky, kz = np.meshgrid(k1, k1, k1, indexing="ij")
-        k_sq = kx**2 + ky**2 + kz**2
-        object.__setattr__(self, "k_sq", k_sq)
-        object.__setattr__(self, "k_abs", np.sqrt(k_sq))
-        object.__setattr__(self, "half_wave_multiplier", np.sqrt(1.0 + k_sq))
+        object.__setattr__(self, "wavenumbers", 2.0 * np.pi * np.fft.fftfreq(n, d=h))
 
     # dataclass equality would compare arrays elementwise; identity of the
     # (n, L) pair is what callers mean by "same grid".
@@ -94,20 +101,115 @@ class Grid:
         """Weight turning sum_k m(k) |fftn(u)|^2 into (2 pi)^-3 int m |u_hat|^2 dk."""
         return self.box_length**3 / self.n**6
 
+    def cached(self, key, build):
+        """``build()`` once per grid, kept under ``key``."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
+    def wave_sq(self, half: bool = False) -> np.ndarray:
+        """|k|^2 on the full spectrum, or on the half spectrum kz >= 0
+        (uncached)."""
+        k1 = self.wavenumbers
+        kz = k1[: self.n // 2 + 1] if half else k1
+        return k1[:, None, None] ** 2 + k1[None, :, None] ** 2 + kz[None, None, :] ** 2
+
+    @property
+    def k_sq(self) -> np.ndarray:
+        return self.cached("k_sq", self.wave_sq)
+
+    @property
+    def k_abs(self) -> np.ndarray:
+        return self.cached("k_abs", lambda: np.sqrt(self.wave_sq()))
+
+    @property
+    def half_wave_multiplier(self) -> np.ndarray:
+        return self.cached("half_wave_multiplier", lambda: np.sqrt(1.0 + self.wave_sq()))
+
+    @property
+    def hermitian_weight(self) -> np.ndarray:
+        """Per-plane weight of the half spectrum, times ``fourier_weight``:
+        2 on the interior planes, 1 on kz = 0 and on the Nyquist plane."""
+
+        def build():
+            w = np.full(self.n // 2 + 1, 2.0 * self.fourier_weight)
+            w[0] = w[-1] = self.fourier_weight
+            return w
+
+        return self.cached("hermitian_weight", build)
+
+    def kinetic_symbol(self, variant: str) -> np.ndarray:
+        """Half-spectrum multiplier of the kinetic operator: sqrt(1 + |k|^2)
+        (inhomogeneous) or |k| (homogeneous)."""
+        shift = 1.0 if variant == "inhomogeneous" else 0.0
+        return self.cached(
+            ("kinetic_symbol", variant),
+            lambda: np.sqrt(shift + self.wave_sq(half=True)),
+        )
+
+    @property
+    def plancherel_weights(self) -> np.ndarray:
+        """(3, N) weights over the flattened half spectrum: the row sums of
+        their product with a summed power spectrum are the squared H^{1/2},
+        homogeneous H^{1/2} and H^{-1/2} norms."""
+
+        def build():
+            k_sq = self.wave_sq(half=True)
+            mult = np.sqrt(1.0 + k_sq)
+            rows = np.stack([mult, np.sqrt(k_sq), 1.0 / mult])
+            rows *= self.hermitian_weight
+            return rows.reshape(3, -1)
+
+        return self.cached("plancherel_weights", build)
+
+    def dilation_weight(self, variant: str) -> np.ndarray:
+        """Weighted half-spectrum multiplier of the kinetic term's dilation
+        derivative: |k|^2 / sqrt(1 + |k|^2) (inhomogeneous) or |k|."""
+
+        def build():
+            k_sq = self.wave_sq(half=True)
+            if variant == "inhomogeneous":
+                mult = k_sq / np.sqrt(1.0 + k_sq)
+            else:
+                mult = np.sqrt(k_sq)
+            mult *= self.hermitian_weight
+            return mult
+
+        return self.cached(("dilation_weight", variant), build)
+
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.meshgrid(self.axis, self.axis, self.axis, indexing="ij")
 
     def radius_sq(self) -> np.ndarray:
         """|x|^2 on the grid, cached (used by every Gaussian constructor)."""
-        if "radius_sq" not in self._cache:
+
+        def build():
             x, y, z = self.meshgrid()
-            self._cache["radius_sq"] = x**2 + y**2 + z**2
-        return self._cache["radius_sq"]
+            return x**2 + y**2 + z**2
+
+        return self.cached("radius_sq", build)
 
     def describe(self) -> dict:
         return {"n": self.n, "box_length": self.box_length, "spacing": self.spacing}
 
 
+_grids: OrderedDict[tuple[int, float], Grid] = OrderedDict()
+
+
 def make_grid(n: int, box_length: float) -> Grid:
-    """Build a validated grid; rejects non-power-of-two n and nonpositive L."""
-    return Grid(n=n, box_length=box_length)
+    """Validated grid; rejects non-power-of-two n and nonpositive L.
+
+    The last ``GRID_MEMO_SIZE`` distinct (n, L) pairs are kept, and a
+    repeated pair returns the kept grid with the spectral arrays it has
+    already built.
+    """
+    grid = Grid(n=n, box_length=box_length)
+    key = (grid.n, grid.box_length)
+    kept = _grids.get(key)
+    if kept is not None:
+        _grids.move_to_end(key)
+        return kept
+    _grids[key] = grid
+    if len(_grids) > GRID_MEMO_SIZE:
+        _grids.popitem(last=False)
+    return grid

@@ -23,14 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as _fft
+# perfbench/tracing.py replaces this alias by attribute on this module
+from scipy import fft as _fft  # noqa: F401
 
 from .coulomb import CoulombKernel
 # perfbench/tracing.py wraps these two by attribute on this module
 from .coulomb import coulomb_kernel, hartree_double_integral  # noqa: F401
-from .energy import Evaluation, evaluate
+from .energy import Evaluation, _spectra, evaluate
 from .errors import DegenerateFieldError
-from .fields import Field
+from .fields import Components, Field, dot
 from .params import Params, check_variant
 
 
@@ -83,30 +84,27 @@ def _virial(ev: Evaluation, params: Params) -> tuple[float, float]:
 
 
 def _dilation_kinetic(grid, spectrum_sq: np.ndarray, variant: str) -> float:
-    if variant == "inhomogeneous":
-        mult = grid.k_sq / grid.half_wave_multiplier
-    else:
-        mult = grid.k_abs
-    return 0.5 * float(np.sum(mult * spectrum_sq) * grid.fourier_weight)
+    """From the summed half power spectrum of the components."""
+    return 0.5 * float(np.sum(grid.dilation_weight(variant) * spectrum_sq))
 
 
-def _pohozaev(ev: Evaluation, grid, params: Params, variant: str) -> tuple[float, float]:
-    kinetic_term = _dilation_kinetic(grid, ev.spectrum_sq, variant)
+def _pohozaev(ev: Evaluation, params: Params, variant: str) -> tuple[float, float]:
+    kinetic_term = _dilation_kinetic(ev.u.grid, ev.spectrum_sq, variant)
     coulomb_term = params.alpha * ev.breakdown.d_value
     power_term = params.beta * (3.0 * params.p - 6.0) / 2.0 * ev.breakdown.norms.lp_p
     residual = kinetic_term + coulomb_term - power_term
     return residual, _scale(kinetic_term, coulomb_term, power_term)
 
 
-def _omega(ev: Evaluation, v: Field) -> float:
+def _omega(ev: Evaluation) -> float:
     """Rayleigh quotient Re<grad E(v), v> / ||v||_2^2 of a gradient evaluation."""
-    overlap = np.sum(ev.gradient * np.conj(v.values)).real * v.grid.cell_volume
-    return float(overlap / ev.breakdown.norms.l2_sq)
+    overlap = dot(ev.gradient, ev.u.parts) * ev.u.grid.cell_volume
+    return overlap / ev.breakdown.norms.l2_sq
 
 
-def _el_rel(ev: Evaluation, v: Field, omega: float) -> float:
-    resid = ev.gradient - omega * v.values
-    num = np.sum(resid.real**2 + resid.imag**2) * v.grid.cell_volume
+def _el_rel(ev: Evaluation, omega: float) -> float:
+    resid = tuple(g - omega * c for g, c in zip(ev.gradient, ev.u.parts))
+    num = dot(resid, resid) * ev.u.grid.cell_volume
     return float(np.sqrt(num / ev.breakdown.norms.l2_sq))
 
 
@@ -128,8 +126,8 @@ def pohozaev_kinetic_term(v: Field, variant: str = "inhomogeneous") -> float:
     exact arithmetic.  Homogeneous: 1/2 ||v||^2 in the homogeneous seminorm.
     """
     check_variant(variant)
-    f = _fft.fftn(v.values)
-    return _dilation_kinetic(v.grid, f.real**2 + f.imag**2, variant)
+    spectrum_sq = _spectra(Components.of(v).parts)[1]
+    return _dilation_kinetic(v.grid, spectrum_sq, variant)
 
 
 def pohozaev_residual(
@@ -142,7 +140,7 @@ def pohozaev_residual(
     v.require_finite("pohozaev_residual input")
     if v.is_zero():
         return 0.0, 1.0
-    return _pohozaev(evaluate(v, params, variant, kernel), v.grid, params, variant)
+    return _pohozaev(evaluate(v, params, variant, kernel), params, variant)
 
 
 def el_residual(
@@ -156,7 +154,7 @@ def el_residual(
     v.require_finite("el_residual input")
     if v.is_zero():
         raise DegenerateFieldError("el_residual needs a nonzero field")
-    return _el_rel(evaluate(v, params, variant, kernel, True), v, omega)
+    return _el_rel(evaluate(v, params, variant, kernel, True), omega)
 
 
 def lagrange_multiplier(
@@ -169,7 +167,7 @@ def lagrange_multiplier(
     v.require_finite("lagrange_multiplier input")
     if v.is_zero():
         raise DegenerateFieldError("lagrange_multiplier needs a nonzero field")
-    return _omega(evaluate(v, params, variant, kernel, True), v)
+    return _omega(evaluate(v, params, variant, kernel, True))
 
 
 def scaling_derivative_check(
@@ -193,7 +191,7 @@ def scaling_derivative_check(
         raise DegenerateFieldError("scaling_derivative_check needs a nonzero field")
     ev = evaluate(v, params, variant, kernel)
     vres, _ = _virial(ev, params)
-    pres, _ = _pohozaev(ev, v.grid, params, variant)
+    pres, _ = _pohozaev(ev, params, variant)
     return vres / ev.breakdown.norms.l2_sq, pres
 
 
@@ -209,23 +207,23 @@ def identity_report(
     v.require_finite("identity_report input")
     if v.is_zero():
         return IdentityReport(0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
-    return _report(evaluate(v, params, variant, kernel, True), v, params, omega, variant)
+    return _report(evaluate(v, params, variant, kernel, True), params, omega, variant)
 
 
 def _report(
-    ev: Evaluation, v: Field, params: Params, omega: float | None, variant: str
+    ev: Evaluation, params: Params, omega: float | None, variant: str
 ) -> IdentityReport:
-    """``identity_report`` of a nonzero ``v`` from its gradient evaluation ``ev``."""
+    """``identity_report`` of a nonzero field from its gradient evaluation ``ev``."""
     if omega is None:
-        omega = _omega(ev, v)
+        omega = _omega(ev)
     vres, vscale = _virial(ev, params)
-    pres, pscale = _pohozaev(ev, v.grid, params, variant)
+    pres, pscale = _pohozaev(ev, params, variant)
     return IdentityReport(
         virial_residual=vres,
         virial_scale=vscale,
         pohozaev_residual=pres,
         pohozaev_scale=pscale,
-        el_residual_rel=_el_rel(ev, v, omega),
+        el_residual_rel=_el_rel(ev, omega),
         f_prime_at_1=vres / ev.breakdown.norms.l2_sq,
         g_prime_at_1=pres,
     )

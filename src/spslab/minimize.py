@@ -22,8 +22,10 @@ from .errors import (
     UnboundedEnergyError,
 )
 from .fields import (
+    Components,
     Field,
     boundary_mass_fraction,
+    dot,
     gaussian_field,
     load_snapshot,
     random_field,
@@ -150,17 +152,14 @@ def project_mass(u: Field, rho: float) -> Field:
     return Field(u.grid, u.values * np.sqrt(rho / mass))
 
 
-def recenter(u: Field) -> Field:
-    """Circularly shift so the density centroid sits at the box center.
+def _centering_shifts(density: np.ndarray) -> tuple[int, ...]:
+    """Circular shifts moving the density centroid to the box center.
 
     The centroid is computed in displacements unwrapped around the density
-    maximum, so fields leaning across the periodic seam recenter correctly.
-    Translations are exact isometries here: mass and every functional in
-    this package are unchanged to rounding.
+    maximum, so densities leaning across the periodic seam recenter
+    correctly.
     """
-    u.require_nonzero("recenter input")
-    n = u.grid.n
-    density = np.abs(u.values) ** 2
+    n = density.shape[0]
     jmax = np.unravel_index(int(np.argmax(density)), density.shape)
     total = float(np.sum(density))
     shifts = []
@@ -170,9 +169,28 @@ def recenter(u: Field) -> Field:
         axis_mass = np.sum(density, axis=tuple(a for a in range(3) if a != axis))
         centroid = float(np.sum(axis_mass * disp)) / total + jmax[axis]
         shifts.append(int(np.round(n // 2 - centroid)))
-    if all(s == 0 for s in shifts):
+    return tuple(shifts)
+
+
+def recenter(u: Field) -> Field:
+    """Circularly shift so the density centroid sits at the box center.
+
+    Translations are exact isometries here: mass and every functional in
+    this package are unchanged to rounding.
+    """
+    u.require_nonzero("recenter input")
+    shifts = _centering_shifts(u.density())
+    if not any(shifts):
         return u
     return Field(u.grid, np.roll(u.values, shifts, axis=(0, 1, 2)))
+
+
+def _recentered(u: Components) -> Components:
+    """``recenter`` of a nonzero field held as its components."""
+    shifts = _centering_shifts(u.density())
+    if not any(shifts):
+        return u
+    return Components(u.grid, tuple(np.roll(c, shifts, axis=(0, 1, 2)) for c in u.parts))
 
 
 def _initial_field(grid: Grid, params: Params, config: MinimizeConfig) -> Field:
@@ -182,7 +200,7 @@ def _initial_field(grid: Grid, params: Params, config: MinimizeConfig) -> Field:
     elif config.init_kind == "random":
         start = random_field(grid, config.init_seed)
     else:
-        start = load_snapshot(config.init_path)
+        start = load_snapshot(config.init_path).require_finite("initial snapshot")
         if start.grid != grid:
             raise ConfigurationError(
                 "snapshot grid does not match the run grid: "
@@ -225,11 +243,13 @@ def minimize(
 
     ``initial`` overrides the configured starting field (used to warm-start
     mass sweeps from a neighboring minimizer); it is projected onto the
-    sphere first.  Raises ``UnboundedEnergyError`` when the energy passes
-    below ``config.energy_floor`` (the signature of an unbounded regime).
-    A line search that cannot find a decreasing step at machine precision
-    sets the stagnation flag and returns with ``converged=False``; a
-    non-finite trial energy (other than -inf) raises
+    sphere first.  The flow runs on the start's real components: one when
+    its imaginary part is exactly zero, so a real start stays real and the
+    complex field is built only at output.  Raises ``UnboundedEnergyError``
+    when the energy passes below ``config.energy_floor`` (the signature of
+    an unbounded regime).  A line search that cannot find a decreasing step
+    at machine precision sets the stagnation flag and returns with
+    ``converged=False``; a non-finite trial energy (other than -inf) raises
     ``NumericalFailureError`` with the trace attached.
     """
     if config is None:
@@ -238,14 +258,17 @@ def minimize(
     kernel = coulomb_kernel(grid)
     rho = params.rho
     sqrt_rho = np.sqrt(rho)
+    h3 = grid.cell_volume
     if initial is not None:
         if initial.grid != grid:
             raise ConfigurationError("initial field lives on a different grid")
-        u = project_mass(initial.require_finite("initial field"), rho)
+        start = project_mass(initial.require_finite("initial field"), rho)
     else:
-        u = _initial_field(grid, params, config)
+        start = _initial_field(grid, params, config)
+    u = Components.of(start)
+    del start
 
-    ev = evaluate(u, params, variant, kernel=kernel, with_gradient=True)
+    ev = evaluate(u, params, variant, kernel, True)
     trace: list[TracePoint] = []
     tau = config.initial_step
     converged = False
@@ -254,11 +277,9 @@ def minimize(
 
     for iteration in range(config.max_iters):
         grad = ev.gradient
-        overlap = np.sum(grad * np.conj(u.values)).real * grid.cell_volume
-        tangential = grad - (overlap / rho) * u.values
-        grad_norm = float(
-            np.sqrt(np.sum(tangential.real**2 + tangential.imag**2) * grid.cell_volume)
-        )
+        overlap = dot(grad, u.parts) * h3
+        tangential = tuple(g - (overlap / rho) * c for g, c in zip(grad, u.parts))
+        grad_norm = float(np.sqrt(dot(tangential, tangential) * h3))
         trace.append(TracePoint(iteration, ev.breakdown.total, grad_norm))
         if grad_norm <= config.grad_tol * sqrt_rho:
             converged = True
@@ -271,13 +292,14 @@ def minimize(
         current = ev.breakdown.total
         accepted = False
         while tau >= MIN_STEP:
-            trial_values = u.values - tau * tangential
-            trial_mass = float(
-                np.sum(trial_values.real**2 + trial_values.imag**2) * grid.cell_volume
-            )
+            trial_parts = tuple(c - tau * t for c, t in zip(u.parts, tangential))
+            trial_mass = dot(trial_parts, trial_parts) * h3
             if trial_mass > 0:
-                trial = Field(grid, trial_values * np.sqrt(rho / trial_mass))
-                trial_ev = evaluate(trial, params, variant, kernel=kernel, with_gradient=True)
+                scale = np.sqrt(rho / trial_mass)
+                for c in trial_parts:
+                    c *= scale
+                trial = Components(grid, trial_parts)
+                trial_ev = evaluate(trial, params, variant, kernel, True)
                 trial_energy = trial_ev.breakdown.total
                 if trial_energy == -np.inf:
                     raise UnboundedEnergyError(
@@ -310,21 +332,24 @@ def minimize(
                 trace=[t.to_list() for t in trace],
             )
         if config.recenter_every and (iteration + 1) % config.recenter_every == 0:
-            u = recenter(u)
-            ev = evaluate(u, params, variant, kernel=kernel, with_gradient=True)
+            u = _recentered(u)
+            ev = evaluate(u, params, variant, kernel, True)
     else:
         iterations = config.max_iters
 
     # output normalization: translation then global phase, both exact
-    # isometries of the energy.
-    v = recenter(u)
-    rotated, imag_fraction = _best_global_phase(v.values)
-    v = Field(grid, rotated)
+    # isometries of the energy; a real iterate needs no rotation.
+    u = _recentered(u)
+    if len(u.parts) == 1:
+        v, imag_fraction = u.field(), 0.0
+    else:
+        rotated, imag_fraction = _best_global_phase(u.field().values)
+        v = Field(grid, rotated)
+    del u, ev
 
-    final_ev = evaluate(v, params, variant, kernel=kernel, with_gradient=True)
-    overlap = np.sum(final_ev.gradient * np.conj(v.values)).real * grid.cell_volume
-    omega = float(overlap / rho)
-    residuals = _report(final_ev, v, params, omega, variant)
+    final_ev = evaluate(v, params, variant, kernel, True)
+    omega = dot(final_ev.gradient, final_ev.u.parts) * h3 / rho
+    residuals = _report(final_ev, params, omega, variant)
     return GroundStateResult(
         field=v,
         energy=final_ev.breakdown,

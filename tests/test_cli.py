@@ -161,6 +161,31 @@ class TestMinimizeCommand:
         assert run(["minimize", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
         assert not (out / "result.json").exists()
 
+    @pytest.mark.parametrize("max_iters", [0, 3])
+    def test_nan_snapshot_start_exit_code(self, tmp_path, capsys, max_iters):
+        grid = sl.make_grid(16, 8.0)
+        values = sl.gaussian_field(grid, 1.0).values.copy()
+        values[3, 4, 5] = np.nan
+        path = tmp_path / "nan.spsf"
+        sl.save_snapshot(sl.Field(grid, values), path)
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {
+                "grid": GRID16,
+                "params": {"alpha": 1.0, "beta": 1.0, "p": 2.5, "rho": 0.1},
+                "minimize": {
+                    "max_iters": max_iters,
+                    "init_kind": "from_file",
+                    "init_path": str(path),
+                },
+            },
+        )
+        out = tmp_path / "run"
+        assert run(["minimize", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        assert "NaN or Inf" in capsys.readouterr().err
+        assert not (out / "result.json").exists()
+
     def test_multistart_requires_random(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -569,6 +594,24 @@ def test_unknown_key_or_non_object_block_is_config_error(
     run_malformed(tmp_path, command, key, bad)
     err = capsys.readouterr().err
     assert ("unknown" in err and key.rpartition(".")[2] in err) or f"bad {key}" in err
+
+
+@pytest.mark.parametrize(
+    "key, bad",
+    [
+        ("params.p", 2.5),
+        ("thetas", []),
+        ("thetas", [1.0, 0.0]),
+        ("thetas", [1.0, -0.5]),
+        ("thetas", [0.5, 1.0]),
+    ],
+)
+def test_scaling_range_error_leaves_no_manifest(tmp_path, capsys, key, bad):
+    # p != 8/3, and an empty, non-positive or (for blow-down) increasing
+    # schedule, are refused before any file is written
+    run_malformed(tmp_path, "scaling", key, bad)
+    err = capsys.readouterr().err
+    assert ("p = 8/3" in err) if key == "params.p" else ("theta" in err)
 
 
 class TestWorkers:

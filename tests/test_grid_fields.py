@@ -27,6 +27,39 @@ class TestMakeGrid:
         with pytest.raises(ConfigurationError):
             sl.make_grid(16, length)
 
+    def test_repeated_grid_is_kept_with_its_arrays(self, tmp_path):
+        g = sl.make_grid(16, 12.0)
+        weights = g.plancherel_weights
+        kinetic = g.kinetic_symbol("inhomogeneous")
+        kernel = sl.coulomb_kernel(g)
+        again = sl.make_grid(16, 12)
+        assert again is g
+        assert again.plancherel_weights is weights
+        assert again.kinetic_symbol("inhomogeneous") is kinetic
+        again_kernel = sl.coulomb_kernel(again)
+        assert again_kernel.half_symbol is kernel.half_symbol
+        assert again_kernel.double_integral_weight is kernel.double_integral_weight
+        # a snapshot on the same (n, L) reads into the kept grid
+        sl.save_snapshot(sl.gaussian_field(g, 1.0), tmp_path / "g.spsf")
+        assert sl.load_snapshot(tmp_path / "g.spsf").grid is g
+
+    def test_grid_memo_is_bounded(self):
+        from spslab.grid import GRID_MEMO_SIZE
+
+        first = sl.make_grid(8, 1.0)
+        for i in range(GRID_MEMO_SIZE):
+            sl.make_grid(8, 2.0 + i)
+        assert sl.make_grid(8, 1.0) is not first
+
+    def test_half_spectrum_arrays(self):
+        g = sl.make_grid(16, 8.0)
+        half = (16, 16, 9)
+        assert g.kinetic_symbol("homogeneous").shape == half
+        assert np.array_equal(g.kinetic_symbol("inhomogeneous"), g.half_wave_multiplier[..., :9])
+        assert np.array_equal(g.kinetic_symbol("homogeneous"), g.k_abs[..., :9])
+        w = g.hermitian_weight / g.fourier_weight
+        assert w[0] == w[-1] == 1.0 and np.all(w[1:-1] == 2.0)
+
     def test_wavenumber_count_and_range(self):
         g = sl.make_grid(16, 8.0)
         assert g.wavenumbers.shape == (16,)

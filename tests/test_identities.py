@@ -167,10 +167,12 @@ class TestSharedEvaluation:
 
         monkeypatch.setattr(identities, "evaluate", counted_evaluate)
         u = smooth_random_field(grid32, 37)
-        for omega in (None, 0.3):
-            calls.clear()
-            counts.clear()
-            sl.identity_report(u, params, omega=omega)
-            assert calls == [True]
-            # fftn(u), rfftn(|u|^2) and the two inverse transforms of the gradient
-            assert counts == {"fftn": 1, "rfftn": 1, "ifftn": 1, "irfftn": 1}
+        for field, n_parts in ((sl.Field(grid32, u.values.real), 1), (u, 2)):
+            for omega in (None, 0.3):
+                calls.clear()
+                counts.clear()
+                sl.identity_report(field, params, omega=omega)
+                assert calls == [True]
+                # rfftn of each real component and of |u|^2, irfftn of each
+                # gradient component and of Phi: 2 + 2 real, 3 + 3 complex
+                assert counts == {"rfftn": n_parts + 1, "irfftn": n_parts + 1}

@@ -139,6 +139,33 @@ class TestConvergedCertificate:
         assert again.energy.total == bump_result.energy.total
 
 
+class TestRealPath:
+    """A real start runs on one real component and stays real."""
+
+    # the C4 problem at 16^3 (L = 40, rho = 0.1, grad_tol 5e-7, width 2.0);
+    # energy of the complex-transform flow that preceded the component path
+    C4_ENERGY_16 = 0.04493641968786588
+
+    def test_c4_solve_stays_real(self):
+        params = sl.Params(alpha=1.0, beta=1.0, p=2.5, rho=0.1)
+        cfg = sl.MinimizeConfig(max_iters=8000, grad_tol=5e-7, init_width=2.0)
+        res = sl.minimize(sl.make_grid(16, 40.0), params, cfg)
+        assert res.converged
+        assert res.imag_mass_fraction == 0.0
+        assert not np.any(res.field.values.imag)
+        assert relerr(res.energy.total, self.C4_ENERGY_16) <= 1e-10
+        energies = [t.energy for t in res.trace]
+        assert all(b <= a for a, b in zip(energies, energies[1:]))
+
+    def test_complex_start_keeps_two_components(self, grid16):
+        params = sl.Params(alpha=1.0, beta=1.0, p=2.5, rho=0.1)
+        cfg = sl.MinimizeConfig(max_iters=5, init_kind="random", init_seed=3)
+        res = sl.minimize(grid16, params, cfg)
+        assert res.imag_mass_fraction > 0.0
+        report = sl.identity_report(res.field, params, omega=res.omega)
+        assert report == res.residuals
+
+
 class TestSmallBoxArtifact:
     def test_small_box_drains_to_torus_constant(self):
         # on a box too small for the physical minimizer the flow lands on

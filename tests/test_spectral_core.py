@@ -174,38 +174,73 @@ class TestCoulomb:
 
 
 class TestRealTransforms:
-    """The real density and Phi go through r2c/c2r transforms on the half
-    spectrum; they must match the full c2c computation."""
+    """Fields enter the transforms as real components (one for a real field,
+    two for a complex one) on the r2c/c2r half spectrum; every norm, D, Phi
+    and the gradient must match the full c2c computation."""
+
+    @staticmethod
+    def _fields(grid):
+        alt = (-1.0) ** np.arange(grid.n)
+        rng = np.random.default_rng(5)
+        # energy on the kz = n/2 plane and on the corner mode (-1)^(x+y+z)
+        nyquist = np.broadcast_to(
+            1.0 + 0.5 * alt[None, None, :] + 0.3 * alt[:, None, None] * alt[None, None, :],
+            grid.shape,
+        )
+        corner = np.broadcast_to(
+            0.2 + 0.7 * alt[None, :, None] * alt[None, None, :]
+            + 0.4 * alt[:, None, None] * alt[None, :, None] * alt[None, None, :],
+            grid.shape,
+        )
+        white = rng.standard_normal((2,) + grid.shape)
+        smooth = smooth_random_field(grid, 3).values
+        return [
+            ("white", white[0], white[1]),
+            ("nyquist", nyquist, corner),
+            ("smooth", smooth.real, smooth.imag),
+        ]
 
     def test_r2c_matches_c2c_including_nyquist_plane(self, grid16):
         kern = sl.coulomb_kernel(grid16)
         params = sl.Params(alpha=1.0, beta=1.0, p=2.5, rho=1.0)
-        alt = (-1.0) ** np.arange(grid16.n)
-        rng = np.random.default_rng(5)
-        white = rng.standard_normal(grid16.shape) + 1j * rng.standard_normal(grid16.shape)
-        # density with energy on the kz = n/2 plane and on the corner mode
-        nyquist = np.broadcast_to(
-            1.0 + 0.5 * alt[None, None, :] + 0.3 * alt[:, None, None] * alt[None, None, :],
-            grid16.shape,
-        ).astype(complex)
-        for values in (white, nyquist, smooth_random_field(grid16, 3).values):
+        fw = grid16.fourier_weight
+        k_abs, mult = grid16.k_abs, grid16.half_wave_multiplier
+        nyq = grid16.n // 2
+        cases = [(kind, *f) for kind in ("real", "complex") for f in self._fields(grid16)]
+        for kind, name, re, im in cases:
+            values = re + 1j * im if kind == "complex" else re.astype(complex)
             u = sl.Field(grid16, values)
-            density_fft = fft.fftn(np.abs(values) ** 2)
-            assert np.max(np.abs(density_fft[..., grid16.n // 2])) > 1e-3 * np.abs(
-                density_fft[0, 0, 0]
-            )
+            u_fft = fft.fftn(values)
+            if name != "smooth":
+                assert np.max(np.abs(u_fft[..., nyq])) > 1e-3 * np.max(np.abs(u_fft)), name
+            density = np.abs(values) ** 2
+            density_fft = fft.fftn(density)
+            assert np.max(np.abs(density_fft[..., nyq])) > 1e-3 * np.abs(density_fft[0, 0, 0])
+
+            spec = np.abs(u_fft) ** 2
+            ns = sl.norms(u, p=2.5)
+            assert relerr(ns.h_half_sq, float(np.sum(mult * spec) * fw)) <= 1e-13
+            assert relerr(ns.hdot_half_sq, float(np.sum(k_abs * spec) * fw)) <= 1e-13
+            assert relerr(ns.h_minus_half_sq, float(np.sum(spec / mult) * fw)) <= 1e-13
+            assert relerr(ns.l2_sq, float(np.sum(density) * grid16.cell_volume)) <= 1e-13
+            lp = float(np.sum(np.abs(values) ** 2.5) * grid16.cell_volume)
+            assert relerr(ns.lp_p, lp) <= 1e-13
+            dilation = 0.5 * float(np.sum(grid16.k_sq / mult * spec) * fw)
+            assert relerr(sl.pohozaev_kinetic_term(u), dilation) <= 1e-13
+
             phi_c2c = fft.ifftn(kern.symbol * density_fft).real
-            d_c2c = float(
-                np.sum(kern.symbol * np.abs(density_fft) ** 2) * grid16.fourier_weight
-            )
+            d_c2c = float(np.sum(kern.symbol * np.abs(density_fft) ** 2) * fw)
             phi = sl.hartree_potential(u, kern).values
             assert np.max(np.abs(phi - phi_c2c)) <= 1e-13 * np.max(np.abs(phi_c2c))
             assert relerr(sl.hartree_double_integral(u, kern), d_c2c) <= 1e-13
             assert relerr(sl.energy(u, params).d_value, d_c2c) <= 1e-13
-            grad_c2c = (
-                fft.ifftn(grid16.half_wave_multiplier * fft.fftn(values))
-                + 4.0 * phi_c2c * values
-                - 2.5 * np.abs(values) ** 0.5 * values
-            )
-            grad = sl.gradient(u, params).values
-            assert np.max(np.abs(grad - grad_c2c)) <= 1e-13 * np.max(np.abs(grad_c2c))
+            for variant, m in (("inhomogeneous", mult), ("homogeneous", k_abs)):
+                grad_c2c = (
+                    fft.ifftn(m * u_fft)
+                    + 4.0 * phi_c2c * values
+                    - 2.5 * np.abs(values) ** 0.5 * values
+                )
+                grad = sl.gradient(u, params, variant).values
+                assert np.max(np.abs(grad - grad_c2c)) <= 1e-13 * np.max(np.abs(grad_c2c))
+                if kind == "real":
+                    assert not np.any(grad.imag)
