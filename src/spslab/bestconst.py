@@ -138,7 +138,7 @@ def _dilation_generator(
     grid = phi.grid
     k1 = grid.wavenumbers
     kz = k1[: grid.n // 2 + 1]
-    x, y, z = grid.meshgrid()
+    x, y, z = np.meshgrid(grid.axis, grid.axis, grid.axis, indexing="ij", sparse=True)
     out = []
     for c, f in zip(phi.parts, parts_fft):
         g = 1.5 * c

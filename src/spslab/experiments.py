@@ -13,8 +13,10 @@ homogeneous energy scales exactly linearly, E_hom(phi_theta)
 
 Each experiment evaluates the rescaled family along a theta schedule,
 resampling analytically when the base field has a known Gaussian profile
-and by trilinear interpolation otherwise, and emits one table row per
-theta with the method recorded.
+and by trilinear interpolation (``rescale.scale_mass_preserving``)
+otherwise, and emits one table row per theta with the method recorded.
+The base field is evaluated once: that evaluation gives the seed's
+homogeneous energy and, when the schedule holds theta = 1, its row.
 """
 
 from __future__ import annotations
@@ -167,12 +169,18 @@ def _experiment(
     _check_critical(params)
     phi.require_finite(f"{kind}_experiment input")
     thetas = _validated_thetas(thetas, increasing=kind == "blowup")
-    e_tilde = energy(phi, params, variant="homogeneous").total
+    # both resampling paths return phi itself at theta = 1, so phi's row is
+    # the theta = 1 row; its energy_tilde is the homogeneous energy
+    base = _evaluate_row(phi, params, 1.0, "trilinear" if profile is None else "analytic")
+    e_tilde = base.energy_tilde
     # blow-up needs a negative seed; a nonnegative one stops at the sign report
     proceeded = kind == "blowdown" or e_tilde < 0
     rows: list[ScalingRow] = []
     skipped: list[float] = []
     for theta in thetas if proceeded else ():
+        if theta == 1.0 and (profile is None or _profile_resolvable(profile, phi.grid, theta)):
+            rows.append(base)
+            continue
         rescaled, method = _rescaled_field(phi, theta, profile)
         if rescaled is None:
             skipped.append(theta)

@@ -67,11 +67,14 @@ def _integral(value) -> int:
 def _number(value) -> float:
     if type(value) not in (int, float):
         raise TypeError("expected a number")
+    if not np.isfinite(value):
+        raise ValueError("expected a finite number")
     return float(value)
 
 
-# a bool or a string is never a number, and an int field takes only
-# integral numbers; any other type takes only values of that JSON type
+# a bool or a string is never a number, NaN and Infinity (which JSON
+# readers accept) are not numbers a config may give, and an int field takes
+# only integral numbers; any other type takes only values of that JSON type
 _CONVERTERS = {int: _integral, float: _number}
 
 

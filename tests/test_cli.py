@@ -520,6 +520,13 @@ def malformed_configs(snap):
             "thetas": [1.0, 0.5],
             "init": {"kind": "gaussian", "width": 1.0},
         },
+        "scaling from_file": {
+            "grid": {**GRID16},
+            "params": {**PARAMS, "p": 8.0 / 3.0},
+            "experiment": "blowdown",
+            "thetas": [1.0, 0.5],
+            "init": {"kind": "from_file", "path": snap},
+        },
         "curve": {"grid": {**GRID16}, "params": {**PARAMS}, "rhos": [0.1, 0.2]},
         "best-constant": {"grid": {**GRID16}, "ascent": {"steps": 2}, "pairs": [[1.0, 1.0]]},
         "verify": {"snapshot": snap, "params": {**PARAMS}, "omega": 1.0, "tolerances": {}},
@@ -534,14 +541,15 @@ def malformed_configs(snap):
 
 def run_malformed(tmp_path, command, key, bad):
     """Set the dotted ``key`` of ``command``'s valid config to ``bad`` and run
-    it; the run must fail before its manifest is written."""
+    it; the run must fail before its manifest is written.  A word after the
+    command picks one of its config variants (``"scaling from_file"``)."""
     snap, _ = make_gaussian_snapshot(tmp_path, sl.make_grid(16, 8.0))
     config = malformed_configs(snap)[command]
     block, _, leaf = key.rpartition(".")
     (config[block] if block else config)[leaf] = bad
     cfg = write_config(tmp_path, "cfg.json", config)
     out = tmp_path / "o"
-    assert run([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert run([command.split()[0], "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert not (out / "manifest.json").exists()
 
 
@@ -566,6 +574,12 @@ def run_malformed(tmp_path, command, key, bad):
         ("curve", "save_fields", "no"),
         ("verify", "tolerances.el_rel", True),
         ("energy", "snapshot", 5),
+        # NaN and Infinity parse as JSON numbers but are not finite
+        ("scaling", "thetas", [float("nan")]),
+        ("scaling from_file", "thetas", [float("nan")]),
+        ("best-constant", "pairs", [[float("nan"), 1.0]]),
+        ("verify", "omega", float("inf")),
+        ("verify", "tolerances.el_rel", float("nan")),
     ],
 )
 def test_non_numeric_config_number_is_config_error(tmp_path, capsys, command, key, bad):

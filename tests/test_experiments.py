@@ -5,6 +5,7 @@ import pytest
 
 import spslab as sl
 from conftest import relerr
+from spslab import experiments
 
 
 def _mass_matched_profile(grid, width, rho):
@@ -107,3 +108,66 @@ class TestBlowdown:
         assert [r.method for r in res.rows] == ["trilinear", "trilinear"]
         ratios = [r.energy_tilde / r.theta for r in res.rows]
         assert (max(ratios) - min(ratios)) / ratios[0] < 5e-2
+
+
+class TestSingleEvaluation:
+    """phi is evaluated once: its row gives e_tilde_base and the theta = 1 row."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = []
+        energy = experiments.energy
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return energy(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "energy", counting)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def seeds(self, grid64):
+        # a negative homogeneous energy (blow-up proceeds) and a positive one
+        negative = sl.Params(alpha=1.0, beta=40.0, p=8.0 / 3.0, rho=40.0)
+        positive = sl.Params(alpha=1.0, beta=1.0, p=8.0 / 3.0, rho=0.05)
+        return {
+            "blowup": (negative, _mass_matched_profile(grid64, 2.0, negative.rho)),
+            "blowdown": (positive, _mass_matched_profile(grid64, 1.5, positive.rho)),
+        }
+
+    @pytest.mark.parametrize(
+        "kind, thetas",
+        [
+            ("blowup", [1.0, 1.5, 2.0]),
+            ("blowup", [1.5, 2.0]),
+            ("blowdown", [1.0, 0.8]),
+            ("blowdown", [0.9, 0.8]),
+        ],
+    )
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_one_evaluation_of_phi(self, grid64, seeds, counted, kind, thetas, analytic):
+        params, profile = seeds[kind]
+        phi = profile.sample(grid64)
+        follow = sl.blowup_experiment if kind == "blowup" else sl.blowdown_experiment
+        res = follow(phi, params, thetas, profile=profile if analytic else None)
+        assert res.proceeded and not res.truncated
+        assert [r.theta for r in res.rows] == thetas
+        assert len(counted) == 1 + sum(t != 1.0 for t in thetas)
+        assert counted[0] is phi
+        homogeneous = sl.energy(phi, params, variant="homogeneous").total
+        assert res.e_tilde_base == homogeneous
+        method = "analytic" if analytic else "trilinear"
+        assert all(r.method == method for r in res.rows)
+        if thetas[0] == 1.0:
+            assert res.rows[0] == experiments._evaluate_row(phi, params, 1.0, method)
+
+    def test_unresolvable_theta_one_still_skipped(self, grid64, counted):
+        # width 0.3 is below two grid spacings (h = 0.25) at theta = 1
+        params = sl.Params(alpha=1.0, beta=1.0, p=8.0 / 3.0, rho=0.05)
+        profile = _mass_matched_profile(grid64, 0.3, params.rho)
+        with pytest.warns(sl.ResolutionWarning):
+            res = sl.blowdown_experiment(profile.sample(grid64), params, [1.0, 0.5],
+                                         profile=profile)
+        assert res.skipped_thetas == (1.0,)
+        assert [r.theta for r in res.rows] == [0.5]
+        assert len(counted) == 2

@@ -4,9 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.ndimage import map_coordinates
 
 import spslab as sl
 from conftest import relerr
+from spslab.rescale import _trilinear
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +68,51 @@ def test_no_warning_in_safe_range(grid64):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         sl.scale_mass_preserving(u, 1.5)
+
+
+def _oracle(values, index):
+    """scipy's order-1 constant-mode interpolant at the tensor points of
+    ``index``, one real part at a time."""
+    points = np.stack([g.ravel() for g in np.meshgrid(index, index, index, indexing="ij")])
+    shape = (index.size,) * 3
+
+    def interpolate(part):
+        return map_coordinates(part, points, order=1, mode="constant", cval=0.0).reshape(shape)
+
+    return interpolate(values.real) + 1j * interpolate(values.imag)
+
+
+class TestSeparableOracle:
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("complex_field", [False, True])
+    @pytest.mark.parametrize("theta", [0.25, 0.5, 0.8, 1.3, 2.0, 3.0])
+    def test_matches_map_coordinates(self, n, complex_field, theta):
+        grid = sl.make_grid(n, 8.0)
+        rng = np.random.default_rng([n, int(complex_field)])
+        values = rng.standard_normal(grid.shape)
+        if complex_field:
+            values = values + 1j * rng.standard_normal(grid.shape)
+        u = sl.Field(grid, values)
+        out = sl.scale_mass_preserving(u, theta, warn=False)
+        index = (theta * grid.axis + grid.box_length / 2.0) / grid.spacing
+        expected = theta**1.5 * _oracle(u.values, index)
+        assert np.max(np.abs(out.values - expected)) <= 1e-14 * np.max(np.abs(values))
+        if not complex_field:
+            assert np.all(out.values.imag == 0.0)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_edges_follow_constant_mode(self, n):
+        # just outside either end reads zero, exactly on an end node reads it
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal((n, n, n))
+        index = np.array([-1e-12, 0.0, 0.5, n / 2 - 0.25, n - 1.5, n - 1.0, n - 1 + 1e-12])
+        out = _trilinear(values, index)
+        expected = _oracle(values, index).real
+        assert np.max(np.abs(out - expected)) <= 1e-14 * np.max(np.abs(values))
+        assert np.all(out[[0, -1], :, :] == 0.0)
+        assert np.array_equal(out[1, 1, 1], values[0, 0, 0])
+        assert np.array_equal(out[5, 5, 5], values[-1, -1, -1])
+        assert np.array_equal(out[1, 5, 1], values[0, -1, 0])
 
 
 def test_rejects_bad_theta(grid16):
