@@ -31,7 +31,6 @@ from .errors import (
     NumericalFailureError,
 )
 from .fields import (
-    Components,
     Field,
     boundary_mass_fraction,
     dot,
@@ -110,7 +109,7 @@ class BestConstantEstimate:
 
 
 def _log_quotient_gradient(
-    phi: Components, ev: Evaluation, kernel: CoulombKernel
+    phi: Field, ev: Evaluation, kernel: CoulombKernel
 ) -> tuple[np.ndarray, ...]:
     """L2 gradient of log Q at phi from its quotient evaluation ``ev``, one
     real array per component (amplitude gauge direction removed later by
@@ -131,7 +130,7 @@ def _log_quotient_gradient(
 
 
 def _dilation_generator(
-    phi: Components, parts_fft: tuple[np.ndarray, ...]
+    phi: Field, parts_fft: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, ...]:
     """Generator 3/2 phi + x . grad phi of the mass-preserving dilation,
     per component, from the half spectra ``parts_fft``."""
@@ -150,7 +149,7 @@ def _dilation_generator(
 
 
 def _gauge_fixed_direction(
-    phi: Components, raw: tuple[np.ndarray, ...], parts_fft: tuple[np.ndarray, ...]
+    phi: Field, raw: tuple[np.ndarray, ...], parts_fft: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, ...]:
     """Remove the flat directions of Q from the ascent direction.
 
@@ -172,7 +171,7 @@ def _gauge_fixed_direction(
     return direction
 
 
-def _is_localized(phi: Field | Components) -> bool:
+def _is_localized(phi: Field) -> bool:
     """Boundary-shell mass small: the quotient of a box-filling field is a
     torus artifact and must not be certified."""
     if not np.any(phi.density()):
@@ -190,18 +189,16 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
     """
     if config is None:
         config = AscentConfig()
-    if config.init_kind == "gaussian":
-        width = config.init_width if config.init_width else grid.box_length / 10.0
-        phi = gaussian_field(grid, width)
-    else:
-        width = config.init_width if config.init_width else grid.box_length / 10.0
-        envelope = gaussian_field(grid, width)
+    width = config.init_width if config.init_width else grid.box_length / 10.0
+    phi = gaussian_field(grid, width)
+    if config.init_kind == "random":
         noise = random_field(grid, config.seed)
         scale = np.max(np.abs(noise.values)) or 1.0
-        phi = Field(
-            grid, envelope.values * (1.0 + 0.3 * noise.values / scale)
-        )
-    phi = Components.of(Field(grid, phi.values / np.sqrt(phi.mass())))
+        phi = Field(grid, phi.values * (1.0 + 0.3 * noise.values / scale))
+    # multiply by the reciprocal: numpy divides complex samples by a real
+    # number this way, and the normalized start keeps those bits
+    scale = 1.0 / np.sqrt(phi.mass())
+    phi = Field.of_parts(grid, tuple(c * scale for c in phi.parts))
 
     kernel = coulomb_kernel(grid)
     trace: list[tuple[int, float]] = []
@@ -232,7 +229,7 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
         if trial_mass <= 0 or not np.isfinite(trial_mass):
             step *= 0.5
             continue
-        trial = Components(grid, tuple(c / np.sqrt(trial_mass) for c in trial_parts))
+        trial = Field.of_parts(grid, tuple(c / np.sqrt(trial_mass) for c in trial_parts))
         try:
             trial_ev = evaluate(trial, _QUOTIENT_PARAMS, "homogeneous", kernel)
             trial_q = _quotient(trial_ev)
@@ -260,7 +257,7 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
         )
     return BestConstantEstimate(
         s_lower=best_q,
-        maximizer=best_phi.field(),
+        maximizer=best_phi,
         ascent_trace=tuple(trace),
         grid_meta=grid.describe(),
     )

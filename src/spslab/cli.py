@@ -156,8 +156,14 @@ def _variant(config: dict) -> str:
     return check_variant(config.get("variant", "inhomogeneous"))
 
 
+def _finite_snapshot(path: str) -> Field:
+    """The snapshot at ``path``; NaN or Inf samples are a numerical input
+    error, raised before any output is written."""
+    return load_snapshot(path).require_finite("snapshot")
+
+
 def _load_snapshot_field(config: dict) -> Field:
-    return load_snapshot(read_value(_require(config, "snapshot", "run"), str, "snapshot"))
+    return _finite_snapshot(read_value(_require(config, "snapshot", "run"), str, "snapshot"))
 
 
 def _result_files(out: Path, result: GroundStateResult, params: Params,
@@ -359,7 +365,7 @@ def _scaling_inputs(config: dict, grid: Grid, params: Params):
     if init.kind == "from_file":
         if init.path is None:
             raise ConfigurationError("scaling init config is missing the key 'path'")
-        field = load_snapshot(init.path)
+        field = _finite_snapshot(init.path)
         if field.grid != grid:
             raise ConfigurationError("snapshot grid does not match the run grid")
         return project_mass(field, params.rho), None

@@ -104,7 +104,7 @@ def hartree_potential(u: Field, kernel: CoulombKernel | None = None) -> Field:
     u.require_finite("hartree_potential input")
     if kernel is None:
         kernel = coulomb_kernel(u.grid)
-    return Field(u.grid, _potential_values(_density_fft(u), kernel))
+    return Field.of_parts(u.grid, (_potential_values(_density_fft(u), kernel),))
 
 
 def hartree_double_integral(u: Field, kernel: CoulombKernel | None = None) -> float:

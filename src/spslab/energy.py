@@ -13,8 +13,8 @@ Coulomb double integral.  Its unconstrained L2 gradient is
 (|D| u in the homogeneous variant), so that d/dt E(u + t v)|_0
 = Re <grad E(u), v>.
 
-A field enters as its real components (``fields.Components``): every term
-is real-linear in u or depends on |u| only, so each component takes one
+A field is held as its real components (``Field.parts``): every term is
+real-linear in u or depends on |u| only, so each component takes one
 real-to-complex transform and the gradient one complex-to-real transform
 per component.
 """
@@ -32,7 +32,7 @@ from .coulomb import (
     _potential_values,
     coulomb_kernel,
 )
-from .fields import Components, Field
+from .fields import Field
 from .params import Params, check_variant
 
 
@@ -119,17 +119,15 @@ def _norm_set(grid, density: np.ndarray, lp_p: float, spectrum_sq: np.ndarray) -
 def norms(u: Field, p: float) -> NormSet:
     """All five norms of ``u`` (``lp_p`` is ||u||_p^p for the given p)."""
     u.require_finite("norms input")
-    comps = Components.of(u)
-    density = comps.density()
+    density = u.density()
     lp_p = float(np.sum(density ** (0.5 * p)) * u.grid.cell_volume)
-    return _norm_set(u.grid, density, lp_p, _spectra(comps.parts)[1])
+    return _norm_set(u.grid, density, lp_p, _spectra(u.parts)[1])
 
 
 def _apply_kinetic(u: Field, variant: str) -> Field:
-    comps = Components.of(u)
     mult = u.grid.kinetic_symbol(variant)
-    parts = tuple(_fft.irfftn(mult * _fft.rfftn(c), s=u.grid.shape) for c in comps.parts)
-    return Components(u.grid, parts).field()
+    parts = tuple(_fft.irfftn(mult * _fft.rfftn(c), s=u.grid.shape) for c in u.parts)
+    return Field.of_parts(u.grid, parts)
 
 
 def apply_half_wave(u: Field) -> Field:
@@ -149,14 +147,14 @@ class Evaluation:
     """Energy (and optionally gradient) of one field, with the transforms
     every other quantity of that field is read from.
 
-    ``u`` holds the field's real components, ``parts_fft`` their half
-    spectra ``rfftn``, ``spectrum_sq`` the summed half power spectrum and
+    ``u`` is the field, ``parts_fft`` the half spectra ``rfftn`` of its
+    real components, ``spectrum_sq`` the summed half power spectrum and
     ``density_fft`` the half spectrum ``rfftn(|u|^2)``.  ``gradient`` has
     one real array per component.
     """
 
     breakdown: EnergyBreakdown
-    u: Components
+    u: Field
     parts_fft: tuple[np.ndarray, ...]
     spectrum_sq: np.ndarray
     density_fft: np.ndarray
@@ -164,7 +162,7 @@ class Evaluation:
 
 
 def evaluate(
-    u: Field | Components,
+    u: Field,
     params: Params,
     variant: str = "inhomogeneous",
     kernel: CoulombKernel | None = None,
@@ -174,8 +172,6 @@ def evaluate(
     of |u|^2 serve the norms, the energy, and (optionally) the gradient,
     which adds one ``irfftn`` per component and one for Phi."""
     check_variant(variant)
-    if not isinstance(u, Components):
-        u = Components.of(u)
     grid = u.grid
     if kernel is None:
         kernel = coulomb_kernel(grid)
@@ -239,7 +235,7 @@ def gradient(
     """Unconstrained L2 gradient of the energy at ``u``."""
     u.require_finite("gradient input")
     ev = evaluate(u, params, variant, kernel=kernel, with_gradient=True)
-    return Components(u.grid, ev.gradient).field()
+    return Field.of_parts(u.grid, ev.gradient)
 
 
 def inner(a: Field, b: Field) -> complex:

@@ -1,4 +1,4 @@
-"""Complex fields on a grid: constructors, snapshot file format, exports.
+"""Fields on a grid: constructors, snapshot file format, exports.
 
 Snapshot format (binary, little-endian): the 5-byte magic ``SPSF1``,
 then n and L as IEEE-754 doubles, then n^3 complex doubles in row-major
@@ -8,7 +8,9 @@ order with the x index varying fastest.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -24,81 +26,78 @@ from .grid import Grid, make_grid
 SNAPSHOT_MAGIC = b"SPSF1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Field:
-    """Complex samples u(x_j) on a grid, one value per grid point.
+    """Samples u(x_j) on a grid, held as real components: ``parts`` is
+    ``(Re u,)`` when the imaginary part is exactly zero and ``(Re u, Im u)``
+    otherwise, each a C-contiguous float64 array.
 
-    Treated as immutable: operations return new fields and never write into
-    ``values``.
+    Every term of the energy is real-linear in u or depends on |u| only, so
+    every operator acts on the parts one at a time; a real field costs one
+    real array and real (r2c/c2r) transforms.  Treated as immutable:
+    operations return new fields and never write into ``parts``.
     """
 
     grid: Grid
-    values: np.ndarray
+    parts: tuple[np.ndarray, ...]
 
-    def __post_init__(self) -> None:
-        v = np.asarray(self.values, dtype=np.complex128)
-        if v.shape != self.grid.shape:
+    def __init__(self, grid: Grid, values: np.ndarray) -> None:
+        """Split a real or complex array into its parts, copying it."""
+        v = np.asarray(values)
+        if v.shape != grid.shape:
             raise ConfigurationError(
-                f"field shape {v.shape} does not match grid {self.grid.shape}"
+                f"field shape {v.shape} does not match grid {grid.shape}"
             )
-        object.__setattr__(self, "values", v)
+        parts = (np.array(v.real, dtype=np.float64, order="C"),)
+        if np.iscomplexobj(v) and np.any(v.imag):
+            parts += (np.array(v.imag, dtype=np.float64, order="C"),)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "parts", parts)
+
+    @classmethod
+    def of_parts(cls, grid: Grid, parts: tuple[np.ndarray, ...]) -> "Field":
+        """The field with these components, which it takes without copying."""
+        field = cls.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(field, "parts", tuple(parts))
+        return field
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The complex samples, assembled from ``parts`` on first read.
+
+        Read-only: a write would leave ``parts``, which every operator
+        reads, unchanged.
+        """
+        values = np.empty(self.grid.shape, dtype=np.complex128)
+        values.real = self.parts[0]
+        values.imag = self.parts[1] if len(self.parts) > 1 else 0.0
+        values.flags.writeable = False
+        return values
 
     def require_finite(self, context: str = "field") -> "Field":
-        if not np.all(np.isfinite(self.values.real)) or not np.all(
-            np.isfinite(self.values.imag)
-        ):
+        if not all(np.all(np.isfinite(c)) for c in self.parts):
             raise NumericalInputError(f"{context} contains NaN or Inf")
         return self
 
     def require_nonzero(self, context: str = "field") -> "Field":
-        if not np.any(self.values):
+        if self.is_zero():
             raise DegenerateFieldError(f"{context} is identically zero")
         return self
 
     def density(self) -> np.ndarray:
-        """|u|^2 at every grid point."""
-        return self.values.real**2 + self.values.imag**2
+        """|u|^2 at every grid point, the sum of the squared parts."""
+        density = self.parts[0] ** 2
+        for c in self.parts[1:]:
+            density += c**2
+        return density
 
     def mass(self) -> float:
         """Discrete L2 mass h^3 sum |u|^2."""
         return float(np.sum(self.density()) * self.grid.cell_volume)
 
     def is_zero(self) -> bool:
-        return not np.any(self.values)
-
-
-@dataclass(frozen=True)
-class Components:
-    """A field as its real components: ``(Re u,)`` when u is real and
-    ``(Re u, Im u)`` otherwise.
-
-    Every operator of the energy is real-linear or depends on |u| only, so
-    it acts on the components one at a time; a real field then costs one
-    real array and real (r2c/c2r) transforms.
-    """
-
-    grid: Grid
-    parts: tuple[np.ndarray, ...]
-
-    @classmethod
-    def of(cls, u: Field) -> "Components":
-        """Split ``u``; an exactly zero imaginary part gives one component."""
-        if np.any(u.values.imag):
-            return cls(u.grid, (u.values.real.copy(), u.values.imag.copy()))
-        return cls(u.grid, (u.values.real.copy(),))
-
-    def field(self) -> Field:
-        values = np.empty(self.grid.shape, dtype=np.complex128)
-        values.real = self.parts[0]
-        values.imag = self.parts[1] if len(self.parts) > 1 else 0.0
-        return Field(self.grid, values)
-
-    def density(self) -> np.ndarray:
-        """|u|^2, the sum of the squared components."""
-        density = self.parts[0] ** 2
-        for c in self.parts[1:]:
-            density += c**2
-        return density
+        return not any(np.any(c) for c in self.parts)
 
 
 def dot(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> float:
@@ -107,7 +106,7 @@ def dot(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> float:
 
 
 def zero_field(grid: Grid) -> Field:
-    return Field(grid, np.zeros(grid.shape, dtype=np.complex128))
+    return Field.of_parts(grid, (np.zeros(grid.shape),))
 
 
 def boundary_mass_fraction(field: Field, shell_fraction: float = 0.1) -> float:
@@ -115,7 +114,6 @@ def boundary_mass_fraction(field: Field, shell_fraction: float = 0.1) -> float:
 
     Diagnostic for domain truncation: values near zero mean the periodic
     box holds the state; order-one values mean the field feels the box.
-    ``field`` is a ``Field`` or its ``Components``.
     """
     if not 0.0 < shell_fraction < 0.5:
         raise ConfigurationError(
@@ -160,7 +158,7 @@ class GaussianProfile:
             cx, cy, cz = self.center
             r_sq = (x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2
         values = self.amplitude * np.exp(-r_sq / (2.0 * self.width**2))
-        return Field(grid, values.astype(np.complex128))
+        return Field.of_parts(grid, (values,))
 
     def mass_preserving_rescaled(self, theta: float) -> "GaussianProfile":
         """Profile of theta^{3/2} u(theta x): width / theta, amplitude * theta^{3/2}."""
@@ -234,24 +232,26 @@ def load_snapshot(path: str | Path) -> Field:
         raise SnapshotFormatError(f"snapshot {path} has bad magic")
     header = np.frombuffer(raw, dtype="<f8", count=2, offset=len(SNAPSHOT_MAGIC))
     n_float, box_length = float(header[0]), float(header[1])
-    n = int(round(n_float))
-    if n != n_float:
+    if not math.isfinite(n_float) or not n_float.is_integer():
         raise SnapshotFormatError(f"snapshot {path} has non-integer grid size {n_float}")
+    n = int(n_float)
+    # the payload must match the header before the grid is built: a huge n
+    # would otherwise allocate its grid first
+    offset = len(SNAPSHOT_MAGIC) + 16
+    payload = len(raw) - offset
+    if payload != 16 * n**3:
+        raise SnapshotFormatError(
+            f"snapshot {path} holds {payload} payload bytes, grid size {n} "
+            "needs 16 n^3"
+        )
     try:
         grid = make_grid(n, box_length)
     except ConfigurationError as exc:
         raise SnapshotFormatError(f"snapshot {path} header invalid: {exc}") from exc
-    offset = len(SNAPSHOT_MAGIC) + 16
-    expected = n**3
-    if (len(raw) - offset) % 16 != 0:
-        raise SnapshotFormatError(f"snapshot {path} payload is truncated")
     data = np.frombuffer(raw, dtype="<c16", offset=offset)
-    if data.size != expected:
-        raise SnapshotFormatError(
-            f"snapshot {path} has {data.size} samples, expected {expected}"
-        )
-    values = data.reshape((n, n, n)).transpose(2, 1, 0)
-    return Field(grid, np.ascontiguousarray(values))
+    # one transpose pass to the internal layout, then the split into parts
+    values = np.ascontiguousarray(data.reshape((n, n, n)).transpose(2, 1, 0))
+    return Field(grid, values)
 
 
 def export_abs_slice(

@@ -5,7 +5,7 @@ a periodic box [-L/2, L/2)^3 sampled at n points per axis.  The grid owns
 the wavenumber lattice and the derived multiplier arrays so they are built
 once per resolution, on first use.
 
-Fields enter the transforms as real components (see ``fields.Components``),
+Fields enter the transforms as their real components (``Field.parts``),
 so the operators work on the ``rfftn`` half spectrum kz >= 0, of shape
 (n, n, n/2 + 1).  A sum over the full spectrum of m(k) |fftn(c)(k)|^2 for a
 real c and an even m is the half-spectrum sum with Hermitian weights: each

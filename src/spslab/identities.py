@@ -31,7 +31,7 @@ from .coulomb import CoulombKernel
 from .coulomb import coulomb_kernel, hartree_double_integral  # noqa: F401
 from .energy import Evaluation, _spectra, evaluate
 from .errors import DegenerateFieldError
-from .fields import Components, Field, dot
+from .fields import Field, dot
 from .params import Params, check_variant
 
 
@@ -126,7 +126,7 @@ def pohozaev_kinetic_term(v: Field, variant: str = "inhomogeneous") -> float:
     exact arithmetic.  Homogeneous: 1/2 ||v||^2 in the homogeneous seminorm.
     """
     check_variant(variant)
-    spectrum_sq = _spectra(Components.of(v).parts)[1]
+    spectrum_sq = _spectra(v.parts)[1]
     return _dilation_kinetic(v.grid, spectrum_sq, variant)
 
 

@@ -22,7 +22,6 @@ from .errors import (
     UnboundedEnergyError,
 )
 from .fields import (
-    Components,
     Field,
     boundary_mass_fraction,
     dot,
@@ -149,7 +148,8 @@ def project_mass(u: Field, rho: float) -> Field:
     mass = u.mass()
     if mass == 0.0:
         raise DegenerateFieldError("cannot project the zero field onto the mass sphere")
-    return Field(u.grid, u.values * np.sqrt(rho / mass))
+    scale = np.sqrt(rho / mass)
+    return Field.of_parts(u.grid, tuple(c * scale for c in u.parts))
 
 
 def _centering_shifts(density: np.ndarray) -> tuple[int, ...]:
@@ -182,15 +182,8 @@ def recenter(u: Field) -> Field:
     shifts = _centering_shifts(u.density())
     if not any(shifts):
         return u
-    return Field(u.grid, np.roll(u.values, shifts, axis=(0, 1, 2)))
-
-
-def _recentered(u: Components) -> Components:
-    """``recenter`` of a nonzero field held as its components."""
-    shifts = _centering_shifts(u.density())
-    if not any(shifts):
-        return u
-    return Components(u.grid, tuple(np.roll(c, shifts, axis=(0, 1, 2)) for c in u.parts))
+    rolled = tuple(np.roll(c, shifts, axis=(0, 1, 2)) for c in u.parts)
+    return Field.of_parts(u.grid, rolled)
 
 
 def _initial_field(grid: Grid, params: Params, config: MinimizeConfig) -> Field:
@@ -244,10 +237,9 @@ def minimize(
     ``initial`` overrides the configured starting field (used to warm-start
     mass sweeps from a neighboring minimizer); it is projected onto the
     sphere first.  The flow runs on the start's real components: one when
-    its imaginary part is exactly zero, so a real start stays real and the
-    complex field is built only at output.  Raises ``UnboundedEnergyError``
-    when the energy passes below ``config.energy_floor`` (the signature of
-    an unbounded regime).  A line search that cannot find a decreasing step
+    its imaginary part is exactly zero, so a real start stays real.  Raises
+    ``UnboundedEnergyError`` when the energy passes below
+    ``config.energy_floor`` (the signature of an unbounded regime).  A line search that cannot find a decreasing step
     at machine precision sets the stagnation flag and returns with
     ``converged=False``; a non-finite trial energy (other than -inf) raises
     ``NumericalFailureError`` with the trace attached.
@@ -262,11 +254,9 @@ def minimize(
     if initial is not None:
         if initial.grid != grid:
             raise ConfigurationError("initial field lives on a different grid")
-        start = project_mass(initial.require_finite("initial field"), rho)
+        u = project_mass(initial.require_finite("initial field"), rho)
     else:
-        start = _initial_field(grid, params, config)
-    u = Components.of(start)
-    del start
+        u = _initial_field(grid, params, config)
 
     ev = evaluate(u, params, variant, kernel, True)
     trace: list[TracePoint] = []
@@ -298,7 +288,7 @@ def minimize(
                 scale = np.sqrt(rho / trial_mass)
                 for c in trial_parts:
                     c *= scale
-                trial = Components(grid, trial_parts)
+                trial = Field.of_parts(grid, trial_parts)
                 trial_ev = evaluate(trial, params, variant, kernel, True)
                 trial_energy = trial_ev.breakdown.total
                 if trial_energy == -np.inf:
@@ -332,18 +322,18 @@ def minimize(
                 trace=[t.to_list() for t in trace],
             )
         if config.recenter_every and (iteration + 1) % config.recenter_every == 0:
-            u = _recentered(u)
+            u = recenter(u)
             ev = evaluate(u, params, variant, kernel, True)
     else:
         iterations = config.max_iters
 
     # output normalization: translation then global phase, both exact
     # isometries of the energy; a real iterate needs no rotation.
-    u = _recentered(u)
+    u = recenter(u)
     if len(u.parts) == 1:
-        v, imag_fraction = u.field(), 0.0
+        v, imag_fraction = u, 0.0
     else:
-        rotated, imag_fraction = _best_global_phase(u.field().values)
+        rotated, imag_fraction = _best_global_phase(u.values)
         v = Field(grid, rotated)
     del u, ev
 

@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 
 from .errors import ConfigurationError, ResolutionWarning
-from .fields import Components, Field
+from .fields import Field
 
 # relative mass drift beyond this flags the rescale as under-resolved;
 # routine order-1 interpolation error on well-resolved fields sits below it
@@ -73,15 +73,15 @@ def scale_mass_preserving(u: Field, theta: float, warn: bool = True) -> Field:
     if not np.isfinite(theta) or theta <= 0:
         raise ConfigurationError(f"theta must be positive, got {theta}")
     if theta == 1.0:
-        return Field(u.grid, u.values.copy())
+        return Field.of_parts(u.grid, tuple(c.copy() for c in u.parts))
     grid = u.grid
     # fractional index of the sample point theta * x_j on the original grid;
     # it increases with j and is n/2 at x = 0
     index = (theta * grid.axis + grid.box_length / 2.0) / grid.spacing
-    parts = tuple(_trilinear(c, index) for c in Components.of(u).parts)
+    parts = tuple(_trilinear(c, index) for c in u.parts)
     for part in parts:
         part *= theta**1.5
-    result = Components(grid, parts).field()
+    result = Field.of_parts(grid, parts)
     if warn:
         mass_in = u.mass()
         if mass_in > 0:

@@ -78,6 +78,48 @@ class TestEnergyCommand:
         assert run(["energy", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
+    def test_huge_grid_size_header_is_config_error(self, tmp_path):
+        grid = sl.make_grid(16, 8.0)
+        snap, _ = make_gaussian_snapshot(tmp_path, grid)
+        raw = bytearray(open(snap, "rb").read())
+        raw[5:13] = np.array([2.0**44], dtype="<f8").tobytes()
+        open(snap, "wb").write(bytes(raw))
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {"snapshot": snap, "params": {"alpha": 1, "beta": 1, "p": 2.5}},
+        )
+        assert run(["energy", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+class TestNonFiniteSnapshot:
+    """A snapshot holding NaN or Inf is a numerical input error for every
+    command that reads one, raised before the manifest is written."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("command", ["energy", "verify", "scaling"])
+    def test_exit_code_and_no_manifest(self, tmp_path, capsys, command, bad):
+        grid = sl.make_grid(16, 8.0)
+        values = sl.gaussian_field(grid, 1.0).values.copy()
+        values[3, 4, 5] = bad
+        path = tmp_path / "bad.spsf"
+        sl.save_snapshot(sl.Field(grid, values), path)
+        if command == "scaling":
+            config = {
+                "grid": GRID16,
+                "params": {"alpha": 1.0, "beta": 1.0, "p": 8.0 / 3.0, "rho": 0.5},
+                "experiment": "blowdown",
+                "thetas": [1.0, 0.5],
+                "init": {"kind": "from_file", "path": str(path)},
+            }
+        else:
+            config = {"snapshot": str(path), "params": {"alpha": 1, "beta": 1, "p": 2.5}}
+        cfg = write_config(tmp_path, "cfg.json", config)
+        out = tmp_path / "o"
+        assert run([command, "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
+        assert "snapshot contains NaN or Inf" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+
 class TestMinimizeCommand:
     def test_short_run_writes_files(self, tmp_path):
         cfg = write_config(

@@ -135,6 +135,27 @@ class TestSnapshotRoundTrip:
         with pytest.raises(SnapshotFormatError):
             sl.load_snapshot(path)
 
+    @pytest.mark.parametrize(
+        "n_header", [float("nan"), float("inf"), float("-inf"), 16.5, 2.0**44, -16.0, 8.0]
+    )
+    def test_bad_grid_size_header_rejected(self, tmp_path, grid16, n_header):
+        # the header is checked against the payload before any grid is built,
+        # so a huge n is rejected without allocating its grid
+        path = tmp_path / "f.spsf"
+        sl.save_snapshot(sl.zero_field(grid16), path)
+        raw = bytearray(path.read_bytes())
+        raw[5:13] = np.array([n_header], dtype="<f8").tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(SnapshotFormatError):
+            sl.load_snapshot(path)
+
+    def test_overlong_payload_rejected(self, tmp_path, grid16):
+        path = tmp_path / "f.spsf"
+        sl.save_snapshot(sl.zero_field(grid16), path)
+        path.write_bytes(path.read_bytes() + bytes(16))
+        with pytest.raises(SnapshotFormatError):
+            sl.load_snapshot(path)
+
     def test_bad_magic_rejected(self, tmp_path, grid16):
         path = tmp_path / "f.spsf"
         sl.save_snapshot(sl.zero_field(grid16), path)
@@ -143,6 +164,73 @@ class TestSnapshotRoundTrip:
         path.write_bytes(bytes(raw))
         with pytest.raises(SnapshotFormatError):
             sl.load_snapshot(path)
+
+
+class TestField:
+    def test_real_and_zero_imaginary_give_one_part(self, grid16):
+        real = np.random.default_rng(5).standard_normal(grid16.shape)
+        assert len(sl.Field(grid16, real).parts) == 1
+        assert len(sl.Field(grid16, real.astype(np.complex128)).parts) == 1
+
+    def test_complex_gives_two_parts(self, grid16):
+        rng = np.random.default_rng(6)
+        values = rng.standard_normal(grid16.shape) + 1j * rng.standard_normal(grid16.shape)
+        field = sl.Field(grid16, values)
+        assert len(field.parts) == 2
+        assert np.array_equal(field.parts[0], values.real)
+        assert np.array_equal(field.parts[1], values.imag)
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_parts_are_contiguous_float64_copies(self, grid16, kind):
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal(grid16.shape)
+        if kind == "complex":
+            values = values + 1j * rng.standard_normal(grid16.shape)
+        field = sl.Field(grid16, values)
+        for part in field.parts:
+            assert part.dtype == np.float64
+            assert part.flags.c_contiguous
+            assert not np.shares_memory(part, values)
+        before = [part.copy() for part in field.parts]
+        values *= 2.0
+        assert all(np.array_equal(a, b) for a, b in zip(field.parts, before))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_values_round_trip(self, grid16, kind):
+        rng = np.random.default_rng(8)
+        values = rng.standard_normal(grid16.shape)
+        if kind == "complex":
+            values = values * np.exp(1j * rng.standard_normal(grid16.shape))
+        field = sl.Field(grid16, values)
+        assert field.values.dtype == np.complex128
+        assert np.array_equal(field.values, values)
+        assert field.values is field.values  # assembled once
+        with pytest.raises(ValueError):
+            field.values[0, 0, 0] = 1.0
+
+    def test_of_parts_does_not_copy(self, grid16):
+        re = np.ones(grid16.shape)
+        im = np.zeros(grid16.shape)
+        field = sl.Field.of_parts(grid16, (re, im))
+        assert field.parts[0] is re and field.parts[1] is im
+
+    def test_shape_mismatch_rejected(self, grid16):
+        with pytest.raises(ConfigurationError):
+            sl.Field(grid16, np.zeros((8, 8, 8)))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_loaded_snapshot_parts_are_contiguous(self, tmp_path, grid16, kind):
+        u = sl.gaussian_field(grid16, 1.0)
+        if kind == "complex":
+            x, _, _ = grid16.meshgrid()
+            u = sl.Field(grid16, u.values * np.exp(0.5j * x))
+        path = tmp_path / "f.spsf"
+        sl.save_snapshot(u, path)
+        back = sl.load_snapshot(path)
+        assert len(back.parts) == len(u.parts)
+        for part, expected in zip(back.parts, u.parts):
+            assert part.dtype == np.float64 and part.flags.c_contiguous
+            assert np.array_equal(part, expected)
 
 
 def test_abs_slice_export(tmp_path, grid16):
