@@ -20,23 +20,8 @@ from .bestconst import (
     estimate_best_constant,
     weinstein_quotient,
 )
-from .coulomb import (
-    CoulombKernel,
-    coulomb_kernel,
-    hartree_double_integral,
-    hartree_potential,
-    truncated_kernel_symbol,
-)
-from .energy import (
-    EnergyBreakdown,
-    NormSet,
-    apply_half_wave,
-    apply_homogeneous_half_wave,
-    energy,
-    gradient,
-    inner,
-    norms,
-)
+from .coulomb import CoulombKernel, coulomb_kernel, hartree_double_integral, hartree_potential
+from .energy import EnergyBreakdown, NormSet, energy, gradient, inner, norms
 from .errors import (
     ConfigurationError,
     DegenerateFieldError,
@@ -66,16 +51,7 @@ from .fields import (
     zero_field,
 )
 from .grid import Grid, make_grid
-from .identities import (
-    IdentityReport,
-    el_residual,
-    identity_report,
-    lagrange_multiplier,
-    pohozaev_kinetic_term,
-    pohozaev_residual,
-    scaling_derivative_check,
-    virial_residual,
-)
+from .identities import IdentityReport, identity_report
 from .minimize import (
     GroundStateResult,
     MinimizeConfig,
@@ -114,15 +90,12 @@ __all__ = [
     "ThresholdVerdict",
     "TracePoint",
     "UnboundedEnergyError",
-    "apply_half_wave",
-    "apply_homogeneous_half_wave",
     "blowdown_experiment",
     "blowup_experiment",
     "boundary_mass_fraction",
     "classify_boundedness",
     "constant_field",
     "coulomb_kernel",
-    "el_residual",
     "energy",
     "estimate_best_constant",
     "export_abs_slice",
@@ -132,21 +105,15 @@ __all__ = [
     "hartree_potential",
     "identity_report",
     "inner",
-    "lagrange_multiplier",
     "load_snapshot",
     "make_grid",
     "minimize",
     "norms",
-    "pohozaev_kinetic_term",
-    "pohozaev_residual",
     "project_mass",
     "random_field",
     "recenter",
     "save_snapshot",
     "scale_mass_preserving",
-    "scaling_derivative_check",
-    "truncated_kernel_symbol",
-    "virial_residual",
     "weinstein_quotient",
     "zero_field",
 ]

@@ -272,7 +272,7 @@ class ThresholdVerdict:
     verdict: str  # "unbounded_certified" | "indeterminate"
 
     def to_dict(self) -> dict:
-        return {"lhs": self.lhs, "rhs_lower": self.rhs_lower, "verdict": self.verdict}
+        return asdict(self)
 
 
 def classify_boundedness(

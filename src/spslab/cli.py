@@ -274,18 +274,24 @@ def cmd_curve(config: dict, out: Path, workers: int, seed: int | None) -> int:
     base = _require(config, "params", "curve")
     mconfig = _minimize_config(config, seed)
     save_fields = read_value(config.get("save_fields", False), bool, "save_fields")
+    snapshot_names = [f"field_rho_{rho:g}.spsf" for rho in rhos]
+    if save_fields and len(set(snapshot_names)) < len(rhos):
+        raise ConfigurationError(
+            f"bad rhos {rhos!r}: with save_fields two of them would write the same "
+            "snapshot file name (field_rho_<rho:g>.spsf)"
+        )
     # every point's parameters are validated before any computation starts
     sweep = [(rho, read_block(Params, base, "params", rho=rho)) for rho in rhos]
     manifest = _Manifest(out, "curve", config, grid)
 
     points = []
     warm: Field | None = None
-    for rho, params in sweep:
+    for (rho, params), name in zip(sweep, snapshot_names):
         result = minimize(grid, params, mconfig, initial=warm)
         warm = result.field
         points.append((rho, params, result))
         if save_fields:
-            save_snapshot(result.field, out / f"field_rho_{rho:g}.spsf")
+            save_snapshot(result.field, out / name)
 
     points.sort(key=lambda item: item[0])
     rows = []
@@ -334,6 +340,9 @@ def cmd_best_constant(config: dict, out: Path, workers: int, seed: int | None) -
     pairs = [read_list(p, float, "pairs") for p in read_list(config.get("pairs", []), list, "pairs")]
     if any(len(pair) != 2 for pair in pairs):
         raise ConfigurationError(f"bad pairs {pairs!r}: each pair is [alpha, beta]")
+    # checked before the ascent, as ``classify_boundedness`` would after it
+    if any(a <= 0 or b <= 0 for a, b in pairs):
+        raise ConfigurationError(f"bad pairs {pairs!r}: alpha and beta must be positive")
     manifest = _Manifest(out, "best-constant", config, grid)
 
     estimate = estimate_best_constant(grid, ascent)

@@ -29,11 +29,6 @@ def _symbol(k_sq: np.ndarray, truncation_radius: float) -> np.ndarray:
     return symbol
 
 
-def truncated_kernel_symbol(grid: Grid, truncation_radius: float) -> np.ndarray:
-    """Spectral symbol of the radius-T truncation of 1/|x|, one value per mode."""
-    return _symbol(grid.k_sq, truncation_radius)
-
-
 @dataclass(frozen=True)
 class CoulombKernel:
     """Truncated Coulomb kernel bound to one grid.
@@ -52,7 +47,7 @@ class CoulombKernel:
     def symbol(self) -> np.ndarray:
         T = self.truncation_radius
         return self.grid.cached(
-            ("coulomb_symbol", T), lambda: truncated_kernel_symbol(self.grid, T)
+            ("coulomb_symbol", T), lambda: _symbol(self.grid.wave_sq(), T)
         )
 
 

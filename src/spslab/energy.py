@@ -1,4 +1,4 @@
-"""Norms, kinetic operators, energies, and the L2 energy gradient.
+"""Norms, energies, and the L2 energy gradient of a field.
 
 The energy of a field u with couplings (alpha, beta, p) is
 
@@ -21,7 +21,7 @@ per component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy import fft as _fft
@@ -52,13 +52,7 @@ class NormSet:
     h_minus_half_sq: float
 
     def to_dict(self) -> dict:
-        return {
-            "l2_sq": self.l2_sq,
-            "lp_p": self.lp_p,
-            "h_half_sq": self.h_half_sq,
-            "hdot_half_sq": self.hdot_half_sq,
-            "h_minus_half_sq": self.h_minus_half_sq,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -77,14 +71,7 @@ class EnergyBreakdown:
     d_value: float
 
     def to_dict(self) -> dict:
-        return {
-            "kinetic": self.kinetic,
-            "hartree": self.hartree,
-            "potential": self.potential,
-            "total": self.total,
-            "d_value": self.d_value,
-            "norms": self.norms.to_dict(),
-        }
+        return asdict(self)
 
 
 def _spectra(parts: tuple[np.ndarray, ...]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -114,32 +101,6 @@ def _norm_set(grid, density: np.ndarray, lp_p: float, spectrum_sq: np.ndarray) -
         hdot_half_sq=float(hdot_half),
         h_minus_half_sq=float(h_minus_half),
     )
-
-
-def norms(u: Field, p: float) -> NormSet:
-    """All five norms of ``u`` (``lp_p`` is ||u||_p^p for the given p)."""
-    u.require_finite("norms input")
-    density = u.density()
-    lp_p = float(np.sum(density ** (0.5 * p)) * u.grid.cell_volume)
-    return _norm_set(u.grid, density, lp_p, _spectra(u.parts)[1])
-
-
-def _apply_kinetic(u: Field, variant: str) -> Field:
-    mult = u.grid.kinetic_symbol(variant)
-    parts = tuple(_fft.irfftn(mult * _fft.rfftn(c), s=u.grid.shape) for c in u.parts)
-    return Field.of_parts(u.grid, parts)
-
-
-def apply_half_wave(u: Field) -> Field:
-    """Apply sqrt(1 - Laplacian): Fourier multiplier sqrt(1 + |k|^2)."""
-    u.require_finite("apply_half_wave input")
-    return _apply_kinetic(u, "inhomogeneous")
-
-
-def apply_homogeneous_half_wave(u: Field) -> Field:
-    """Apply |D|: Fourier multiplier |k| (the homogeneous kinetic operator)."""
-    u.require_finite("apply_homogeneous_half_wave input")
-    return _apply_kinetic(u, "homogeneous")
 
 
 @dataclass
@@ -213,6 +174,13 @@ def evaluate(
             gradient.append(g)
         ev.gradient = tuple(gradient)
     return ev
+
+
+def norms(u: Field, p: float) -> NormSet:
+    """All five norms of ``u`` (``lp_p`` is ||u||_p^p for the given p, which
+    must lie in (2, 8/3]), read off one evaluation with zero couplings."""
+    u.require_finite("norms input")
+    return evaluate(u, Params(0.0, 0.0, p, 1.0)).breakdown.norms
 
 
 def energy(

@@ -22,7 +22,7 @@ homogeneous energy and, when the schedule holds theta = 1, its row.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -67,15 +67,7 @@ class ScalingRow:
     method: str
 
     def to_list(self) -> list:
-        return [
-            self.theta,
-            self.energy,
-            self.energy_tilde,
-            self.hdot_half,
-            self.mass,
-            self.kinetic_gap,
-            self.method,
-        ]
+        return list(astuple(self))
 
 
 @dataclass(frozen=True)

@@ -135,7 +135,7 @@ def constant_field(grid: Grid, value: complex) -> Field:
 
 @dataclass(frozen=True)
 class GaussianProfile:
-    """Closed-form Gaussian amplitude * exp(-|x - center|^2 / (2 width^2)).
+    """Closed-form centered Gaussian amplitude * exp(-|x|^2 / (2 width^2)).
 
     Scaling experiments resample rescaled fields analytically whenever the
     base field has a known profile, so the scaling laws are not polluted by
@@ -144,52 +144,30 @@ class GaussianProfile:
 
     width: float
     amplitude: float = 1.0
-    center: tuple[float, float, float] = (0.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
         if self.width <= 0:
             raise ConfigurationError(f"gaussian width must be positive, got {self.width}")
 
     def sample(self, grid: Grid) -> Field:
-        if self.center == (0.0, 0.0, 0.0):
-            r_sq = grid.radius_sq()
-        else:
-            x, y, z = grid.meshgrid()
-            cx, cy, cz = self.center
-            r_sq = (x - cx) ** 2 + (y - cy) ** 2 + (z - cz) ** 2
-        values = self.amplitude * np.exp(-r_sq / (2.0 * self.width**2))
+        values = self.amplitude * np.exp(-grid.radius_sq() / (2.0 * self.width**2))
         return Field.of_parts(grid, (values,))
 
     def mass_preserving_rescaled(self, theta: float) -> "GaussianProfile":
         """Profile of theta^{3/2} u(theta x): width / theta, amplitude * theta^{3/2}."""
         if theta <= 0:
             raise ConfigurationError(f"theta must be positive, got {theta}")
-        cx, cy, cz = self.center
-        return GaussianProfile(
-            width=self.width / theta,
-            amplitude=self.amplitude * theta**1.5,
-            center=(cx / theta, cy / theta, cz / theta),
-        )
+        return GaussianProfile(width=self.width / theta, amplitude=self.amplitude * theta**1.5)
 
     def dilated(self, theta: float) -> "GaussianProfile":
         """Profile of u(theta x): width / theta, amplitude unchanged."""
         if theta <= 0:
             raise ConfigurationError(f"theta must be positive, got {theta}")
-        cx, cy, cz = self.center
-        return GaussianProfile(
-            width=self.width / theta,
-            amplitude=self.amplitude,
-            center=(cx / theta, cy / theta, cz / theta),
-        )
+        return GaussianProfile(width=self.width / theta, amplitude=self.amplitude)
 
 
-def gaussian_field(
-    grid: Grid,
-    width: float,
-    amplitude: float = 1.0,
-    center: tuple[float, float, float] = (0.0, 0.0, 0.0),
-) -> Field:
-    return GaussianProfile(width=width, amplitude=amplitude, center=center).sample(grid)
+def gaussian_field(grid: Grid, width: float, amplitude: float = 1.0) -> Field:
+    return GaussianProfile(width=width, amplitude=amplitude).sample(grid)
 
 
 def random_field(grid: Grid, seed: int, k_cut_fraction: float = 0.25) -> Field:
@@ -198,8 +176,8 @@ def random_field(grid: Grid, seed: int, k_cut_fraction: float = 0.25) -> Field:
     envelope so the density decays inside the box."""
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    k_max = np.max(grid.k_abs)
-    mask = grid.k_abs <= k_cut_fraction * k_max
+    k_abs = np.sqrt(grid.wave_sq())
+    mask = k_abs <= k_cut_fraction * np.max(k_abs)
     smooth = np.fft.ifftn(np.fft.fftn(noise) * mask)
     envelope = np.exp(-grid.radius_sq() / (2.0 * (grid.box_length / 6.0) ** 2))
     return Field(grid, smooth * envelope)

@@ -45,10 +45,9 @@ class Grid:
     Derived attributes (set in ``__post_init__``):
     ``spacing`` (h = L/n), ``axis`` (1-D physical coordinates, cell-centered
     at -L/2 + j h) and ``wavenumbers`` (1-D angular wavenumbers
-    (2 pi / L) * {-n/2, ..., n/2 - 1} in FFT storage order).  The 3-D arrays
-    ``k_sq``, ``k_abs`` and ``half_wave_multiplier`` (|k|^2, |k| and
-    sqrt(1 + |k|^2) on the full spectrum) and the half-spectrum arrays are
-    built on first use and cached.
+    (2 pi / L) * {-n/2, ..., n/2 - 1} in FFT storage order).  The
+    half-spectrum multiplier and weight arrays the operators read are built
+    on first use and cached; ``wave_sq`` builds |k|^2 uncached.
     """
 
     n: int
@@ -113,18 +112,6 @@ class Grid:
         k1 = self.wavenumbers
         kz = k1[: self.n // 2 + 1] if half else k1
         return k1[:, None, None] ** 2 + k1[None, :, None] ** 2 + kz[None, None, :] ** 2
-
-    @property
-    def k_sq(self) -> np.ndarray:
-        return self.cached("k_sq", self.wave_sq)
-
-    @property
-    def k_abs(self) -> np.ndarray:
-        return self.cached("k_abs", lambda: np.sqrt(self.wave_sq()))
-
-    @property
-    def half_wave_multiplier(self) -> np.ndarray:
-        return self.cached("half_wave_multiplier", lambda: np.sqrt(1.0 + self.wave_sq()))
 
     @property
     def hermitian_weight(self) -> np.ndarray:

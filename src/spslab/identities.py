@@ -14,8 +14,10 @@ which leaves the mass sphere.  At a constrained minimizer it equals
 omega rho - 2 E(v) = 2 rho^2 d/drho [I(rho)/rho], so it vanishes only at
 stationary masses of the ratio curve I(rho)/rho, not at every minimizer.
 
-Each residual is reported raw together with a positive magnitude scale so
-tolerances are dimensionless.  The zero field reports residual 0, scale 1.
+``identity_report`` is the one read: every residual is arithmetic on one
+gradient evaluation of the field (``energy.evaluate``).  Each residual is
+reported raw together with a positive magnitude scale so tolerances are
+dimensionless.  The zero field reports residual 0, scale 1.
 """
 
 from __future__ import annotations
@@ -29,15 +31,20 @@ from scipy import fft as _fft  # noqa: F401
 from .coulomb import CoulombKernel
 # perfbench/tracing.py wraps these two by attribute on this module
 from .coulomb import coulomb_kernel, hartree_double_integral  # noqa: F401
-from .energy import Evaluation, _spectra, evaluate
-from .errors import DegenerateFieldError
+from .energy import Evaluation, evaluate
 from .fields import Field, dot
-from .params import Params, check_variant
+from .params import Params
 
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Machine-checkable certificate for one candidate field."""
+    """Machine-checkable certificate for one candidate field.
+
+    ``f_prime_at_1`` is the derivative at theta = 1 of E(theta v) /
+    ||theta v||_2^2, the virial residual over the mass; ``g_prime_at_1``
+    that of E(theta^{3/2} v(theta x)), the dilation residual.  Only
+    ``g_prime_at_1`` vanishes at every constrained minimizer.
+    """
 
     virial_residual: float
     virial_scale: float
@@ -74,127 +81,6 @@ def _scale(*terms: float) -> float:
     return s if s > 0 else 1.0
 
 
-# each residual reads one evaluation, so a full report costs one ``evaluate``
-
-
-def _virial(ev: Evaluation, params: Params) -> tuple[float, float]:
-    coulomb_term = 2.0 * params.alpha * ev.breakdown.d_value
-    power_term = params.beta * (params.p - 2.0) * ev.breakdown.norms.lp_p
-    return coulomb_term - power_term, _scale(coulomb_term, power_term)
-
-
-def _dilation_kinetic(grid, spectrum_sq: np.ndarray, variant: str) -> float:
-    """From the summed half power spectrum of the components."""
-    return 0.5 * float(np.sum(grid.dilation_weight(variant) * spectrum_sq))
-
-
-def _pohozaev(ev: Evaluation, params: Params, variant: str) -> tuple[float, float]:
-    kinetic_term = _dilation_kinetic(ev.u.grid, ev.spectrum_sq, variant)
-    coulomb_term = params.alpha * ev.breakdown.d_value
-    power_term = params.beta * (3.0 * params.p - 6.0) / 2.0 * ev.breakdown.norms.lp_p
-    residual = kinetic_term + coulomb_term - power_term
-    return residual, _scale(kinetic_term, coulomb_term, power_term)
-
-
-def _omega(ev: Evaluation) -> float:
-    """Rayleigh quotient Re<grad E(v), v> / ||v||_2^2 of a gradient evaluation."""
-    overlap = dot(ev.gradient, ev.u.parts) * ev.u.grid.cell_volume
-    return overlap / ev.breakdown.norms.l2_sq
-
-
-def _el_rel(ev: Evaluation, omega: float) -> float:
-    resid = tuple(g - omega * c for g, c in zip(ev.gradient, ev.u.parts))
-    num = dot(resid, resid) * ev.u.grid.cell_volume
-    return float(np.sqrt(num / ev.breakdown.norms.l2_sq))
-
-
-def virial_residual(
-    v: Field, params: Params, kernel: CoulombKernel | None = None
-) -> tuple[float, float]:
-    """(residual, scale) of 2 alpha D(v) - beta (p - 2) ||v||_p^p."""
-    v.require_finite("virial_residual input")
-    if v.is_zero():
-        return 0.0, 1.0
-    return _virial(evaluate(v, params, kernel=kernel), params)
-
-
-def pohozaev_kinetic_term(v: Field, variant: str = "inhomogeneous") -> float:
-    """Dilation derivative of the kinetic term.
-
-    Inhomogeneous: 1/2 * (2 pi)^-3 int |k|^2 / sqrt(1 + |k|^2) |v_hat|^2 dk,
-    which equals 1/2 (||v||^2_{H^{1/2}} - ||v||^2_{H^{-1/2}}) identically in
-    exact arithmetic.  Homogeneous: 1/2 ||v||^2 in the homogeneous seminorm.
-    """
-    check_variant(variant)
-    spectrum_sq = _spectra(v.parts)[1]
-    return _dilation_kinetic(v.grid, spectrum_sq, variant)
-
-
-def pohozaev_residual(
-    v: Field,
-    params: Params,
-    variant: str = "inhomogeneous",
-    kernel: CoulombKernel | None = None,
-) -> tuple[float, float]:
-    """(residual, scale) of the mass-preserving dilation identity."""
-    v.require_finite("pohozaev_residual input")
-    if v.is_zero():
-        return 0.0, 1.0
-    return _pohozaev(evaluate(v, params, variant, kernel), params, variant)
-
-
-def el_residual(
-    v: Field,
-    params: Params,
-    omega: float,
-    variant: str = "inhomogeneous",
-    kernel: CoulombKernel | None = None,
-) -> float:
-    """Relative L2 residual ||grad E(v) - omega v||_2 / ||v||_2."""
-    v.require_finite("el_residual input")
-    if v.is_zero():
-        raise DegenerateFieldError("el_residual needs a nonzero field")
-    return _el_rel(evaluate(v, params, variant, kernel, True), omega)
-
-
-def lagrange_multiplier(
-    v: Field,
-    params: Params,
-    variant: str = "inhomogeneous",
-    kernel: CoulombKernel | None = None,
-) -> float:
-    """Rayleigh-quotient multiplier omega = Re<grad E(v), v> / ||v||_2^2."""
-    v.require_finite("lagrange_multiplier input")
-    if v.is_zero():
-        raise DegenerateFieldError("lagrange_multiplier needs a nonzero field")
-    return _omega(evaluate(v, params, variant, kernel, True))
-
-
-def scaling_derivative_check(
-    v: Field,
-    params: Params,
-    variant: str = "inhomogeneous",
-    kernel: CoulombKernel | None = None,
-) -> tuple[float, float]:
-    """Analytic derivatives at theta = 1 of the two scaling families.
-
-    ``f_prime_at_1``: derivative of E(theta v)/||theta v||_2^2, equal to the
-    virial residual divided by the mass (same arithmetic).
-    ``g_prime_at_1``: derivative of E(theta^{3/2} v(theta x)), equal to the
-    dilation-identity residual.  Only ``g_prime_at_1`` vanishes at every
-    constrained minimizer; ``f_prime_at_1`` equals
-    2 rho d/drho [I(rho)/rho] there and vanishes only at stationary masses
-    of the ratio curve.
-    """
-    v.require_finite("scaling_derivative_check input")
-    if v.is_zero():
-        raise DegenerateFieldError("scaling_derivative_check needs a nonzero field")
-    ev = evaluate(v, params, variant, kernel)
-    vres, _ = _virial(ev, params)
-    pres, _ = _pohozaev(ev, params, variant)
-    return vres / ev.breakdown.norms.l2_sq, pres
-
-
 def identity_report(
     v: Field,
     params: Params,
@@ -213,17 +99,34 @@ def identity_report(
 def _report(
     ev: Evaluation, params: Params, omega: float | None, variant: str
 ) -> IdentityReport:
-    """``identity_report`` of a nonzero field from its gradient evaluation ``ev``."""
+    """``identity_report`` of a nonzero field from its gradient evaluation
+    ``ev``: every residual is arithmetic on that one evaluation."""
+    grid, parts = ev.u.grid, ev.u.parts
+    d_value, ns = ev.breakdown.d_value, ev.breakdown.norms
     if omega is None:
-        omega = _omega(ev)
-    vres, vscale = _virial(ev, params)
-    pres, pscale = _pohozaev(ev, params, variant)
+        # Rayleigh quotient Re<grad E(v), v> / ||v||_2^2
+        omega = dot(ev.gradient, parts) * grid.cell_volume / ns.l2_sq
+
+    # virial: 2 alpha D - beta (p - 2) ||v||_p^p
+    v_coulomb = 2.0 * params.alpha * d_value
+    v_power = params.beta * (params.p - 2.0) * ns.lp_p
+    virial = v_coulomb - v_power
+
+    # dilation: the kinetic term's derivative is read off the half power
+    # spectrum, 1/2 sum |k|^2 / sqrt(1 + |k|^2) |v_hat|^2 (|k| homogeneous)
+    kinetic = 0.5 * float(np.sum(grid.dilation_weight(variant) * ev.spectrum_sq))
+    coulomb = params.alpha * d_value
+    power = params.beta * (3.0 * params.p - 6.0) / 2.0 * ns.lp_p
+    pohozaev = kinetic + coulomb - power
+
+    resid = tuple(g - omega * c for g, c in zip(ev.gradient, parts))
+    el_sq = dot(resid, resid) * grid.cell_volume
     return IdentityReport(
-        virial_residual=vres,
-        virial_scale=vscale,
-        pohozaev_residual=pres,
-        pohozaev_scale=pscale,
-        el_residual_rel=_el_rel(ev, omega),
-        f_prime_at_1=vres / ev.breakdown.norms.l2_sq,
-        g_prime_at_1=pres,
+        virial_residual=virial,
+        virial_scale=_scale(v_coulomb, v_power),
+        pohozaev_residual=pohozaev,
+        pohozaev_scale=_scale(kinetic, coulomb, power),
+        el_residual_rel=float(np.sqrt(el_sq / ns.l2_sq)),
+        f_prime_at_1=virial / ns.l2_sq,
+        g_prime_at_1=pohozaev,
     )

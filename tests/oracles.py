@@ -74,7 +74,9 @@ def smooth_random_field(grid, seed: int, k_cut_fraction: float = 0.3) -> Field:
     library's random_field so oracle tests do not share its construction."""
     rng = np.random.default_rng(seed)
     spectrum = np.zeros(grid.shape, dtype=np.complex128)
-    mask = grid.k_abs <= k_cut_fraction * np.max(grid.k_abs)
+    k1 = grid.wavenumbers
+    k_abs = np.sqrt(k1[:, None, None] ** 2 + k1[None, :, None] ** 2 + k1[None, None, :] ** 2)
+    mask = k_abs <= k_cut_fraction * np.max(k_abs)
     count = int(np.sum(mask))
     spectrum[mask] = rng.standard_normal(count) + 1j * rng.standard_normal(count)
     values = np.fft.ifftn(spectrum)

@@ -317,6 +317,42 @@ class TestCurveCommand:
         )
         assert run(["curve", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    def test_saved_fields_one_file_per_rho(self, tmp_path):
+        config = {
+            "grid": GRID16,
+            "params": {"alpha": 1.0, "beta": 1.0, "p": 2.5},
+            "rhos": [0.05, 0.1],
+            "minimize": {"max_iters": 2},
+            "save_fields": True,
+        }
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, "cfg.json", config)
+        assert run(["curve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert sorted(p.name for p in out.glob("*.spsf")) == [
+            "field_rho_0.05.spsf",
+            "field_rho_0.1.spsf",
+        ]
+
+    def test_colliding_snapshot_names_rejected(self, tmp_path, capsys):
+        # 0.1 and 0.1000001 both format as "0.1": one snapshot would
+        # overwrite the other
+        config = {
+            "grid": GRID16,
+            "params": {"alpha": 1.0, "beta": 1.0, "p": 2.5},
+            "rhos": [0.1, 0.1000001],
+            "minimize": {"max_iters": 2},
+            "save_fields": True,
+        }
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, "cfg.json", config)
+        assert run(["curve", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "bad rhos" in capsys.readouterr().err
+        assert not (out / "manifest.json").exists()
+        # without snapshots the same masses are a valid sweep
+        config["save_fields"] = False
+        cfg = write_config(tmp_path, "cfg.json", config)
+        assert run(["curve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+
     def test_unconverged_marks_verdicts_unavailable(self, tmp_path):
         cfg = write_config(
             tmp_path,
@@ -622,6 +658,9 @@ def run_malformed(tmp_path, command, key, bad):
         ("best-constant", "pairs", [[float("nan"), 1.0]]),
         ("verify", "omega", float("inf")),
         ("verify", "tolerances.el_rel", float("nan")),
+        # nonpositive couplings are refused before the ascent runs
+        ("best-constant", "pairs", [[0, 1]]),
+        ("best-constant", "pairs", [[1, -2]]),
     ],
 )
 def test_non_numeric_config_number_is_config_error(tmp_path, capsys, command, key, bad):

@@ -55,8 +55,9 @@ class TestMakeGrid:
         g = sl.make_grid(16, 8.0)
         half = (16, 16, 9)
         assert g.kinetic_symbol("homogeneous").shape == half
-        assert np.array_equal(g.kinetic_symbol("inhomogeneous"), g.half_wave_multiplier[..., :9])
-        assert np.array_equal(g.kinetic_symbol("homogeneous"), g.k_abs[..., :9])
+        k_sq = g.wave_sq()
+        assert np.array_equal(g.kinetic_symbol("inhomogeneous"), np.sqrt(1.0 + k_sq)[..., :9])
+        assert np.array_equal(g.kinetic_symbol("homogeneous"), np.sqrt(k_sq)[..., :9])
         w = g.hermitian_weight / g.fourier_weight
         assert w[0] == w[-1] == 1.0 and np.all(w[1:-1] == 2.0)
 

@@ -1,4 +1,5 @@
-"""Identity residuals: zero conventions, algebraic equivalences, FD checks."""
+"""Identity residuals, all read off ``identity_report``: zero conventions,
+algebraic equivalences, FD checks."""
 
 import importlib
 from collections import Counter
@@ -17,18 +18,26 @@ def params():
     return sl.Params(alpha=1.0, beta=1.0, p=2.5, rho=0.1)
 
 
+def free(p=2.5):
+    """Zero couplings: the energy is the kinetic term alone."""
+    return sl.Params(alpha=0.0, beta=0.0, p=p, rho=1.0)
+
+
+def rayleigh(u, params, variant="inhomogeneous"):
+    """Test-side multiplier Re<grad E(u), u> / ||u||_2^2."""
+    return sl.inner(sl.gradient(u, params, variant), u).real / u.mass()
+
+
 class TestZeroConventions:
     def test_virial_zero_field(self, grid16, params):
-        res, scale = sl.virial_residual(sl.zero_field(grid16), params)
-        assert res == 0.0 and scale == 1.0
+        report = sl.identity_report(sl.zero_field(grid16), params)
+        assert report.virial_residual == 0.0 and report.virial_scale == 1.0
+        assert report.f_prime_at_1 == 0.0
 
     def test_pohozaev_zero_field(self, grid16, params):
-        res, scale = sl.pohozaev_residual(sl.zero_field(grid16), params)
-        assert res == 0.0 and scale == 1.0
-
-    def test_el_zero_field_rejected(self, grid16, params):
-        with pytest.raises(sl.DegenerateFieldError):
-            sl.el_residual(sl.zero_field(grid16), params, omega=1.0)
+        report = sl.identity_report(sl.zero_field(grid16), params, variant="homogeneous")
+        assert report.pohozaev_residual == 0.0 and report.pohozaev_scale == 1.0
+        assert report.g_prime_at_1 == 0.0
 
     def test_report_zero_field(self, grid16, params):
         report = sl.identity_report(sl.zero_field(grid16), params)
@@ -38,48 +47,47 @@ class TestZeroConventions:
 
 class TestEigenmodeCases:
     def test_constant_field_el_exact(self, grid16):
-        free = sl.Params(alpha=0.0, beta=0.0, p=2.5, rho=1.0)
         c = sl.constant_field(grid16, 1.0)
-        assert sl.el_residual(c, free, omega=1.0) < 1e-13
-        assert abs(sl.lagrange_multiplier(c, free) - 1.0) < 1e-13
+        assert sl.identity_report(c, free(), omega=1.0).el_residual_rel < 1e-13
+        assert abs(rayleigh(c, free()) - 1.0) < 1e-13
+        # the report's own multiplier is the Rayleigh quotient
+        assert sl.identity_report(c, free()).el_residual_rel < 1e-13
 
     def test_single_mode_multiplier(self, grid16):
-        free = sl.Params(alpha=0.0, beta=0.0, p=2.5, rho=1.0)
         k0 = 2 * np.pi / grid16.box_length * np.array([1.0, 2.0, 0.0])
         x, y, z = grid16.meshgrid()
         mode = sl.Field(grid16, np.exp(1j * (k0[0] * x + k0[1] * y)))
-        omega = sl.lagrange_multiplier(mode, free)
+        omega = rayleigh(mode, free())
         assert relerr(omega, np.sqrt(1 + np.dot(k0, k0))) < 1e-12
+        assert sl.identity_report(mode, free()).el_residual_rel < 1e-12
 
     def test_omega_perturbation_moves_el_linearly(self, grid16):
-        free = sl.Params(alpha=0.0, beta=0.0, p=2.5, rho=1.0)
         c = sl.constant_field(grid16, 2.0)
-        assert abs(sl.el_residual(c, free, omega=1.1) - 0.1) < 1e-12
+        assert abs(sl.identity_report(c, free(), omega=1.1).el_residual_rel - 0.1) < 1e-12
 
 
 class TestAlgebraicEquivalences:
     def test_pohozaev_multiplier_form_vs_two_norm_difference(self, grid32):
         for seed in range(5):
             u = smooth_random_field(grid32, seed + 10)
-            kin = sl.pohozaev_kinetic_term(u)
+            # with zero couplings the dilation residual is the kinetic term
+            kin = sl.identity_report(u, free()).pohozaev_residual
             ns = sl.norms(u, p=2.5)
             two_norm = 0.5 * (ns.h_half_sq - ns.h_minus_half_sq)
             assert relerr(kin, two_norm) < 1e-10
 
     def test_f_prime_is_virial_over_mass(self, grid32, params):
         u = smooth_random_field(grid32, 17)
-        f_prime, g_prime = sl.scaling_derivative_check(u, params)
-        vres, _ = sl.virial_residual(u, params)
-        assert f_prime == vres / u.mass()
-        pres, _ = sl.pohozaev_residual(u, params)
-        assert g_prime == pres
+        report = sl.identity_report(u, params)
+        assert report.f_prime_at_1 == report.virial_residual / u.mass()
+        assert report.g_prime_at_1 == report.pohozaev_residual
 
     def test_homogeneous_pohozaev_equals_energy_at_critical_p(self, grid32):
         # degree-one homogeneity: the dilation derivative of the homogeneous
         # energy at p = 8/3 is the energy itself
         params = sl.Params(alpha=1.0, beta=1.0, p=8.0 / 3.0, rho=1.0)
         u = smooth_random_field(grid32, 23)
-        pres, _ = sl.pohozaev_residual(u, params, variant="homogeneous")
+        pres = sl.identity_report(u, params, variant="homogeneous").pohozaev_residual
         e_tilde = sl.energy(u, params, variant="homogeneous").total
         assert relerr(pres, e_tilde) < 1e-12
 
@@ -87,7 +95,7 @@ class TestAlgebraicEquivalences:
 class TestFiniteDifferenceChecks:
     def test_f_prime_against_amplitude_fd(self, grid64, params):
         u = sl.gaussian_field(grid64, 1.5, amplitude=0.3)
-        f_prime, _ = sl.scaling_derivative_check(u, params)
+        f_prime = sl.identity_report(u, params).f_prime_at_1
         mass = u.mass()
         delta = 1e-4
 
@@ -103,7 +111,7 @@ class TestFiniteDifferenceChecks:
         # order-1 interpolation error, which moves on the theta-scale h/|x|;
         # 5e-2 is the measured accuracy of this cross-check at 64^3
         u = sl.gaussian_field(grid64, 1.5, amplitude=0.3)
-        _, g_prime = sl.scaling_derivative_check(u, params)
+        g_prime = sl.identity_report(u, params).g_prime_at_1
         delta = 0.02
 
         def e_of(theta):
@@ -117,9 +125,7 @@ class TestFiniteDifferenceChecks:
 def test_discrimination_off_minimizer(grid32, params):
     # a mass-projected Gaussian far from stationarity must light up
     u = sl.project_mass(sl.gaussian_field(grid32, 1.0), params.rho)
-    _, vscale = sl.virial_residual(u, params)
-    vres, _ = sl.virial_residual(u, params)
-    assert abs(vres) / vscale > 1e-2
+    assert sl.identity_report(u, params).virial_rel > 1e-2
 
 
 class TestSharedEvaluation:
@@ -128,21 +134,29 @@ class TestSharedEvaluation:
     @pytest.mark.parametrize("variant", ["inhomogeneous", "homogeneous"])
     @pytest.mark.parametrize("kind", ["real", "complex"])
     def test_report_agrees_with_components(self, grid32, params, variant, kind):
+        # each residual against its terms, rebuilt from the energy breakdown,
+        # the free-coupling report (the kinetic dilation term) and the gradient
         u = smooth_random_field(grid32, 31)
         if kind == "real":
             u = sl.Field(grid32, u.values.real)
-        rayleigh = sl.lagrange_multiplier(u, params, variant)
+        e = sl.energy(u, params, variant)
+        lp_p, d_value = e.norms.lp_p, e.d_value
+        kinetic = sl.identity_report(u, free(), variant=variant).pohozaev_residual
+        grad = sl.gradient(u, params, variant)
         for omega in (None, 0.3):
             report = sl.identity_report(u, params, omega=omega, variant=variant)
-            el_omega = rayleigh if omega is None else omega
-            assert (report.virial_residual, report.virial_scale) == sl.virial_residual(u, params)
-            assert (report.pohozaev_residual, report.pohozaev_scale) == sl.pohozaev_residual(
-                u, params, variant
-            )
-            assert report.el_residual_rel == sl.el_residual(u, params, el_omega, variant)
-            assert (report.f_prime_at_1, report.g_prime_at_1) == sl.scaling_derivative_check(
-                u, params, variant
-            )
+            v_terms = (2.0 * params.alpha * d_value, params.beta * (params.p - 2.0) * lp_p)
+            assert report.virial_residual == v_terms[0] - v_terms[1]
+            assert report.virial_scale == max(abs(t) for t in v_terms)
+            p_power = params.beta * (3.0 * params.p - 6.0) / 2.0 * lp_p
+            p_terms = (kinetic, params.alpha * d_value, p_power)
+            assert report.pohozaev_residual == p_terms[0] + p_terms[1] - p_terms[2]
+            assert report.pohozaev_scale == max(abs(t) for t in p_terms)
+            assert report.f_prime_at_1 == report.virial_residual / e.norms.l2_sq
+            assert report.g_prime_at_1 == report.pohozaev_residual
+            el_omega = rayleigh(u, params, variant) if omega is None else omega
+            resid = sl.Field(grid32, grad.values - el_omega * u.values)
+            assert relerr(report.el_residual_rel, np.sqrt(resid.mass() / u.mass())) < 1e-12
 
     def test_report_is_one_evaluation_of_four_transforms(self, grid32, params, monkeypatch):
         counts = Counter()

@@ -87,37 +87,46 @@ class TestNorms:
             assert ns_abs.h_half_sq <= ns_w.h_half_sq + 1e-10
 
 
+# with zero couplings the energy gradient is the kinetic operator alone
+FREE = sl.Params(alpha=0.0, beta=0.0, p=2.5, rho=1.0)
+
+
+def half_wave(u, variant="inhomogeneous"):
+    """sqrt(1 - Laplacian) u, or |D| u in the homogeneous variant."""
+    return sl.gradient(u, FREE, variant)
+
+
 class TestHalfWave:
     def test_constant_is_fixed(self, grid16):
         c = sl.constant_field(grid16, 3.5 - 1.0j)
-        out = sl.apply_half_wave(c)
+        out = half_wave(c)
         assert np.max(np.abs(out.values - c.values)) < 1e-13
 
     def test_single_mode_eigenvalue(self, grid16):
         k0 = 2 * np.pi / grid16.box_length * np.array([2.0, -1.0, 3.0])
         x, y, z = grid16.meshgrid()
         mode = np.exp(1j * (k0[0] * x + k0[1] * y + k0[2] * z))
-        out = sl.apply_half_wave(sl.Field(grid16, mode))
+        out = half_wave(sl.Field(grid16, mode))
         expected = np.sqrt(1 + np.dot(k0, k0)) * mode
         assert np.max(np.abs(out.values - expected)) < 1e-11
 
     def test_pairing_equals_h_half_norm(self, grid32):
         u = smooth_random_field(grid32, 5)
         ns = sl.norms(u, p=2.5)
-        pairing = sl.inner(sl.apply_half_wave(u), u)
+        pairing = sl.inner(half_wave(u), u)
         assert abs(pairing.imag) < 1e-12 * abs(pairing.real)
         assert relerr(pairing.real, ns.h_half_sq) < 1e-10
 
     def test_self_adjoint(self, grid32):
         u = smooth_random_field(grid32, 8)
         v = smooth_random_field(grid32, 9)
-        lhs = sl.inner(sl.apply_half_wave(u), v)
-        rhs = sl.inner(u, sl.apply_half_wave(v))
+        lhs = sl.inner(half_wave(u), v)
+        rhs = sl.inner(u, half_wave(v))
         assert abs(lhs - rhs) / abs(lhs) < 1e-10
 
     def test_homogeneous_operator_kills_constants(self, grid16):
         c = sl.constant_field(grid16, 1.0)
-        out = sl.apply_homogeneous_half_wave(c)
+        out = half_wave(c, "homogeneous")
         assert np.max(np.abs(out.values)) < 1e-13
 
 
@@ -204,7 +213,8 @@ class TestRealTransforms:
         kern = sl.coulomb_kernel(grid16)
         params = sl.Params(alpha=1.0, beta=1.0, p=2.5, rho=1.0)
         fw = grid16.fourier_weight
-        k_abs, mult = grid16.k_abs, grid16.half_wave_multiplier
+        k_sq = grid16.wave_sq()
+        k_abs, mult = np.sqrt(k_sq), np.sqrt(1.0 + k_sq)
         nyq = grid16.n // 2
         cases = [(kind, *f) for kind in ("real", "complex") for f in self._fields(grid16)]
         for kind, name, re, im in cases:
@@ -225,8 +235,9 @@ class TestRealTransforms:
             assert relerr(ns.l2_sq, float(np.sum(density) * grid16.cell_volume)) <= 1e-13
             lp = float(np.sum(np.abs(values) ** 2.5) * grid16.cell_volume)
             assert relerr(ns.lp_p, lp) <= 1e-13
-            dilation = 0.5 * float(np.sum(grid16.k_sq / mult * spec) * fw)
-            assert relerr(sl.pohozaev_kinetic_term(u), dilation) <= 1e-13
+            dilation = 0.5 * float(np.sum(k_sq / mult * spec) * fw)
+            kinetic = sl.identity_report(u, FREE).pohozaev_residual
+            assert relerr(kinetic, dilation) <= 1e-13
 
             phi_c2c = fft.ifftn(kern.symbol * density_fft).real
             d_c2c = float(np.sum(kern.symbol * np.abs(density_fft) ** 2) * fw)
