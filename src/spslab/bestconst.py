@@ -271,9 +271,6 @@ class ThresholdVerdict:
     rhs_lower: float
     verdict: str  # "unbounded_certified" | "indeterminate"
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def classify_boundedness(
     alpha: float, beta: float, estimate: BestConstantEstimate | float

@@ -364,13 +364,14 @@ def _scaling_inputs(config: dict, grid: Grid, params: Params):
     init = read_block(_ScalingInit, config.get("init", {}), "init")
     if init.kind == "gaussian":
         width = init.width if init.width is not None else grid.box_length / 8.0
-        profile = GaussianProfile(width=width)
-        sampled = profile.sample(grid)
+        sampled = GaussianProfile(width=width).sample(grid)
         mass = sampled.mass()
         if mass <= 0:
             raise ConfigurationError("gaussian init has zero mass")
         profile = GaussianProfile(width=width, amplitude=np.sqrt(params.rho / mass))
-        return profile.sample(grid), profile
+        # times the amplitude, the unit sample is ``profile.sample`` bit for bit
+        np.multiply(sampled.parts[0], profile.amplitude, out=sampled.parts[0])
+        return sampled, profile
     if init.kind == "from_file":
         if init.path is None:
             raise ConfigurationError("scaling init config is missing the key 'path'")

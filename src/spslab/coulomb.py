@@ -14,7 +14,7 @@ import numpy as np
 from scipy import fft as _fft
 
 from .errors import ConfigurationError
-from .fields import Field
+from .fields import Field, blocked_sum
 from .grid import Grid
 
 
@@ -81,8 +81,15 @@ def _double_integral_from_density_fft(
 ) -> float:
     """sum_k symbol(k) |rho_hat(k)|^2 from the half spectrum ``rfftn(density)``,
     with the Hermitian plane weights (see ``grid``)."""
-    power = density_fft.real**2 + density_fft.imag**2
-    return float(np.sum(kernel.double_integral_weight * power))
+    return float(blocked_sum(_weighted_power, kernel.double_integral_weight, density_fft))
+
+
+def _weighted_power(weight: np.ndarray, z: np.ndarray, out=None) -> np.ndarray:
+    """weight |z|^2, elementwise."""
+    power = np.square(z.real, out=out)
+    power += z.imag**2
+    power *= weight
+    return power
 
 
 def _density_fft(u: Field) -> np.ndarray:

@@ -32,7 +32,7 @@ from .coulomb import (
     _potential_values,
     coulomb_kernel,
 )
-from .fields import Field
+from .fields import Field, blocked_sum
 from .params import Params, check_variant
 
 
@@ -79,11 +79,12 @@ def _spectra(parts: tuple[np.ndarray, ...]) -> tuple[tuple[np.ndarray, ...], np.
     spectrum, which is the half of |fftn(u)|^2 that the Hermitian weights
     complete."""
     parts_fft = tuple(_fft.rfftn(c) for c in parts)
-    spectrum_sq = parts_fft[0].real ** 2
-    spectrum_sq += parts_fft[0].imag ** 2
+    spectrum_sq = np.square(parts_fft[0].real)
+    square = np.square(parts_fft[0].imag)
+    spectrum_sq += square
     for f in parts_fft[1:]:
-        spectrum_sq += f.real**2
-        spectrum_sq += f.imag**2
+        spectrum_sq += np.square(f.real, out=square)
+        spectrum_sq += np.square(f.imag, out=square)
     return parts_fft, spectrum_sq
 
 
@@ -91,8 +92,8 @@ def _norm_set(grid, density: np.ndarray, lp_p: float, spectrum_sq: np.ndarray) -
     """The five norms from |u|^2, ||u||_p^p and the half power spectrum."""
     # pairwise sums (not BLAS dots): the flow's Armijo test compares
     # energies, and their rounding sets the smallest gradient it can reach
-    h_half, hdot_half, h_minus_half = np.sum(
-        grid.plancherel_weights * spectrum_sq.ravel(), axis=1
+    h_half, hdot_half, h_minus_half = blocked_sum(
+        np.multiply, grid.plancherel_weights, spectrum_sq.ravel()
     )
     return NormSet(
         l2_sq=float(np.sum(density) * grid.cell_volume),
@@ -137,9 +138,14 @@ def evaluate(
     if kernel is None:
         kernel = coulomb_kernel(grid)
     density = u.density()
-    # |u|^{p-2}: the Lp term is its pairing with the density
-    power = density ** (0.5 * (params.p - 2.0))
-    lp_p = float(np.sum(power * density) * grid.cell_volume)
+    # |u|^{p-2} pairs with the density in the Lp term; stored only for the gradient
+    exponent = 0.5 * (params.p - 2.0)
+    if with_gradient:
+        power = density**exponent
+        lp_sum = blocked_sum(np.multiply, power, density)
+    else:
+        lp_sum = blocked_sum(lambda d, out=None: np.multiply(d**exponent, d, out=out), density)
+    lp_p = float(lp_sum * grid.cell_volume)
     parts_fft, spectrum_sq = _spectra(u.parts)
     ns = _norm_set(grid, density, lp_p, spectrum_sq)
     density_fft = _fft.rfftn(density)
@@ -166,11 +172,14 @@ def evaluate(
         if params.beta != 0.0:
             power *= params.beta * params.p
             local -= power
+        # each product local * c_j goes into an array that is dead after
+        # it: ``power`` for Re u of a complex field, then ``local`` itself
+        outs = (power, local)[2 - len(u.parts) :]
         del power
         gradient = []
-        for c, f in zip(u.parts, parts_fft):
+        for c, f, out in zip(u.parts, parts_fft, outs):
             g = _fft.irfftn(mult * f, s=grid.shape)
-            g += local * c
+            g += np.multiply(local, c, out=out)
             gradient.append(g)
         ev.gradient = tuple(gradient)
     return ev

@@ -26,6 +26,14 @@ from .grid import Grid, make_grid
 SNAPSHOT_MAGIC = b"SPSF1"
 
 
+def _complex(parts: tuple[np.ndarray, ...]) -> np.ndarray:
+    """The complex array whose real (and imaginary) parts are ``parts``."""
+    values = np.empty(parts[0].shape, dtype=np.complex128)
+    values.real = parts[0]
+    values.imag = parts[1] if len(parts) > 1 else 0.0
+    return values
+
+
 @dataclass(frozen=True, init=False, eq=False)
 class Field:
     """Samples u(x_j) on a grid, held as real components: ``parts`` is
@@ -69,9 +77,7 @@ class Field:
         Read-only: a write would leave ``parts``, which every operator
         reads, unchanged.
         """
-        values = np.empty(self.grid.shape, dtype=np.complex128)
-        values.real = self.parts[0]
-        values.imag = self.parts[1] if len(self.parts) > 1 else 0.0
+        values = _complex(self.parts)
         values.flags.writeable = False
         return values
 
@@ -100,9 +106,41 @@ class Field:
         return not any(np.any(c) for c in self.parts)
 
 
+# reductions read their operands in blocks of this many elements, so each
+# block's product is summed while it is still in cache
+REDUCTION_BLOCK = 2**15
+
+
+def blocked_sum(product, *operands):
+    """Pairwise sum of the elementwise ``product(*operands)``.
+
+    The operands are flattened, except a leading 2-D stack of weight rows
+    over the flattened grid, which gives one sum per row.  An array of at
+    most one block is summed in one piece, exactly as by ``np.sum``; beyond
+    that ``product`` writes each block into a reused scratch buffer passed
+    as ``out``, and the block sums are summed pairwise.
+    """
+    # np.add.reduce is np.sum's pairwise sum without its Python dispatch
+    size = operands[-1].size
+    if size <= REDUCTION_BLOCK:
+        terms = product(*operands)
+        return np.add.reduce(terms, axis=-1 if terms.ndim == 2 else None)
+    views = [op if op.ndim == 2 else op.reshape(-1) for op in operands]
+    rows = views[0].shape[:-1]
+    scratch = np.empty(rows + (REDUCTION_BLOCK,))
+    starts = range(0, size, REDUCTION_BLOCK)
+    sums = np.empty(rows + (len(starts),))
+    for i, start in enumerate(starts):
+        block = slice(start, start + REDUCTION_BLOCK)
+        out = scratch[..., : min(REDUCTION_BLOCK, size - start)]
+        terms = product(*(v[..., block] for v in views), out=out)
+        sums[..., i] = np.add.reduce(terms, axis=-1)
+    return np.add.reduce(sums, axis=-1)
+
+
 def dot(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> float:
     """sum_j Re(a_j conj(b_j)) of two fields given by their components."""
-    return float(sum(np.sum(x * y) for x, y in zip(a, b)))
+    return float(sum(blocked_sum(np.multiply, x, y) for x, y in zip(a, b)))
 
 
 def zero_field(grid: Grid) -> Field:
@@ -249,13 +287,13 @@ def export_abs_slice(
         index = n // 2
     if not 0 <= index < n:
         raise ConfigurationError(f"slice index {index} outside [0, {n})")
-    plane = np.abs(np.take(field.values, index, axis=ax))
+    # the plane alone is assembled from the parts, never the whole field
+    plane = np.abs(_complex(tuple(np.take(c, index, axis=ax) for c in field.parts)))
     others = [name for name in ("x", "y", "z") if name != axis]
-    coords = field.grid.axis
+    coords = [f"{c:.17g}" for c in field.grid.axis.tolist()]
     path = Path(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([others[0], others[1], "abs_u"])
-        for i in range(n):
-            for j in range(n):
-                writer.writerow([f"{coords[i]:.17g}", f"{coords[j]:.17g}", f"{plane[i, j]:.17g}"])
+        for x, row in zip(coords, plane.tolist()):
+            writer.writerows([x, y, f"{a:.17g}"] for y, a in zip(coords, row))

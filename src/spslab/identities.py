@@ -32,7 +32,7 @@ from .coulomb import CoulombKernel
 # perfbench/tracing.py wraps these two by attribute on this module
 from .coulomb import coulomb_kernel, hartree_double_integral  # noqa: F401
 from .energy import Evaluation, evaluate
-from .fields import Field, dot
+from .fields import Field, blocked_sum, dot
 from .params import Params
 
 
@@ -114,13 +114,20 @@ def _report(
 
     # dilation: the kinetic term's derivative is read off the half power
     # spectrum, 1/2 sum |k|^2 / sqrt(1 + |k|^2) |v_hat|^2 (|k| homogeneous)
-    kinetic = 0.5 * float(np.sum(grid.dilation_weight(variant) * ev.spectrum_sq))
+    dilation_weight = grid.dilation_weight(variant)
+    kinetic = 0.5 * float(blocked_sum(np.multiply, dilation_weight, ev.spectrum_sq))
     coulomb = params.alpha * d_value
     power = params.beta * (3.0 * params.p - 6.0) / 2.0 * ns.lp_p
     pohozaev = kinetic + coulomb - power
 
-    resid = tuple(g - omega * c for g, c in zip(ev.gradient, parts))
-    el_sq = dot(resid, resid) * grid.cell_volume
+    def residual_sq(g, c, out=None):
+        """(g - omega c)^2, elementwise."""
+        resid = np.multiply(c, omega, out=out)
+        np.subtract(g, resid, out=resid)
+        return np.multiply(resid, resid, out=resid)
+
+    el_sq = float(sum(blocked_sum(residual_sq, g, c) for g, c in zip(ev.gradient, parts)))
+    el_sq *= grid.cell_volume
     return IdentityReport(
         virial_residual=virial,
         virial_scale=_scale(v_coulomb, v_power),

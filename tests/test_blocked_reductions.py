@@ -1,0 +1,147 @@
+"""Blocked reductions against the full-array expressions they replace."""
+
+import csv
+import io
+
+import numpy as np
+import pytest
+import scipy.fft as fft
+
+import spslab as sl
+from spslab import fields
+from spslab.coulomb import coulomb_kernel
+from spslab.energy import evaluate
+from spslab.identities import identity_report
+from oracles import smooth_random_field
+
+PARAMS = sl.Params(1.0, 1.0, 2.5, 1.0)
+VARIANTS = ("inhomogeneous", "homogeneous")
+
+
+def _field(grid, kind):
+    u = smooth_random_field(grid, 7)
+    if kind == "real":
+        return sl.Field(grid, u.values.real)
+    return u
+
+
+def _full_array_terms(u, params, variant):
+    """Every reduction of one evaluation, each as one full-array product
+    and one ``np.sum``, in the order the evaluation computes it."""
+    grid = u.grid
+    h3 = grid.cell_volume
+    kernel = coulomb_kernel(grid)
+    density = u.density()
+    power = density ** (0.5 * (params.p - 2.0))
+    lp_p = float(np.sum(power * density) * h3)
+    spectrum_sq = 0.0
+    for c in u.parts:
+        c_hat = fft.rfftn(c)
+        spectrum_sq = spectrum_sq + c_hat.real**2
+        spectrum_sq = spectrum_sq + c_hat.imag**2
+    h_half, hdot_half, h_minus_half = np.sum(
+        grid.plancherel_weights * spectrum_sq.ravel(), axis=1
+    )
+    rho_hat = fft.rfftn(density)
+    d_value = float(
+        np.sum(kernel.double_integral_weight * (rho_hat.real**2 + rho_hat.imag**2))
+    )
+    ev = evaluate(u, params, variant, kernel, True)
+    dot = float(sum(np.sum(g * c) for g, c in zip(ev.gradient, u.parts)))
+    l2_sq = float(np.sum(density) * h3)
+    omega = dot * h3 / l2_sq
+    dilation = 0.5 * float(np.sum(grid.dilation_weight(variant) * spectrum_sq))
+    el_sq = float(sum(np.sum((g - omega * c) ** 2) for g, c in zip(ev.gradient, u.parts)))
+    return {
+        "lp_p": lp_p,
+        "h_half_sq": float(h_half),
+        "hdot_half_sq": float(hdot_half),
+        "h_minus_half_sq": float(h_minus_half),
+        "d_value": d_value,
+        "dot": dot,
+        "omega": omega,
+        "pohozaev_residual": dilation
+        + params.alpha * d_value
+        - params.beta * (3.0 * params.p - 6.0) / 2.0 * lp_p,
+        "el_residual_rel": float(np.sqrt(el_sq * h3 / l2_sq)),
+    }
+
+
+def _blocked_terms(u, params, variant):
+    ev = evaluate(u, params, variant, None, True)
+    ns = ev.breakdown.norms
+    dot = fields.dot(ev.gradient, u.parts)
+    report = identity_report(u, params, variant=variant)
+    return {
+        "lp_p": ns.lp_p,
+        "h_half_sq": ns.h_half_sq,
+        "hdot_half_sq": ns.hdot_half_sq,
+        "h_minus_half_sq": ns.h_minus_half_sq,
+        "d_value": ev.breakdown.d_value,
+        "dot": dot,
+        "omega": dot * u.grid.cell_volume / ns.l2_sq,
+        "pohozaev_residual": report.pohozaev_residual,
+        "el_residual_rel": report.el_residual_rel,
+    }
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_many_blocks_match_full_arrays(grid16, monkeypatch, kind, variant):
+    # 16^3 = 4096 grid points and 2304 half-spectrum points span many
+    # blocks of 500, the last one partial
+    monkeypatch.setattr(fields, "REDUCTION_BLOCK", 500)
+    u = _field(grid16, kind)
+    full = _full_array_terms(u, PARAMS, variant)
+    blocked = _blocked_terms(u, PARAMS, variant)
+    for name, value in full.items():
+        assert abs(blocked[name] - value) <= 1e-14 * abs(value), name
+
+
+def test_blocked_sum_rows_and_partial_block(monkeypatch):
+    monkeypatch.setattr(fields, "REDUCTION_BLOCK", 7)
+    rng = np.random.default_rng(0)
+    weights, x = rng.random((3, 50)), rng.random(50)
+    rows = fields.blocked_sum(np.multiply, weights, x)
+    assert rows.shape == (3,)
+    np.testing.assert_allclose(rows, np.sum(weights * x, axis=1), rtol=1e-15)
+    cube = rng.random((4, 4, 4))
+    assert abs(fields.blocked_sum(np.multiply, cube, cube) - np.sum(cube * cube)) <= 1e-14
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_one_block_is_bit_identical(grid16, kind, variant):
+    assert grid16.n**3 <= fields.REDUCTION_BLOCK
+    u = _field(grid16, kind)
+    assert _blocked_terms(u, PARAMS, variant) == _full_array_terms(u, PARAMS, variant)
+    # the gradient assembly is the full-array expression too
+    ev = evaluate(u, PARAMS, variant, None, True)
+    kernel = coulomb_kernel(grid16)
+    density = u.density()
+    local = fft.irfftn(kernel.half_symbol * fft.rfftn(density), s=grid16.shape)
+    local *= 4.0 * PARAMS.alpha
+    local -= density ** (0.5 * (PARAMS.p - 2.0)) * (PARAMS.beta * PARAMS.p)
+    mult = grid16.kinetic_symbol(variant)
+    for g, c in zip(ev.gradient, u.parts):
+        expected = fft.irfftn(mult * fft.rfftn(c), s=grid16.shape) + local * c
+        assert np.array_equal(g, expected)
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("axis", ["x", "y", "z"])
+def test_slice_export_bytes_and_no_full_field(grid16, tmp_path, kind, axis):
+    u = _field(grid16, kind)
+    path = tmp_path / "slice.csv"
+    fields.export_abs_slice(u, path, axis=axis, index=3)
+    assert "values" not in u.__dict__
+    # the direct formula: |u| of the complex field on the plane
+    plane = np.abs(np.take(u.values, 3, axis="xyz".index(axis)))
+    coords = grid16.axis
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow([a for a in "xyz" if a != axis] + ["abs_u"])
+    for i in range(grid16.n):
+        for j in range(grid16.n):
+            writer.writerow([f"{coords[i]:.17g}", f"{coords[j]:.17g}", f"{plane[i, j]:.17g}"])
+    assert path.read_bytes() == expected.getvalue().encode()
