@@ -21,10 +21,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import fft as _fft
 
-from .coulomb import CoulombKernel, _potential_values, coulomb_kernel
+from .coulomb import CoulombKernel, coulomb_kernel
 # perfbench/tracing.py wraps this by attribute on this module
 from .coulomb import hartree_double_integral  # noqa: F401
-from .energy import Evaluation, evaluate
+from .energy import Evaluation, _gradient, evaluate
 from .errors import (
     ConfigurationError,
     DegenerateFieldError,
@@ -32,6 +32,7 @@ from .errors import (
 )
 from .fields import (
     Field,
+    _onto_sphere,
     boundary_mass_fraction,
     dot,
     gaussian_field,
@@ -53,15 +54,12 @@ def _quotient(ev: Evaluation) -> float:
         raise DegenerateFieldError(
             "weinstein_quotient needs nonzero seminorm and Coulomb energy"
         )
-    numerator = ns.lp_p ** (3.0 / 8.0)
-    return float(numerator / (ns.hdot_half_sq**0.25 * d_value**0.125))
+    return float(ns.lp_p ** (3.0 / 8.0) / (ns.hdot_half_sq**0.25 * d_value**0.125))
 
 
 def weinstein_quotient(phi: Field) -> float:
     """Q(phi); invariant under amplitude scaling and dilation."""
-    phi.require_finite("weinstein_quotient input")
-    if phi.is_zero():
-        raise DegenerateFieldError("weinstein_quotient needs a nonzero field")
+    phi.require_finite("weinstein_quotient input").require_nonzero("weinstein_quotient input")
     return _quotient(evaluate(phi, _QUOTIENT_PARAMS, "homogeneous"))
 
 
@@ -108,25 +106,18 @@ class BestConstantEstimate:
         return doc
 
 
-def _log_quotient_gradient(
-    phi: Field, ev: Evaluation, kernel: CoulombKernel
-) -> tuple[np.ndarray, ...]:
-    """L2 gradient of log Q at phi from its quotient evaluation ``ev``, one
-    real array per component (amplitude gauge direction removed later by
-    the per-step renormalization)."""
+def _log_quotient_gradient(ev: Evaluation, kernel: CoulombKernel) -> tuple[np.ndarray, ...]:
+    """L2 gradient of log Q at ``ev.u`` from its quotient evaluation, one real
+    array per component.  log Q = 3/8 log ||phi||_{8/3}^{8/3} - 1/4 log hdot
+    - 1/8 log D, so it is -grad E / (2 hdot) for the homogeneous energy at
+    alpha = hdot / (4 D), beta = 3 hdot / (4 ||phi||_{8/3}^{8/3}), p = 8/3."""
     ns = ev.breakdown.norms
-    lp_p, hdot, d_value = ns.lp_p, ns.hdot_half_sq, ev.breakdown.d_value
-    if lp_p <= 0 or hdot <= 0 or d_value <= 0:
-        raise DegenerateFieldError("ascent left the admissible cone")
-    grid = phi.grid
-    mult = grid.kinetic_symbol("homogeneous")
-    # log Q = 3/8 log ||phi||_{8/3}^{8/3} - 1/4 log hdot - 1/8 log D
-    local = phi.density() ** (0.5 * (P_CRITICAL - 2.0)) / lp_p
-    local -= _potential_values(ev.density_fft, kernel) / (2.0 * d_value)
-    return tuple(
-        local * c - _fft.irfftn(mult * f, s=grid.shape) / (2.0 * hdot)
-        for c, f in zip(phi.parts, ev.parts_fft)
-    )
+    hdot = ns.hdot_half_sq
+    params = Params(hdot / (4.0 * ev.breakdown.d_value), 0.75 * hdot / ns.lp_p, P_CRITICAL, 1.0)
+    gradient = _gradient(ev, params, "homogeneous", kernel)
+    for g in gradient:
+        g *= -0.5 / hdot
+    return gradient
 
 
 def _dilation_generator(
@@ -174,18 +165,17 @@ def _gauge_fixed_direction(
 def _is_localized(phi: Field) -> bool:
     """Boundary-shell mass small: the quotient of a box-filling field is a
     torus artifact and must not be certified."""
-    if not np.any(phi.density()):
-        return False
-    return boundary_mass_fraction(phi) < 1.0e-4
+    return not phi.is_zero() and boundary_mass_fraction(phi) < 1.0e-4
 
 
 def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> BestConstantEstimate:
     """Gauge-fixed gradient ascent on log Q with unit-mass renormalization.
 
-    Only localized iterates count toward the certified bound (see
-    ``_is_localized``); the trace holds the accepted best-so-far quotients,
-    so the reported bound can only improve with budget.  A non-finite
-    quotient aborts with the trace attached.
+    A trial is accepted only when it raises Q and is localized (see
+    ``_is_localized``), so every accepted iterate is certified: the trace
+    holds the start (when localized) and each accepted quotient, the last
+    one is the bound, and the bound can only improve with budget.  A
+    non-finite quotient aborts with the trace attached.
     """
     if config is None:
         config = AscentConfig()
@@ -195,41 +185,26 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
         noise = random_field(grid, config.seed)
         scale = np.max(np.abs(noise.values)) or 1.0
         phi = Field(grid, phi.values * (1.0 + 0.3 * noise.values / scale))
-    # multiply by the reciprocal: numpy divides complex samples by a real
-    # number this way, and the normalized start keeps those bits
-    scale = 1.0 / np.sqrt(phi.mass())
-    phi = Field.of_parts(grid, tuple(c * scale for c in phi.parts))
+    phi = _onto_sphere(grid, phi.parts, 1.0)
 
     kernel = coulomb_kernel(grid)
-    trace: list[tuple[int, float]] = []
     try:
         ev = evaluate(phi, _QUOTIENT_PARAMS, "homogeneous", kernel)
         q = _quotient(ev)
     except DegenerateFieldError as exc:
-        raise NumericalFailureError(f"ascent init degenerate: {exc}", trace) from exc
+        raise NumericalFailureError(f"ascent init degenerate: {exc}", []) from exc
     if not np.isfinite(q):
-        raise NumericalFailureError("non-finite quotient at ascent init", trace)
-    best_q = -np.inf
-    best_phi = phi
-    if _is_localized(phi):
-        best_q, best_phi = q, phi
-        trace.append((0, best_q))
+        raise NumericalFailureError("non-finite quotient at ascent init", [])
+    trace = [(0, q)] if _is_localized(phi) else []
     step = config.step_size
     for it in range(1, config.steps + 1):
-        # phi's transforms come from the evaluation that accepted it
-        try:
-            raw = _log_quotient_gradient(phi, ev, kernel)
-        except DegenerateFieldError as exc:
-            raise NumericalFailureError(
-                f"ascent became degenerate at step {it}: {exc}", trace
-            ) from exc
-        direction = _gauge_fixed_direction(phi, raw, ev.parts_fft)
-        trial_parts = tuple(c + step * d for c, d in zip(phi.parts, direction))
-        trial_mass = dot(trial_parts, trial_parts) * grid.cell_volume
-        if trial_mass <= 0 or not np.isfinite(trial_mass):
+        # phi's transforms come from the evaluation that accepted it, whose
+        # seminorm and D ``_quotient`` checked; unit mass makes lp_p > 0
+        direction = _gauge_fixed_direction(phi, _log_quotient_gradient(ev, kernel), ev.parts_fft)
+        trial = _onto_sphere(grid, tuple(c + step * d for c, d in zip(phi.parts, direction)), 1.0)
+        if trial is None:
             step *= 0.5
             continue
-        trial = Field.of_parts(grid, tuple(c / np.sqrt(trial_mass) for c in trial_parts))
         try:
             trial_ev = evaluate(trial, _QUOTIENT_PARAMS, "homogeneous", kernel)
             trial_q = _quotient(trial_ev)
@@ -240,24 +215,22 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
             raise NumericalFailureError(
                 f"non-finite quotient at ascent step {it}", trace
             )
-        if trial_q > q:
+        if trial_q > q and _is_localized(trial):
             phi, q, ev = trial, trial_q, trial_ev
             step = min(step * 1.25, 10.0 * config.step_size)
-            if q > best_q and _is_localized(phi):
-                best_q, best_phi = q, phi
-                trace.append((it, best_q))
+            trace.append((it, q))
         else:
             step *= 0.5
             if step < 1.0e-14:
                 break
-    if not np.isfinite(best_q):
+    if not trace:
         raise NumericalFailureError(
             "no localized iterate encountered; the bound cannot be certified",
             trace,
         )
     return BestConstantEstimate(
-        s_lower=best_q,
-        maximizer=best_phi,
+        s_lower=q,
+        maximizer=phi,
         ascent_trace=tuple(trace),
         grid_meta=grid.describe(),
     )

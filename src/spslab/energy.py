@@ -138,11 +138,12 @@ def evaluate(
     if kernel is None:
         kernel = coulomb_kernel(grid)
     density = u.density()
-    # |u|^{p-2} pairs with the density in the Lp term; stored only for the gradient
+    # |u|^{p-2} pairs with the density in the Lp term; kept only for the
+    # gradient, which is handed the one reference so that it can free it
     exponent = 0.5 * (params.p - 2.0)
     if with_gradient:
-        power = density**exponent
-        lp_sum = blocked_sum(np.multiply, power, density)
+        powers = [density**exponent]
+        lp_sum = blocked_sum(np.multiply, powers[0], density)
     else:
         lp_sum = blocked_sum(lambda d, out=None: np.multiply(d**exponent, d, out=out), density)
     lp_p = float(lp_sum * grid.cell_volume)
@@ -165,24 +166,34 @@ def evaluate(
     )
     ev = Evaluation(breakdown, u, parts_fft, spectrum_sq, density_fft)
     if with_gradient:
-        # grad_j = K c_j + (4 alpha Phi - beta p |u|^{p-2}) c_j per component
-        mult = grid.kinetic_symbol(variant)
-        local = _potential_values(density_fft, kernel)
-        local *= 4.0 * params.alpha
-        if params.beta != 0.0:
-            power *= params.beta * params.p
-            local -= power
-        # each product local * c_j goes into an array that is dead after
-        # it: ``power`` for Re u of a complex field, then ``local`` itself
-        outs = (power, local)[2 - len(u.parts) :]
-        del power
-        gradient = []
-        for c, f, out in zip(u.parts, parts_fft, outs):
-            g = _fft.irfftn(mult * f, s=grid.shape)
-            g += np.multiply(local, c, out=out)
-            gradient.append(g)
-        ev.gradient = tuple(gradient)
+        ev.gradient = _gradient(ev, params, variant, kernel, powers.pop())
     return ev
+
+
+def _gradient(ev: Evaluation, params: Params, variant: str, kernel: CoulombKernel,
+              power: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """L2 energy gradient at ``ev.u`` from its transforms, one real array per
+    component; ``power`` is |u|^{p-2} (built when None), and is overwritten."""
+    u = ev.u
+    if power is None:
+        power = u.density() ** (0.5 * (params.p - 2.0))
+    # grad_j = K c_j + (4 alpha Phi - beta p |u|^{p-2}) c_j per component
+    mult = u.grid.kinetic_symbol(variant)
+    local = _potential_values(ev.density_fft, kernel)
+    local *= 4.0 * params.alpha
+    if params.beta != 0.0:
+        power *= params.beta * params.p
+        local -= power
+    # each product local * c_j goes into an array that is dead after
+    # it: ``power`` for Re u of a complex field, then ``local`` itself
+    outs = (power, local)[2 - len(u.parts) :]
+    del power
+    gradient = []
+    for c, f, out in zip(u.parts, ev.parts_fft, outs):
+        g = _fft.irfftn(mult * f, s=u.grid.shape)
+        g += np.multiply(local, c, out=out)
+        gradient.append(g)
+    return tuple(gradient)
 
 
 def norms(u: Field, p: float) -> NormSet:

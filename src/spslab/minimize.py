@@ -23,6 +23,7 @@ from .errors import (
 )
 from .fields import (
     Field,
+    _onto_sphere,
     boundary_mass_fraction,
     dot,
     gaussian_field,
@@ -145,11 +146,11 @@ def project_mass(u: Field, rho: float) -> Field:
     """Scale ``u`` onto the mass sphere: sqrt(rho / ||u||_2^2) u."""
     if rho <= 0:
         raise ConfigurationError(f"rho must be positive, got {rho}")
-    mass = u.mass()
-    if mass == 0.0:
+    # the mass results report (beyond one block, ``dot`` sums in another order)
+    projected = _onto_sphere(u.grid, tuple(c.copy() for c in u.parts), rho, u.mass())
+    if projected is None:
         raise DegenerateFieldError("cannot project the zero field onto the mass sphere")
-    scale = np.sqrt(rho / mass)
-    return Field.of_parts(u.grid, tuple(c * scale for c in u.parts))
+    return projected
 
 
 def _centering_shifts(density: np.ndarray) -> tuple[int, ...]:
@@ -282,13 +283,10 @@ def minimize(
         current = ev.breakdown.total
         accepted = False
         while tau >= MIN_STEP:
-            trial_parts = tuple(c - tau * t for c, t in zip(u.parts, tangential))
-            trial_mass = dot(trial_parts, trial_parts) * h3
-            if trial_mass > 0:
-                scale = np.sqrt(rho / trial_mass)
-                for c in trial_parts:
-                    c *= scale
-                trial = Field.of_parts(grid, trial_parts)
+            trial = _onto_sphere(
+                grid, tuple(c - tau * t for c, t in zip(u.parts, tangential)), rho
+            )
+            if trial is not None:
                 trial_ev = evaluate(trial, params, variant, kernel, True)
                 trial_energy = trial_ev.breakdown.total
                 if trial_energy == -np.inf:

@@ -5,6 +5,9 @@ import pytest
 
 import spslab as sl
 from conftest import GAUSS_WEINSTEIN, relerr
+from spslab.bestconst import _QUOTIENT_PARAMS, _is_localized, _log_quotient_gradient
+from spslab.energy import evaluate
+from spslab.fields import dot
 
 
 class TestQuotient:
@@ -43,7 +46,57 @@ class TestQuotient:
         assert relerr(q_b, q_d) < 1e-3
 
 
+def _modulated_gaussian(grid, complex_valued):
+    """A localized field that is no Gaussian: a Gaussian times 1 + 0.3 of
+    smooth noise, or of its real part."""
+    noise = sl.random_field(grid, 5).values
+    modulation = 1.0 + 0.3 * noise / np.max(np.abs(noise))
+    if not complex_valued:
+        modulation = modulation.real
+    return sl.Field(grid, sl.gaussian_field(grid, 1.6).values * modulation)
+
+
+class TestLogQuotientGradient:
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    def test_central_difference(self, grid32, complex_valued):
+        phi = _modulated_gaussian(grid32, complex_valued)
+        kernel = sl.coulomb_kernel(grid32)
+        ev = evaluate(phi, _QUOTIENT_PARAMS, "homogeneous", kernel)
+        grad = _log_quotient_gradient(ev, kernel)
+        assert len(grad) == len(phi.parts)
+        v = sl.random_field(grid32, 11).parts[: len(phi.parts)]
+        v = tuple(c / np.max(np.abs(c)) for c in v)
+
+        def log_q(t):
+            moved = tuple(c + t * d for c, d in zip(phi.parts, v))
+            return np.log(sl.weinstein_quotient(sl.Field.of_parts(grid32, moved)))
+
+        eps = 1.0e-4
+        central = (log_q(eps) - log_q(-eps)) / (2.0 * eps)
+        assert relerr(central, dot(grad, v) * grid32.cell_volume) < 1e-6
+
+    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
+    def test_orthogonal_to_amplitude(self, grid32, complex_valued):
+        # Q is invariant under amplitude scaling, so the gradient has no
+        # component along phi
+        phi = _modulated_gaussian(grid32, complex_valued)
+        kernel = sl.coulomb_kernel(grid32)
+        grad = _log_quotient_gradient(
+            evaluate(phi, _QUOTIENT_PARAMS, "homogeneous", kernel), kernel
+        )
+        scale = np.sqrt(dot(grad, grad) * dot(phi.parts, phi.parts))
+        assert abs(dot(grad, phi.parts)) < 1e-12 * scale
+
+
 class TestAscent:
+    def test_defaults_certify_the_path(self, grid32):
+        # at the default step a trial is accepted only when localized, so
+        # the certified trace moves past the start
+        est = sl.estimate_best_constant(grid32, sl.AscentConfig(steps=60))
+        assert len(est.ascent_trace) > 1
+        assert _is_localized(est.maximizer)
+        assert est.s_lower == est.ascent_trace[-1][1]
+
     def test_gaussian_init_bound(self, grid32):
         est = sl.estimate_best_constant(
             grid32, sl.AscentConfig(steps=1, init_kind="gaussian")
