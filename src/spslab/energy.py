@@ -32,7 +32,7 @@ from .coulomb import (
     _potential_values,
     coulomb_kernel,
 )
-from .fields import Field, blocked_sum
+from .fields import Field, blocked_sum, dot
 from .params import Params, check_variant
 
 
@@ -88,15 +88,15 @@ def _spectra(parts: tuple[np.ndarray, ...]) -> tuple[tuple[np.ndarray, ...], np.
     return parts_fft, spectrum_sq
 
 
-def _norm_set(grid, density: np.ndarray, lp_p: float, spectrum_sq: np.ndarray) -> NormSet:
-    """The five norms from |u|^2, ||u||_p^p and the half power spectrum."""
+def _norm_set(u: Field, lp_p: float, spectrum_sq: np.ndarray) -> NormSet:
+    """The five norms of u from ||u||_p^p and its half power spectrum."""
     # pairwise sums (not BLAS dots): the flow's Armijo test compares
     # energies, and their rounding sets the smallest gradient it can reach
     h_half, hdot_half, h_minus_half = blocked_sum(
-        np.multiply, grid.plancherel_weights, spectrum_sq.ravel()
+        np.multiply, u.grid.plancherel_weights, spectrum_sq.ravel()
     )
     return NormSet(
-        l2_sq=float(np.sum(density) * grid.cell_volume),
+        l2_sq=u.mass(),
         lp_p=lp_p,
         h_half_sq=float(h_half),
         hdot_half_sq=float(hdot_half),
@@ -148,7 +148,7 @@ def evaluate(
         lp_sum = blocked_sum(lambda d, out=None: np.multiply(d**exponent, d, out=out), density)
     lp_p = float(lp_sum * grid.cell_volume)
     parts_fft, spectrum_sq = _spectra(u.parts)
-    ns = _norm_set(grid, density, lp_p, spectrum_sq)
+    ns = _norm_set(u, lp_p, spectrum_sq)
     density_fft = _fft.rfftn(density)
     del density
     d_value = _double_integral_from_density_fft(density_fft, kernel)
@@ -227,5 +227,8 @@ def gradient(
 
 
 def inner(a: Field, b: Field) -> complex:
-    """Discrete L2 inner product <a, b> = h^3 sum a conj(b)."""
-    return complex(np.sum(a.values * np.conj(b.values)) * a.grid.cell_volume)
+    """Discrete L2 inner product <a, b> = h^3 sum a conj(b), summed on the
+    parts: Re = a_r b_r + a_i b_i and Im = a_i b_r - a_r b_i."""
+    h3 = a.grid.cell_volume
+    imag = dot(a.parts[1:], b.parts[:1]) - dot(a.parts[:1], b.parts[1:])
+    return complex(dot(a.parts, b.parts) * h3, imag * h3)

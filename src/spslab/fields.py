@@ -99,8 +99,8 @@ class Field:
         return density
 
     def mass(self) -> float:
-        """Discrete L2 mass h^3 sum |u|^2."""
-        return float(np.sum(self.density()) * self.grid.cell_volume)
+        """Discrete L2 mass h^3 sum |u|^2, summed as ``dot(parts, parts)``."""
+        return dot(self.parts, self.parts) * self.grid.cell_volume
 
     def is_zero(self) -> bool:
         return not any(np.any(c) for c in self.parts)
@@ -143,13 +143,11 @@ def dot(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> float:
     return float(sum(blocked_sum(np.multiply, x, y) for x, y in zip(a, b)))
 
 
-def _onto_sphere(grid: Grid, parts: tuple[np.ndarray, ...], rho: float,
-                 mass: float | None = None) -> Field | None:
+def _onto_sphere(grid: Grid, parts: tuple[np.ndarray, ...], rho: float) -> Field | None:
     """The field of the freshly built ``parts``, scaled in place onto mass
-    ``rho``; None unless its mass (by default ``dot(parts, parts) h^3``) is
-    positive and finite."""
-    if mass is None:
-        mass = dot(parts, parts) * grid.cell_volume
+    ``rho``; None unless its mass ``dot(parts, parts) h^3`` is positive and
+    finite."""
+    mass = dot(parts, parts) * grid.cell_volume
     if not 0.0 < mass < np.inf:
         return None
     scale = np.sqrt(rho / mass)

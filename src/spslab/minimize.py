@@ -146,8 +146,7 @@ def project_mass(u: Field, rho: float) -> Field:
     """Scale ``u`` onto the mass sphere: sqrt(rho / ||u||_2^2) u."""
     if rho <= 0:
         raise ConfigurationError(f"rho must be positive, got {rho}")
-    # the mass results report (beyond one block, ``dot`` sums in another order)
-    projected = _onto_sphere(u.grid, tuple(c.copy() for c in u.parts), rho, u.mass())
+    projected = _onto_sphere(u.grid, tuple(c.copy() for c in u.parts), rho)
     if projected is None:
         raise DegenerateFieldError("cannot project the zero field onto the mass sphere")
     return projected
@@ -203,28 +202,24 @@ def _initial_field(grid: Grid, params: Params, config: MinimizeConfig) -> Field:
     return project_mass(start, params.rho)
 
 
-def _best_global_phase(values: np.ndarray) -> tuple[np.ndarray, float]:
-    """Rotate by the global phase maximizing the real part's mass; returns
-    the rotated values and the remaining imaginary mass fraction."""
-    a = values.real
-    b = values.imag
-    saa = float(np.sum(a * a))
-    sbb = float(np.sum(b * b))
-    sab = float(np.sum(a * b))
-    if saa + sbb == 0.0:
-        return values, 0.0
+def _best_global_phase(u: Field) -> tuple[Field, float]:
+    """Rotate a nonzero two-part field by the global phase maximizing the
+    real part's mass; returns the rotated field and the remaining imaginary
+    mass fraction.
+
+    The real part of e^{it} u has mass S/2 + (r/2) cos(2t - phi), with
+    S = s_aa + s_bb and r e^{i phi} = (s_aa - s_bb) - 2i s_ab, so the
+    maximizer is t = phi/2 in closed form.
+    """
+    a, b = u.parts
+    saa, sbb, sab = dot((a,), (a,)), dot((b,), (b,)), dot((a,), (b,))
     theta = 0.5 * np.arctan2(-2.0 * sab, saa - sbb)
-    candidates = [theta, theta + 0.5 * np.pi]
-    best = None
-    best_real = -np.inf
-    for t in candidates:
-        rotated = values * np.exp(1j * t)
-        real_mass = float(np.sum(rotated.real**2))
-        if real_mass > best_real:
-            best_real = real_mass
-            best = rotated
-    imag_fraction = float(np.sum(best.imag**2) / (saa + sbb))
-    return best, imag_fraction
+    cos, sin = np.cos(theta), np.sin(theta)
+    # e^{i theta} (a + i b) = (a cos - b sin) + i (a sin + b cos)
+    real = a * cos - b * sin
+    imag = a * sin + b * cos
+    rotated = Field.of_parts(u.grid, (real, imag) if np.any(imag) else (real,))
+    return rotated, dot((imag,), (imag,)) / (saa + sbb)
 
 
 def minimize(
@@ -331,8 +326,7 @@ def minimize(
     if len(u.parts) == 1:
         v, imag_fraction = u, 0.0
     else:
-        rotated, imag_fraction = _best_global_phase(u.values)
-        v = Field(grid, rotated)
+        v, imag_fraction = _best_global_phase(u)
     del u, ev
 
     final_ev = evaluate(v, params, variant, kernel, True)

@@ -145,3 +145,29 @@ def test_slice_export_bytes_and_no_full_field(grid16, tmp_path, kind, axis):
         for j in range(grid16.n):
             writer.writerow([f"{coords[i]:.17g}", f"{coords[j]:.17g}", f"{plane[i, j]:.17g}"])
     assert path.read_bytes() == expected.getvalue().encode()
+
+
+@pytest.mark.parametrize("seed", [1, 3])
+def test_one_mass_beyond_one_block(seed):
+    # 128^3 spans 64 blocks; the mass, the retraction's sum and ``l2_sq``
+    # are one sum, so they agree to the bit
+    grid = sl.make_grid(128, 24.0)
+    u = smooth_random_field(grid, seed)
+    assert len(u.parts) == 2
+    mass = u.mass()
+    assert mass == fields.dot(u.parts, u.parts) * grid.cell_volume
+    assert mass == sl.norms(u, 2.5).l2_sq
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_inner_on_parts_matches_complex_sum(n):
+    grid = sl.make_grid(n, 20.0)
+    complex_a, complex_b = smooth_random_field(grid, 11), smooth_random_field(grid, 12)
+    real_a = sl.Field(grid, complex_a.values.real)
+    real_b = sl.Field(grid, complex_b.values.imag)
+    for a in (real_a, complex_a):
+        for b in (real_b, complex_b):
+            expected = np.sum(a.values * np.conj(b.values)) * grid.cell_volume
+            product = sl.inner(a, b)
+            assert abs(product - expected) <= 1e-13 * abs(expected)
+            assert product == sl.inner(b, a).conjugate()

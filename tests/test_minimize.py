@@ -8,6 +8,7 @@ import pytest
 
 import spslab as sl
 from spslab.cli import DEFAULT_VERIFY_TOLERANCES
+from spslab.minimize import _best_global_phase
 from conftest import relerr
 from oracles import smooth_random_field
 
@@ -76,6 +77,38 @@ class TestRecenter:
     def test_zero_field_rejected(self, grid16):
         with pytest.raises(sl.DegenerateFieldError):
             sl.recenter(sl.zero_field(grid16))
+
+    def test_recenter_every_leaves_the_solve_unchanged(self):
+        # circular shifts are exact isometries: recentering every 25 steps
+        # moves neither the stopping point nor the energy
+        grid = sl.make_grid(16, 40.0)
+        start = sl.gaussian_field(grid, 2.0)
+        initial = sl.Field(grid, np.roll(start.values, (3, -2, 1), axis=(0, 1, 2)))
+        params = sl.Params(alpha=1.0, beta=1.0, p=2.5, rho=0.1)
+        every, never = (
+            sl.minimize(
+                grid,
+                params,
+                sl.MinimizeConfig(max_iters=8000, grad_tol=5e-7, recenter_every=k),
+                initial=initial,
+            )
+            for k in (25, 0)
+        )
+        assert every.iterations == never.iterations
+        assert every.converged == never.converged
+        assert relerr(every.energy.total, never.energy.total) <= 1e-12
+        assert np.argmax(every.field.density()) == np.argmax(never.field.density())
+
+
+class TestBestGlobalPhase:
+    @pytest.mark.parametrize("phi", [0.3, 1.2, -2.0])
+    def test_undoes_a_global_phase(self, grid32, phi):
+        real = smooth_random_field(grid32, 5).values.real
+        rotated, imag_fraction = _best_global_phase(sl.Field(grid32, np.exp(1j * phi) * real))
+        assert imag_fraction <= 1e-28
+        back = rotated.parts[0]
+        sign = np.sign(np.sum(back * real))
+        assert np.max(np.abs(back - sign * real)) <= 1e-14 * np.max(np.abs(real))
 
 
 class TestFreeRegime:
