@@ -197,10 +197,15 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
         raise NumericalFailureError("non-finite quotient at ascent init", [])
     trace = [(0, q)] if _is_localized(phi) else []
     step = config.step_size
+    direction = None
     for it in range(1, config.steps + 1):
-        # phi's transforms come from the evaluation that accepted it, whose
-        # seminorm and D ``_quotient`` checked; unit mass makes lp_p > 0
-        direction = _gauge_fixed_direction(phi, _log_quotient_gradient(ev, kernel), ev.parts_fft)
+        # built once per accepted phi, from the transforms of the evaluation
+        # that accepted it, whose seminorm and D ``_quotient`` checked; unit
+        # mass makes lp_p > 0
+        if direction is None:
+            direction = _gauge_fixed_direction(
+                phi, _log_quotient_gradient(ev, kernel), ev.parts_fft
+            )
         trial = _onto_sphere(grid, tuple(c + step * d for c, d in zip(phi.parts, direction)), 1.0)
         if trial is None:
             step *= 0.5
@@ -216,7 +221,7 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
                 f"non-finite quotient at ascent step {it}", trace
             )
         if trial_q > q and _is_localized(trial):
-            phi, q, ev = trial, trial_q, trial_ev
+            phi, q, ev, direction = trial, trial_q, trial_ev, None
             step = min(step * 1.25, 10.0 * config.step_size)
             trace.append((it, q))
         else:

@@ -1,10 +1,17 @@
-"""Constrained minimization over the mass sphere by projected gradient flow.
+"""Constrained minimization over the mass sphere by a kinetic-preconditioned
+projected gradient flow.
 
-One step: form the tangential gradient g - (Re<g, u>/rho) u, move against
-it, retract onto the sphere by mass projection, and accept the step under
-an Armijo decrease test.  The accepted energy sequence is therefore
-non-increasing by construction, and every iterate carries mass rho exactly
-up to rounding.
+One step: precondition the L2 gradient g with P = (K(k) + 1/2)^-1, K the
+variant's kinetic symbol, and take the direction d = P(g - beta u) with
+beta = <Pg, u>/<Pu, u>, so that d is tangent to the sphere (Sobolev-gradient
+preconditioning, Danaila & Kazemi, SIAM J. Sci. Comput. 2010).  Move
+against d, retract onto the sphere by mass projection, and accept the step
+under an Armijo decrease test with slope <g - beta u, d>.  P removes the
+stiffness of the kinetic operator, so steps near 1 are accepted at every
+resolution.  The accepted energy sequence is non-increasing by
+construction, every iterate carries mass rho exactly up to rounding, and
+the stopping test reads the L2 norm of the tangential gradient
+g - (Re<g, u>/rho) u.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
+from scipy import fft as _fft
 
 from .coulomb import coulomb_kernel
 from .energy import EnergyBreakdown, evaluate
@@ -24,6 +32,7 @@ from .errors import (
 from .fields import (
     Field,
     _onto_sphere,
+    blocked_sum,
     boundary_mass_fraction,
     dot,
     gaussian_field,
@@ -38,23 +47,30 @@ from .params import Params, check_variant
 
 # line search gives up once the step underflows this value
 MIN_STEP = 1.0e-18
+# shift c of the flow's preconditioner (K(k) + c)^-1; it bounds the
+# preconditioner at the zero mode of the homogeneous symbol |k|
+PRECONDITIONER_SHIFT = 0.5
 
 
 @dataclass(frozen=True)
 class MinimizeConfig:
-    """Knobs of the normalized gradient flow.
+    """Knobs of the kinetic-preconditioned gradient flow.
 
     ``grad_tol`` is relative: the flow stops once the tangential gradient's
-    L2 norm falls below grad_tol * sqrt(rho).  ``init_kind`` selects the
-    starting field: a centered real Gaussian (default width L/8), a seeded
-    smooth random field, or a snapshot file.  ``energy_floor`` converts an
-    energy collapse into an ``UnboundedEnergyError`` instead of iterating
-    toward -infinity.  ``recenter_every`` = 0 means recenter only at output.
+    L2 norm falls below grad_tol * sqrt(rho).  ``initial_step`` caps the
+    step along the preconditioned direction: the step doubles after each
+    accepted iteration up to the cap and is cut by ``backtrack_factor``
+    until the Armijo test with constant ``armijo_c`` holds.  ``init_kind``
+    selects the starting field: a centered real Gaussian (default width
+    L/8), a seeded smooth random field, or a snapshot file.
+    ``energy_floor`` converts an energy collapse into an
+    ``UnboundedEnergyError`` instead of iterating toward -infinity.
+    ``recenter_every`` = 0 means recenter only at output.
     """
 
     max_iters: int = 5000
     grad_tol: float = 1.0e-8
-    initial_step: float = 0.1
+    initial_step: float = 1.0
     backtrack_factor: float = 0.5
     armijo_c: float = 1.0e-4
     init_kind: str = "gaussian"
@@ -222,13 +238,44 @@ def _best_global_phase(u: Field) -> tuple[Field, float]:
     return rotated, dot((imag,), (imag,)) / (saa + sbb)
 
 
+def _flow_weights(grid: Grid, variant: str) -> tuple[np.ndarray, np.ndarray]:
+    """The flow's preconditioner P = (K(k) + PRECONDITIONER_SHIFT)^-1 on the
+    half spectrum, and P times the Hermitian weights on the float view of a
+    half spectrum (each weight twice, for the real and imaginary parts), so
+    that <a, P b> is one blocked sum over those views; cached per grid."""
+
+    def build():
+        precond = 1.0 / (grid.kinetic_symbol(variant) + PRECONDITIONER_SHIFT)
+        weight = np.repeat(precond * grid.hermitian_weight, 2, axis=-1)
+        return precond, weight
+
+    return grid.cached(("flow_preconditioner", variant), build)
+
+
+def _weighted_product(weight, a, b, out=None):
+    out = np.multiply(weight, a, out=out)
+    out *= b
+    return out
+
+
+def _precond_dot(
+    weight: np.ndarray, a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]
+) -> float:
+    """Re <a, P b> of two fields given by the half spectra of their
+    components, with ``weight`` from ``_flow_weights``."""
+    return float(sum(
+        blocked_sum(_weighted_product, weight, x.view(np.float64), y.view(np.float64))
+        for x, y in zip(a, b)
+    ))
+
+
 def minimize(
     grid: Grid,
     params: Params,
     config: MinimizeConfig | None = None,
     initial: Field | None = None,
 ) -> GroundStateResult:
-    """Run the normalized gradient flow for one starting point.
+    """Run the preconditioned gradient flow for one starting point.
 
     ``initial`` overrides the configured starting field (used to warm-start
     mass sweeps from a neighboring minimizer); it is projected onto the
@@ -254,6 +301,7 @@ def minimize(
     else:
         u = _initial_field(grid, params, config)
 
+    precond, weight = _flow_weights(grid, variant)
     ev = evaluate(u, params, variant, kernel, True)
     trace: list[TracePoint] = []
     tau = config.initial_step
@@ -272,14 +320,25 @@ def minimize(
             iterations = iteration
             break
 
-        # Armijo backtracking on E(project(u - tau * tangential)); the step
-        # grows again each iteration so the stiff kinetic term cannot pin it.
+        # d = P(g - beta u) with <d, u> = 0, read on the half spectrum; the
+        # residual r = g - beta u overwrites the gradient's transforms
+        residual = tuple(_fft.rfftn(g) for g in grad)
+        beta = _precond_dot(weight, residual, ev.parts_fft) / _precond_dot(
+            weight, ev.parts_fft, ev.parts_fft
+        )
+        for r, f in zip(residual, ev.parts_fft):
+            r -= beta * f
+        slope = _precond_dot(weight, residual, residual)
+        direction = tuple(_fft.irfftn(precond * r, s=grid.shape) for r in residual)
+
+        # Armijo backtracking on E(project(u - tau * d)); the step grows
+        # again each iteration up to the cap ``initial_step``.
         tau = min(2.0 * tau, config.initial_step)
         current = ev.breakdown.total
         accepted = False
         while tau >= MIN_STEP:
             trial = _onto_sphere(
-                grid, tuple(c - tau * t for c, t in zip(u.parts, tangential)), rho
+                grid, tuple(c - tau * d for c, d in zip(u.parts, direction)), rho
             )
             if trial is not None:
                 trial_ev = evaluate(trial, params, variant, kernel, True)
@@ -295,7 +354,7 @@ def minimize(
                         f"{iteration}, step {tau:.3g}",
                         trace=[t.to_list() for t in trace],
                     )
-                if trial_energy <= current - config.armijo_c * tau * grad_norm**2:
+                if trial_energy <= current - config.armijo_c * tau * slope:
                     u = trial
                     ev = trial_ev
                     accepted = True

@@ -5,6 +5,7 @@ import pytest
 
 import spslab as sl
 from conftest import GAUSS_WEINSTEIN, relerr
+from spslab import bestconst
 from spslab.bestconst import _QUOTIENT_PARAMS, _is_localized, _log_quotient_gradient
 from spslab.energy import evaluate
 from spslab.fields import dot
@@ -139,6 +140,28 @@ class TestAscent:
             grid32, sl.AscentConfig(steps=40, init_kind="gaussian")
         )
         assert relerr(est.s_lower, sl.weinstein_quotient(est.maximizer)) < 1e-10
+
+    def test_direction_built_once_per_accepted_iterate(self, grid32, monkeypatch):
+        # a rejected trial halves the step along the same direction, so the
+        # direction is built for the start and after each accepted step only
+        builds, trials = [], []
+
+        def counted_direction(*args, _build=bestconst._gauge_fixed_direction):
+            builds.append(args[0])
+            return _build(*args)
+
+        def counted_evaluate(*args, _evaluate=bestconst.evaluate, **kwargs):
+            trials.append(args[0])
+            return _evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(bestconst, "_gauge_fixed_direction", counted_direction)
+        monkeypatch.setattr(bestconst, "evaluate", counted_evaluate)
+        est = sl.estimate_best_constant(grid32, sl.AscentConfig(steps=120))
+        accepted = sum(1 for it, _ in est.ascent_trace if it > 0)
+        assert est.ascent_trace[-1][0] < 120  # the run ends on rejected trials
+        assert len(builds) <= accepted + 1
+        assert len(trials) - 1 > len(builds)
+        assert builds[-1] is est.maximizer
 
     def test_grid_refinement_soundness(self, grid32, grid64):
         coarse = sl.estimate_best_constant(
