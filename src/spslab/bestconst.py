@@ -185,7 +185,7 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
         noise = random_field(grid, config.seed)
         scale = np.max(np.abs(noise.values)) or 1.0
         phi = Field(grid, phi.values * (1.0 + 0.3 * noise.values / scale))
-    phi = _onto_sphere(grid, phi.parts, 1.0)
+    phi, _ = _onto_sphere(grid, phi.parts, 1.0)
 
     kernel = coulomb_kernel(grid)
     try:
@@ -206,10 +206,13 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
             direction = _gauge_fixed_direction(
                 phi, _log_quotient_gradient(ev, kernel), ev.parts_fft
             )
-        trial = _onto_sphere(grid, tuple(c + step * d for c, d in zip(phi.parts, direction)), 1.0)
-        if trial is None:
+        projected = _onto_sphere(
+            grid, tuple(c + step * d for c, d in zip(phi.parts, direction)), 1.0
+        )
+        if projected is None:
             step *= 0.5
             continue
+        trial, _ = projected
         try:
             trial_ev = evaluate(trial, _QUOTIENT_PARAMS, "homogeneous", kernel)
             trial_q = _quotient(trial_ev)

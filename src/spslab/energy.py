@@ -16,7 +16,8 @@ Coulomb double integral.  Its unconstrained L2 gradient is
 A field is held as its real components (``Field.parts``): every term is
 real-linear in u or depends on |u| only, so each component takes one
 real-to-complex transform and the gradient one complex-to-real transform
-per component.
+per component, or on the half spectrum one real-to-complex transform of
+its local term per component.
 """
 
 from __future__ import annotations
@@ -74,18 +75,16 @@ class EnergyBreakdown:
         return asdict(self)
 
 
-def _spectra(parts: tuple[np.ndarray, ...]) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-    """Half spectra ``rfftn`` of the components and their summed power
-    spectrum, which is the half of |fftn(u)|^2 that the Hermitian weights
-    complete."""
-    parts_fft = tuple(_fft.rfftn(c) for c in parts)
+def _power_spectrum(parts_fft: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Summed power spectrum of the half spectra ``parts_fft``, which is the
+    half of |fftn(u)|^2 that the Hermitian weights complete."""
     spectrum_sq = np.square(parts_fft[0].real)
     square = np.square(parts_fft[0].imag)
     spectrum_sq += square
     for f in parts_fft[1:]:
         spectrum_sq += np.square(f.real, out=square)
         spectrum_sq += np.square(f.imag, out=square)
-    return parts_fft, spectrum_sq
+    return spectrum_sq
 
 
 def _norm_set(u: Field, lp_p: float, spectrum_sq: np.ndarray) -> NormSet:
@@ -112,7 +111,7 @@ class Evaluation:
     ``u`` is the field, ``parts_fft`` the half spectra ``rfftn`` of its
     real components, ``spectrum_sq`` the summed half power spectrum and
     ``density_fft`` the half spectrum ``rfftn(|u|^2)``.  ``gradient`` has
-    one real array per component.
+    one real array per component, ``gradient_fft`` their half spectra.
     """
 
     breakdown: EnergyBreakdown
@@ -121,6 +120,7 @@ class Evaluation:
     spectrum_sq: np.ndarray
     density_fft: np.ndarray
     gradient: tuple[np.ndarray, ...] | None = None
+    gradient_fft: tuple[np.ndarray, ...] | None = None
 
 
 def evaluate(
@@ -128,11 +128,18 @@ def evaluate(
     params: Params,
     variant: str = "inhomogeneous",
     kernel: CoulombKernel | None = None,
-    with_gradient: bool = False,
+    with_gradient: bool | str = False,
+    parts_fft: tuple[np.ndarray, ...] | None = None,
 ) -> Evaluation:
     """Shared evaluation path: one ``rfftn`` per real component of u and one
-    of |u|^2 serve the norms, the energy, and (optionally) the gradient,
-    which adds one ``irfftn`` per component and one for Phi."""
+    of |u|^2 serve the norms, the energy, and (optionally) the gradient.
+
+    ``with_gradient`` True adds the gradient on the grid (``gradient``: one
+    ``irfftn`` for Phi and one per component), ``"spectral"`` its half
+    spectra (``gradient_fft``: one ``irfftn`` for Phi and one ``rfftn`` per
+    component).  ``parts_fft``, the half spectra of u's components when
+    the caller already holds them, replaces their transforms.
+    """
     check_variant(variant)
     grid = u.grid
     if kernel is None:
@@ -147,7 +154,9 @@ def evaluate(
     else:
         lp_sum = blocked_sum(lambda d, out=None: np.multiply(d**exponent, d, out=out), density)
     lp_p = float(lp_sum * grid.cell_volume)
-    parts_fft, spectrum_sq = _spectra(u.parts)
+    if parts_fft is None:
+        parts_fft = tuple(_fft.rfftn(c) for c in u.parts)
+    spectrum_sq = _power_spectrum(parts_fft)
     ns = _norm_set(u, lp_p, spectrum_sq)
     density_fft = _fft.rfftn(density)
     del density
@@ -165,15 +174,19 @@ def evaluate(
         d_value=d_value,
     )
     ev = Evaluation(breakdown, u, parts_fft, spectrum_sq, density_fft)
-    if with_gradient:
+    if with_gradient == "spectral":
+        ev.gradient_fft = _gradient(ev, params, variant, kernel, powers.pop(), spectral=True)
+    elif with_gradient:
         ev.gradient = _gradient(ev, params, variant, kernel, powers.pop())
     return ev
 
 
 def _gradient(ev: Evaluation, params: Params, variant: str, kernel: CoulombKernel,
-              power: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+              power: np.ndarray | None = None,
+              spectral: bool = False) -> tuple[np.ndarray, ...]:
     """L2 energy gradient at ``ev.u`` from its transforms, one real array per
-    component; ``power`` is |u|^{p-2} (built when None), and is overwritten."""
+    component, or with ``spectral`` their half spectra; ``power`` is
+    |u|^{p-2} (built when None), and is overwritten."""
     u = ev.u
     if power is None:
         power = u.density() ** (0.5 * (params.p - 2.0))
@@ -190,8 +203,12 @@ def _gradient(ev: Evaluation, params: Params, variant: str, kernel: CoulombKerne
     del power
     gradient = []
     for c, f, out in zip(u.parts, ev.parts_fft, outs):
-        g = _fft.irfftn(mult * f, s=u.grid.shape)
-        g += np.multiply(local, c, out=out)
+        if spectral:
+            g = _fft.rfftn(np.multiply(local, c, out=out))
+            g += mult * f
+        else:
+            g = _fft.irfftn(mult * f, s=u.grid.shape)
+            g += np.multiply(local, c, out=out)
         gradient.append(g)
     return tuple(gradient)
 

@@ -143,17 +143,19 @@ def dot(a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]) -> float:
     return float(sum(blocked_sum(np.multiply, x, y) for x, y in zip(a, b)))
 
 
-def _onto_sphere(grid: Grid, parts: tuple[np.ndarray, ...], rho: float) -> Field | None:
+def _onto_sphere(
+    grid: Grid, parts: tuple[np.ndarray, ...], rho: float
+) -> tuple[Field, float] | None:
     """The field of the freshly built ``parts``, scaled in place onto mass
-    ``rho``; None unless its mass ``dot(parts, parts) h^3`` is positive and
-    finite."""
+    ``rho``, and the scale; None unless its mass ``dot(parts, parts) h^3``
+    is positive and finite."""
     mass = dot(parts, parts) * grid.cell_volume
     if not 0.0 < mass < np.inf:
         return None
     scale = np.sqrt(rho / mass)
     for c in parts:
         c *= scale
-    return Field.of_parts(grid, parts)
+    return Field.of_parts(grid, parts), scale
 
 
 def zero_field(grid: Grid) -> Field:

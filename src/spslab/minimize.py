@@ -12,6 +12,18 @@ resolution.  The accepted energy sequence is non-increasing by
 construction, every iterate carries mass rho exactly up to rounding, and
 the stopping test reads the L2 norm of the tangential gradient
 g - (Re<g, u>/rho) u.
+
+The iterate is held as its real components u together with their half
+spectra f = rfftn(u), and the gradient as its half spectra
+K f + rfftn((4 alpha Phi - beta p |u|^{p-2}) u), so that every inner
+product above is a Hermitian-weighted half-spectrum sum.  A trial
+s (u - tau d) has the half spectra s (f - tau d^), d^ those of d, so an
+iteration whose first trial is accepted costs four real transforms for a
+real field (the direction's irfftn, then rfftn(|u|^2), Phi's irfftn and the
+local term's rfftn) and six for a complex one.  Recentering and the output
+evaluation transform from the grid.  A trial that Armijo accepts with the
+current energy and the current iterate's exact bits is a floating-point
+fixed point: the flow stops there with ``stagnated`` set.
 """
 
 from __future__ import annotations
@@ -57,10 +69,14 @@ class MinimizeConfig:
     """Knobs of the kinetic-preconditioned gradient flow.
 
     ``grad_tol`` is relative: the flow stops once the tangential gradient's
-    L2 norm falls below grad_tol * sqrt(rho).  ``initial_step`` caps the
-    step along the preconditioned direction: the step doubles after each
-    accepted iteration up to the cap and is cut by ``backtrack_factor``
-    until the Armijo test with constant ``armijo_c`` holds.  ``init_kind``
+    L2 norm, read on the half spectrum, falls below grad_tol * sqrt(rho).
+    ``initial_step`` caps the step along the preconditioned direction: the
+    step doubles after each accepted iteration up to the cap and is cut by
+    ``backtrack_factor`` until the Armijo test with constant ``armijo_c``
+    holds.  Below the flow's rounding floor a tolerance may not be reached:
+    the flow then ends ``stagnated`` when no step passes the test or an
+    accepted step leaves the iterate bitwise unchanged, and otherwise at
+    ``max_iters``.  ``init_kind``
     selects the starting field: a centered real Gaussian (default width
     L/8), a seeded smooth random field, or a snapshot file.
     ``energy_floor`` converts an energy collapse into an
@@ -165,7 +181,7 @@ def project_mass(u: Field, rho: float) -> Field:
     projected = _onto_sphere(u.grid, tuple(c.copy() for c in u.parts), rho)
     if projected is None:
         raise DegenerateFieldError("cannot project the zero field onto the mass sphere")
-    return projected
+    return projected[0]
 
 
 def _centering_shifts(density: np.ndarray) -> tuple[int, ...]:
@@ -238,16 +254,21 @@ def _best_global_phase(u: Field) -> tuple[Field, float]:
     return rotated, dot((imag,), (imag,)) / (saa + sbb)
 
 
-def _flow_weights(grid: Grid, variant: str) -> tuple[np.ndarray, np.ndarray]:
+def _flow_weights(
+    grid: Grid, variant: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The flow's preconditioner P = (K(k) + PRECONDITIONER_SHIFT)^-1 on the
-    half spectrum, and P times the Hermitian weights on the float view of a
-    half spectrum (each weight twice, for the real and imaginary parts), so
-    that <a, P b> is one blocked sum over those views; cached per grid."""
+    half spectrum, and the Hermitian weights and P times them on the float
+    view of a half spectrum (each weight twice, for the real and imaginary
+    parts), so that <a, b> and <a, P b> are one blocked sum over those
+    views; cached per grid."""
 
     def build():
         precond = 1.0 / (grid.kinetic_symbol(variant) + PRECONDITIONER_SHIFT)
-        weight = np.repeat(precond * grid.hermitian_weight, 2, axis=-1)
-        return precond, weight
+        hermitian = np.broadcast_to(grid.hermitian_weight, precond.shape)
+        weight = np.repeat(hermitian, 2, axis=-1)
+        precond_weight = np.repeat(precond * hermitian, 2, axis=-1)
+        return precond, weight, precond_weight
 
     return grid.cached(("flow_preconditioner", variant), build)
 
@@ -258,14 +279,34 @@ def _weighted_product(weight, a, b, out=None):
     return out
 
 
-def _precond_dot(
+def _spectral_dot(
     weight: np.ndarray, a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]
 ) -> float:
-    """Re <a, P b> of two fields given by the half spectra of their
-    components, with ``weight`` from ``_flow_weights``."""
+    """Re <a, b> (or Re <a, P b>) of two fields given by the half spectra
+    of their components, with a ``weight`` from ``_flow_weights``."""
     return float(sum(
         blocked_sum(_weighted_product, weight, x.view(np.float64), y.view(np.float64))
         for x, y in zip(a, b)
+    ))
+
+
+def _tangential_sq(
+    weight: np.ndarray, grad_fft: tuple[np.ndarray, ...],
+    parts_fft: tuple[np.ndarray, ...], coeff: float,
+) -> float:
+    """||g - coeff u||^2 from the half spectra of g and u, summed block by
+    block without building g - coeff u."""
+
+    def residual_sq(w, g, f, out=None):
+        out = np.multiply(f, -coeff, out=out)
+        out += g
+        out *= out
+        out *= w
+        return out
+
+    return float(sum(
+        blocked_sum(residual_sq, weight, g.view(np.float64), f.view(np.float64))
+        for g, f in zip(grad_fft, parts_fft)
     ))
 
 
@@ -282,10 +323,12 @@ def minimize(
     sphere first.  The flow runs on the start's real components: one when
     its imaginary part is exactly zero, so a real start stays real.  Raises
     ``UnboundedEnergyError`` when the energy passes below
-    ``config.energy_floor`` (the signature of an unbounded regime).  A line search that cannot find a decreasing step
-    at machine precision sets the stagnation flag and returns with
-    ``converged=False``; a non-finite trial energy (other than -inf) raises
-    ``NumericalFailureError`` with the trace attached.
+    ``config.energy_floor`` (the signature of an unbounded regime).  A line
+    search that cannot find a decreasing step at machine precision, or
+    whose accepted step leaves the iterate bitwise unchanged, sets the
+    stagnation flag and returns with ``converged=False``; a non-finite
+    trial energy (other than -inf) raises ``NumericalFailureError`` with the
+    trace attached.
     """
     if config is None:
         config = MinimizeConfig()
@@ -293,7 +336,6 @@ def minimize(
     kernel = coulomb_kernel(grid)
     rho = params.rho
     sqrt_rho = np.sqrt(rho)
-    h3 = grid.cell_volume
     if initial is not None:
         if initial.grid != grid:
             raise ConfigurationError("initial field lives on a different grid")
@@ -301,8 +343,8 @@ def minimize(
     else:
         u = _initial_field(grid, params, config)
 
-    precond, weight = _flow_weights(grid, variant)
-    ev = evaluate(u, params, variant, kernel, True)
+    precond, weight, precond_weight = _flow_weights(grid, variant)
+    ev = evaluate(u, params, variant, kernel, "spectral")
     trace: list[TracePoint] = []
     tau = config.initial_step
     converged = False
@@ -310,38 +352,48 @@ def minimize(
     iterations = 0
 
     for iteration in range(config.max_iters):
-        grad = ev.gradient
-        overlap = dot(grad, u.parts) * h3
-        tangential = tuple(g - (overlap / rho) * c for g, c in zip(grad, u.parts))
-        grad_norm = float(np.sqrt(dot(tangential, tangential) * h3))
+        # the iterate is u with its half spectra f, the gradient its half
+        # spectra g; the stopping test reads |g - (<g, u>/rho) u| on them
+        grad_fft, parts_fft = ev.gradient_fft, ev.parts_fft
+        overlap = _spectral_dot(weight, grad_fft, parts_fft)
+        grad_norm = float(np.sqrt(_tangential_sq(weight, grad_fft, parts_fft, overlap / rho)))
         trace.append(TracePoint(iteration, ev.breakdown.total, grad_norm))
         if grad_norm <= config.grad_tol * sqrt_rho:
             converged = True
             iterations = iteration
             break
 
-        # d = P(g - beta u) with <d, u> = 0, read on the half spectrum; the
-        # residual r = g - beta u overwrites the gradient's transforms
-        residual = tuple(_fft.rfftn(g) for g in grad)
-        beta = _precond_dot(weight, residual, ev.parts_fft) / _precond_dot(
-            weight, ev.parts_fft, ev.parts_fft
+        # d = P(g - beta u) with <d, u> = 0: the residual r = g - beta u,
+        # then the direction's half spectra overwrite the gradient's
+        beta = _spectral_dot(precond_weight, grad_fft, parts_fft) / _spectral_dot(
+            precond_weight, parts_fft, parts_fft
         )
-        for r, f in zip(residual, ev.parts_fft):
-            r -= beta * f
-        slope = _precond_dot(weight, residual, residual)
-        direction = tuple(_fft.irfftn(precond * r, s=grid.shape) for r in residual)
+        for g, f in zip(grad_fft, parts_fft):
+            g -= beta * f
+        slope = _spectral_dot(precond_weight, grad_fft, grad_fft)
+        for g in grad_fft:
+            g *= precond
+        direction_fft = grad_fft
+        direction = tuple(_fft.irfftn(d, s=grid.shape) for d in direction_fft)
 
         # Armijo backtracking on E(project(u - tau * d)); the step grows
         # again each iteration up to the cap ``initial_step``.
         tau = min(2.0 * tau, config.initial_step)
         current = ev.breakdown.total
-        accepted = False
+        accepted = fixed_point = False
         while tau >= MIN_STEP:
-            trial = _onto_sphere(
+            projected = _onto_sphere(
                 grid, tuple(c - tau * d for c, d in zip(u.parts, direction)), rho
             )
-            if trial is not None:
-                trial_ev = evaluate(trial, params, variant, kernel, True)
+            if projected is not None:
+                # the trial's half spectra are the same combination s (f - tau d^)
+                trial, scale = projected
+                trial_fft = tuple(np.multiply(d, -tau) for d in direction_fft)
+                for trial_f, f in zip(trial_fft, parts_fft):
+                    trial_f += f
+                    trial_f *= scale
+                trial_ev = evaluate(trial, params, variant, kernel, "spectral",
+                                    parts_fft=trial_fft)
                 trial_energy = trial_ev.breakdown.total
                 if trial_energy == -np.inf:
                     raise UnboundedEnergyError(
@@ -355,13 +407,18 @@ def minimize(
                         trace=[t.to_list() for t in trace],
                     )
                 if trial_energy <= current - config.armijo_c * tau * slope:
+                    # a step that leaves the iterate bitwise unchanged is a
+                    # floating-point fixed point: the flow cannot move on
+                    fixed_point = trial_energy == current and all(
+                        map(np.array_equal, trial.parts, u.parts)
+                    )
                     u = trial
                     ev = trial_ev
                     accepted = True
                     break
             tau *= config.backtrack_factor
         iterations = iteration + 1
-        if not accepted:
+        if not accepted or fixed_point:
             stagnated = True
             break
         if ev.breakdown.total < config.energy_floor:
@@ -375,7 +432,7 @@ def minimize(
             )
         if config.recenter_every and (iteration + 1) % config.recenter_every == 0:
             u = recenter(u)
-            ev = evaluate(u, params, variant, kernel, True)
+            ev = evaluate(u, params, variant, kernel, "spectral")
     else:
         iterations = config.max_iters
 
@@ -389,7 +446,7 @@ def minimize(
     del u, ev
 
     final_ev = evaluate(v, params, variant, kernel, True)
-    omega = dot(final_ev.gradient, final_ev.u.parts) * h3 / rho
+    omega = dot(final_ev.gradient, final_ev.u.parts) * grid.cell_volume / rho
     residuals = _report(final_ev, params, omega, variant)
     return GroundStateResult(
         field=v,

@@ -228,6 +228,101 @@ class TestPreconditionedFlow:
         assert relerr(res.energy.total, self.HOM_ENERGY_16) <= 1e-10
 
 
+class _LoggedFft:
+    """Stands in for a module's ``scipy.fft`` alias and logs the module's
+    name for each ``rfftn``/``irfftn`` call."""
+
+    def __init__(self, real, name, events):
+        self._real = real
+
+        def logged(fn):
+            def call(*args, **kwargs):
+                events.append(name)
+                return fn(*args, **kwargs)
+
+            return call
+
+        self.rfftn = logged(real.rfftn)
+        self.irfftn = logged(real.irfftn)
+
+    def __getattr__(self, attr):
+        return getattr(self._real, attr)
+
+
+class TestSpectralIterate:
+    """The flow carries the half spectra of its iterate and its gradient, so
+    an iteration whose first trial is accepted costs the direction's
+    inverse transform and the trial's density, Phi and local-term
+    transforms: 4 for a real field, 6 for a complex one."""
+
+    @staticmethod
+    def _transforms_per_iteration(monkeypatch, grid, config):
+        events = []
+        for name in ("energy", "coulomb", "minimize"):
+            module = importlib.import_module(f"spslab.{name}")
+            monkeypatch.setattr(module, "_fft", _LoggedFft(module._fft, name, events))
+        minimize_module = importlib.import_module("spslab.minimize")
+
+        def logged(*args, _evaluate=minimize_module.evaluate, **kwargs):
+            events.append("evaluate")
+            return _evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(minimize_module, "evaluate", logged)
+        params = sl.Params(alpha=1.0, beta=1.0, p=2.5, rho=0.1)
+        res = sl.minimize(grid, params, config)
+        # an iteration opens with the direction's inverse transforms, the
+        # only transforms minimize makes itself; the last one also holds the
+        # output evaluation
+        iterations = []
+        for previous, event in zip([None] + events, events):
+            if event == "minimize" and previous != "minimize":
+                iterations.append([])
+            if iterations:
+                iterations[-1].append(event)
+        assert len(iterations) == res.iterations
+        return [
+            len(it) - 1 for it in iterations[:-1] if it.count("evaluate") == 1
+        ]
+
+    def test_real_iteration_takes_four_transforms(self, grid16, monkeypatch):
+        config = sl.MinimizeConfig(max_iters=20)
+        counts = self._transforms_per_iteration(monkeypatch, grid16, config)
+        assert len(counts) >= 10
+        assert set(counts) == {4}
+
+    def test_complex_iteration_takes_six_transforms(self, grid16, monkeypatch):
+        config = sl.MinimizeConfig(max_iters=20, init_kind="random", init_seed=3)
+        counts = self._transforms_per_iteration(monkeypatch, grid16, config)
+        assert len(counts) >= 10
+        assert set(counts) == {6}
+
+    def test_carried_energy_matches_fresh_evaluation(self):
+        # the trace reads energies off the carried spectra; the output
+        # evaluation transforms the recentered field afresh
+        params = sl.Params(alpha=1.0, beta=1.0, p=2.5, rho=0.1)
+        cfg = sl.MinimizeConfig(max_iters=8000, grad_tol=5e-7, init_width=2.0)
+        res = sl.minimize(sl.make_grid(16, 40.0), params, cfg)
+        assert res.converged
+        assert relerr(res.trace[-1].energy, res.energy.total) <= 1e-12
+
+    def test_floating_point_fixed_point_stops(self):
+        # C10's homogeneous flow reaches the flat-state floor within about
+        # 50 iterations; a step that no longer moves the iterate ends it
+        grid = sl.make_grid(32, 16.0)
+        params = sl.Params(alpha=1.0, beta=1.0, p=8.0 / 3.0, rho=0.05)
+        cfg = sl.MinimizeConfig(max_iters=1500, grad_tol=1e-12, init_width=1.0,
+                                variant="homogeneous")
+        res = sl.minimize(grid, params, cfg)
+        assert res.stagnated and not res.converged
+        assert res.iterations < 200
+        L, rho, p = grid.box_length, params.rho, params.p
+        flat = (params.alpha * rho**2 * 2 * np.pi * (L / 2) ** 2 / L**3
+                - params.beta * (rho / L**3) ** (p / 2) * L**3)
+        assert relerr(res.energy.total, flat) <= 1e-10
+        energies = [t.energy for t in res.trace]
+        assert all(b <= a for a, b in zip(energies, energies[1:]))
+
+
 class TestSmallBoxArtifact:
     def test_small_box_drains_to_torus_constant(self):
         # on a box too small for the physical minimizer the flow lands on
