@@ -20,8 +20,9 @@ from .bestconst import (
     estimate_best_constant,
     weinstein_quotient,
 )
-from .coulomb import CoulombKernel, coulomb_kernel, hartree_double_integral, hartree_potential
+from .coulomb import CoulombKernel, coulomb_kernel
 from .energy import EnergyBreakdown, NormSet, energy, gradient, inner, norms
+from .energy import hartree_double_integral, hartree_potential
 from .errors import (
     ConfigurationError,
     DegenerateFieldError,

@@ -22,9 +22,9 @@ import numpy as np
 from scipy import fft as _fft
 
 from .coulomb import CoulombKernel, coulomb_kernel
-# perfbench/tracing.py wraps this by attribute on this module
-from .coulomb import hartree_double_integral  # noqa: F401
 from .energy import Evaluation, _gradient, evaluate
+# perfbench/tracing.py wraps this by attribute on this module
+from .energy import hartree_double_integral  # noqa: F401
 from .errors import (
     ConfigurationError,
     DegenerateFieldError,
@@ -39,9 +39,8 @@ from .fields import (
     random_field,
 )
 from .grid import Grid
-from .params import Params
+from .params import P_CRITICAL, Params
 
-P_CRITICAL = 8.0 / 3.0
 # Q reads ||phi||_{8/3}, the homogeneous seminorm and D off one
 # homogeneous-variant evaluation; couplings and mass do not enter it
 _QUOTIENT_PARAMS = Params(alpha=1.0, beta=1.0, p=P_CRITICAL, rho=1.0)

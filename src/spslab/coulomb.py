@@ -14,7 +14,7 @@ import numpy as np
 from scipy import fft as _fft
 
 from .errors import ConfigurationError
-from .fields import Field, blocked_sum
+from .fields import blocked_sum
 from .grid import Grid
 
 
@@ -90,33 +90,3 @@ def _weighted_power(weight: np.ndarray, z: np.ndarray, out=None) -> np.ndarray:
     power += z.imag**2
     power *= weight
     return power
-
-
-def _density_fft(u: Field) -> np.ndarray:
-    return _fft.rfftn(u.density())
-
-
-def hartree_potential(u: Field, kernel: CoulombKernel | None = None) -> Field:
-    """Coulomb potential Phi = (1/|x|) * |u|^2 of the density of ``u``.
-
-    Aliasing from pointwise squaring and kernel-truncation error are the
-    caller's responsibility (box-size rule of thumb: L at least 8 times the
-    field's effective radius).
-    """
-    u.require_finite("hartree_potential input")
-    if kernel is None:
-        kernel = coulomb_kernel(u.grid)
-    return Field.of_parts(u.grid, (_potential_values(_density_fft(u), kernel),))
-
-
-def hartree_double_integral(u: Field, kernel: CoulombKernel | None = None) -> float:
-    """The quartic Coulomb self-interaction D(u) = int Phi |u|^2 dx.
-
-    Evaluated spectrally as sum_k symbol(k) |rho_hat(k)|^2; equal to the
-    physical-space quadrature h^3 sum Phi |u|^2 up to rounding, and
-    nonnegative because the symbol is.
-    """
-    u.require_finite("hartree_double_integral input")
-    if kernel is None:
-        kernel = coulomb_kernel(u.grid)
-    return _double_integral_from_density_fft(_density_fft(u), kernel)

@@ -15,9 +15,10 @@ Coulomb double integral.  Its unconstrained L2 gradient is
 
 A field is held as its real components (``Field.parts``): every term is
 real-linear in u or depends on |u| only, so each component takes one
-real-to-complex transform and the gradient one complex-to-real transform
-per component, or on the half spectrum one real-to-complex transform of
-its local term per component.
+real-to-complex transform, and an evaluation's gradient one of its local
+term per component, as half spectra; omega and the residual |g - omega u|
+are Hermitian-weighted sums over them.  The grid form of the gradient is
+built on request (``gradient``, the best-constant ascent).
 """
 
 from __future__ import annotations
@@ -27,14 +28,12 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import fft as _fft
 
-from .coulomb import (
-    CoulombKernel,
-    _double_integral_from_density_fft,
-    _potential_values,
-    coulomb_kernel,
-)
+from .coulomb import CoulombKernel, _double_integral_from_density_fft, _potential_values
+from .coulomb import coulomb_kernel
 from .fields import Field, blocked_sum, dot
-from .params import Params, check_variant
+from .params import P_CRITICAL, Params, check_variant
+
+_DENSITY_PARAMS = Params(0.0, 0.0, P_CRITICAL, 1.0)  # D and Phi: no coupling enters
 
 
 @dataclass(frozen=True)
@@ -110,8 +109,8 @@ class Evaluation:
 
     ``u`` is the field, ``parts_fft`` the half spectra ``rfftn`` of its
     real components, ``spectrum_sq`` the summed half power spectrum and
-    ``density_fft`` the half spectrum ``rfftn(|u|^2)``.  ``gradient`` has
-    one real array per component, ``gradient_fft`` their half spectra.
+    ``density_fft`` the half spectrum ``rfftn(|u|^2)``.  ``gradient_fft``
+    holds the half spectra of the gradient's components.
     """
 
     breakdown: EnergyBreakdown
@@ -119,7 +118,6 @@ class Evaluation:
     parts_fft: tuple[np.ndarray, ...]
     spectrum_sq: np.ndarray
     density_fft: np.ndarray
-    gradient: tuple[np.ndarray, ...] | None = None
     gradient_fft: tuple[np.ndarray, ...] | None = None
 
 
@@ -128,17 +126,16 @@ def evaluate(
     params: Params,
     variant: str = "inhomogeneous",
     kernel: CoulombKernel | None = None,
-    with_gradient: bool | str = False,
+    with_gradient: bool = False,
     parts_fft: tuple[np.ndarray, ...] | None = None,
 ) -> Evaluation:
     """Shared evaluation path: one ``rfftn`` per real component of u and one
     of |u|^2 serve the norms, the energy, and (optionally) the gradient.
 
-    ``with_gradient`` True adds the gradient on the grid (``gradient``: one
-    ``irfftn`` for Phi and one per component), ``"spectral"`` its half
-    spectra (``gradient_fft``: one ``irfftn`` for Phi and one ``rfftn`` per
-    component).  ``parts_fft``, the half spectra of u's components when
-    the caller already holds them, replaces their transforms.
+    ``with_gradient`` adds the gradient's half spectra (``gradient_fft``:
+    one ``irfftn`` for Phi and one ``rfftn`` per component).  ``parts_fft``,
+    the half spectra of u's components when the caller already holds them,
+    replaces their transforms.
     """
     check_variant(variant)
     grid = u.grid
@@ -174,10 +171,8 @@ def evaluate(
         d_value=d_value,
     )
     ev = Evaluation(breakdown, u, parts_fft, spectrum_sq, density_fft)
-    if with_gradient == "spectral":
+    if with_gradient:
         ev.gradient_fft = _gradient(ev, params, variant, kernel, powers.pop(), spectral=True)
-    elif with_gradient:
-        ev.gradient = _gradient(ev, params, variant, kernel, powers.pop())
     return ev
 
 
@@ -185,8 +180,9 @@ def _gradient(ev: Evaluation, params: Params, variant: str, kernel: CoulombKerne
               power: np.ndarray | None = None,
               spectral: bool = False) -> tuple[np.ndarray, ...]:
     """L2 energy gradient at ``ev.u`` from its transforms, one real array per
-    component, or with ``spectral`` their half spectra; ``power`` is
-    |u|^{p-2} (built when None), and is overwritten."""
+    component (K c + local c), or with ``spectral`` their half spectra
+    (K f + rfftn(local c)); ``power`` is |u|^{p-2} (built when None), and
+    is overwritten."""
     u = ev.u
     if power is None:
         power = u.density() ** (0.5 * (params.p - 2.0))
@@ -211,6 +207,58 @@ def _gradient(ev: Evaluation, params: Params, variant: str, kernel: CoulombKerne
             g += np.multiply(local, c, out=out)
         gradient.append(g)
     return tuple(gradient)
+
+
+def _spectral_weight(grid) -> np.ndarray:
+    """The Hermitian weights on the float view of a half spectrum (each
+    weight twice, for the real and imaginary parts); cached per grid."""
+
+    def build():
+        half_shape = grid.shape[:2] + (grid.n // 2 + 1,)
+        return np.repeat(np.broadcast_to(grid.hermitian_weight, half_shape), 2, axis=-1)
+
+    return grid.cached("spectral_weight", build)
+
+
+def _weighted_product(weight, a, b, out=None):
+    out = np.multiply(weight, a, out=out)
+    out *= b
+    return out
+
+
+def _spectral_dot(weight: np.ndarray, a: tuple[np.ndarray, ...],
+                  b: tuple[np.ndarray, ...]) -> float:
+    """Re <a, b> (or Re <a, P b>) of two fields given by the half spectra
+    of their components, with ``_spectral_weight`` (or P times it)."""
+    return float(sum(
+        blocked_sum(_weighted_product, weight, x.view(np.float64), y.view(np.float64))
+        for x, y in zip(a, b)
+    ))
+
+
+def _rayleigh_quotient(ev: Evaluation, mass: float | None = None) -> float:
+    """omega = Re <g, u> / ||u||_2^2 of a gradient evaluation, on its half
+    spectra; ``mass`` given (the flow's rho) replaces ||u||_2^2."""
+    overlap = _spectral_dot(_spectral_weight(ev.u.grid), ev.gradient_fft, ev.parts_fft)
+    return overlap / (ev.breakdown.norms.l2_sq if mass is None else mass)
+
+
+def _tangential_sq(ev: Evaluation, coeff: float) -> float:
+    """||g - coeff u||^2 of a gradient evaluation, from the half spectra of
+    g and u, summed block by block without building g - coeff u."""
+
+    def residual_sq(w, g, f, out=None):
+        out = np.multiply(f, -coeff, out=out)
+        out += g
+        out *= out
+        out *= w
+        return out
+
+    weight = _spectral_weight(ev.u.grid)
+    return float(sum(
+        blocked_sum(residual_sq, weight, g.view(np.float64), f.view(np.float64))
+        for g, f in zip(ev.gradient_fft, ev.parts_fft)
+    ))
 
 
 def norms(u: Field, p: float) -> NormSet:
@@ -239,8 +287,35 @@ def gradient(
 ) -> Field:
     """Unconstrained L2 gradient of the energy at ``u``."""
     u.require_finite("gradient input")
-    ev = evaluate(u, params, variant, kernel=kernel, with_gradient=True)
-    return Field.of_parts(u.grid, ev.gradient)
+    if kernel is None:
+        kernel = coulomb_kernel(u.grid)
+    ev = evaluate(u, params, variant, kernel)
+    return Field.of_parts(u.grid, _gradient(ev, params, variant, kernel))
+
+
+def hartree_potential(u: Field, kernel: CoulombKernel | None = None) -> Field:
+    """Coulomb potential Phi = (1/|x|) * |u|^2 of the density of ``u``.
+
+    Aliasing from pointwise squaring and kernel-truncation error are the
+    caller's responsibility (box-size rule of thumb: L at least 8 times the
+    field's effective radius).
+    """
+    u.require_finite("hartree_potential input")
+    if kernel is None:
+        kernel = coulomb_kernel(u.grid)
+    density_fft = evaluate(u, _DENSITY_PARAMS, kernel=kernel).density_fft
+    return Field.of_parts(u.grid, (_potential_values(density_fft, kernel),))
+
+
+def hartree_double_integral(u: Field, kernel: CoulombKernel | None = None) -> float:
+    """The quartic Coulomb self-interaction D(u) = int Phi |u|^2 dx.
+
+    Evaluated spectrally as sum_k symbol(k) |rho_hat(k)|^2; equal to the
+    physical-space quadrature h^3 sum Phi |u|^2 up to rounding, and
+    nonnegative because the symbol is.
+    """
+    u.require_finite("hartree_double_integral input")
+    return evaluate(u, _DENSITY_PARAMS, kernel=kernel).breakdown.d_value
 
 
 def inner(a: Field, b: Field) -> complex:

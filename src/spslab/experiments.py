@@ -29,10 +29,8 @@ import numpy as np
 from .energy import energy
 from .errors import ConfigurationError, ResolutionWarning
 from .fields import Field, GaussianProfile
-from .params import Params
+from .params import P_CRITICAL, Params
 from .rescale import scale_mass_preserving
-
-P_CRITICAL = 8.0 / 3.0
 
 # resolvability window for analytic Gaussian resampling: at least this many
 # grid spacings per width, at most this fraction of the box per width

@@ -15,9 +15,10 @@ omega rho - 2 E(v) = 2 rho^2 d/drho [I(rho)/rho], so it vanishes only at
 stationary masses of the ratio curve I(rho)/rho, not at every minimizer.
 
 ``identity_report`` is the one read: every residual is arithmetic on one
-gradient evaluation of the field (``energy.evaluate``).  Each residual is
-reported raw together with a positive magnitude scale so tolerances are
-dimensionless.  The zero field reports residual 0, scale 1.
+gradient evaluation of the field (``energy.evaluate``); omega and the
+Euler-Lagrange residual are half-spectrum sums shared with the flow's stop.
+Each residual is reported raw together with a positive magnitude scale so
+tolerances are dimensionless.  The zero field reports residual 0, scale 1.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ import numpy as np
 from scipy import fft as _fft  # noqa: F401
 
 from .coulomb import CoulombKernel
+from .energy import Evaluation, _rayleigh_quotient, _tangential_sq, evaluate
 # perfbench/tracing.py wraps these two by attribute on this module
-from .coulomb import coulomb_kernel, hartree_double_integral  # noqa: F401
-from .energy import Evaluation, evaluate
-from .fields import Field, blocked_sum, dot
+from .coulomb import coulomb_kernel  # noqa: F401
+from .energy import hartree_double_integral  # noqa: F401
+from .fields import Field, blocked_sum
 from .params import Params
 
 
@@ -101,11 +103,10 @@ def _report(
 ) -> IdentityReport:
     """``identity_report`` of a nonzero field from its gradient evaluation
     ``ev``: every residual is arithmetic on that one evaluation."""
-    grid, parts = ev.u.grid, ev.u.parts
+    grid = ev.u.grid
     d_value, ns = ev.breakdown.d_value, ev.breakdown.norms
     if omega is None:
-        # Rayleigh quotient Re<grad E(v), v> / ||v||_2^2
-        omega = dot(ev.gradient, parts) * grid.cell_volume / ns.l2_sq
+        omega = _rayleigh_quotient(ev)
 
     # virial: 2 alpha D - beta (p - 2) ||v||_p^p
     v_coulomb = 2.0 * params.alpha * d_value
@@ -120,14 +121,7 @@ def _report(
     power = params.beta * (3.0 * params.p - 6.0) / 2.0 * ns.lp_p
     pohozaev = kinetic + coulomb - power
 
-    def residual_sq(g, c, out=None):
-        """(g - omega c)^2, elementwise."""
-        resid = np.multiply(c, omega, out=out)
-        np.subtract(g, resid, out=resid)
-        return np.multiply(resid, resid, out=resid)
-
-    el_sq = float(sum(blocked_sum(residual_sq, g, c) for g, c in zip(ev.gradient, parts)))
-    el_sq *= grid.cell_volume
+    el_sq = _tangential_sq(ev, omega)
     return IdentityReport(
         virial_residual=virial,
         virial_scale=_scale(v_coulomb, v_power),

@@ -34,7 +34,8 @@ import numpy as np
 from scipy import fft as _fft
 
 from .coulomb import coulomb_kernel
-from .energy import EnergyBreakdown, evaluate
+from .energy import EnergyBreakdown, _rayleigh_quotient, _spectral_dot, _spectral_weight
+from .energy import _tangential_sq, evaluate
 from .errors import (
     ConfigurationError,
     DegenerateFieldError,
@@ -44,7 +45,6 @@ from .errors import (
 from .fields import (
     Field,
     _onto_sphere,
-    blocked_sum,
     boundary_mass_fraction,
     dot,
     gaussian_field,
@@ -254,60 +254,17 @@ def _best_global_phase(u: Field) -> tuple[Field, float]:
     return rotated, dot((imag,), (imag,)) / (saa + sbb)
 
 
-def _flow_weights(
-    grid: Grid, variant: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _flow_weights(grid: Grid, variant: str) -> tuple[np.ndarray, np.ndarray]:
     """The flow's preconditioner P = (K(k) + PRECONDITIONER_SHIFT)^-1 on the
-    half spectrum, and the Hermitian weights and P times them on the float
-    view of a half spectrum (each weight twice, for the real and imaginary
-    parts), so that <a, b> and <a, P b> are one blocked sum over those
-    views; cached per grid."""
+    half spectrum, and P times the Hermitian weights on the float view of a
+    half spectrum, so that <a, P b> is one ``_spectral_dot``; cached per
+    grid."""
 
     def build():
         precond = 1.0 / (grid.kinetic_symbol(variant) + PRECONDITIONER_SHIFT)
-        hermitian = np.broadcast_to(grid.hermitian_weight, precond.shape)
-        weight = np.repeat(hermitian, 2, axis=-1)
-        precond_weight = np.repeat(precond * hermitian, 2, axis=-1)
-        return precond, weight, precond_weight
+        return precond, np.repeat(precond, 2, axis=-1) * _spectral_weight(grid)
 
     return grid.cached(("flow_preconditioner", variant), build)
-
-
-def _weighted_product(weight, a, b, out=None):
-    out = np.multiply(weight, a, out=out)
-    out *= b
-    return out
-
-
-def _spectral_dot(
-    weight: np.ndarray, a: tuple[np.ndarray, ...], b: tuple[np.ndarray, ...]
-) -> float:
-    """Re <a, b> (or Re <a, P b>) of two fields given by the half spectra
-    of their components, with a ``weight`` from ``_flow_weights``."""
-    return float(sum(
-        blocked_sum(_weighted_product, weight, x.view(np.float64), y.view(np.float64))
-        for x, y in zip(a, b)
-    ))
-
-
-def _tangential_sq(
-    weight: np.ndarray, grad_fft: tuple[np.ndarray, ...],
-    parts_fft: tuple[np.ndarray, ...], coeff: float,
-) -> float:
-    """||g - coeff u||^2 from the half spectra of g and u, summed block by
-    block without building g - coeff u."""
-
-    def residual_sq(w, g, f, out=None):
-        out = np.multiply(f, -coeff, out=out)
-        out += g
-        out *= out
-        out *= w
-        return out
-
-    return float(sum(
-        blocked_sum(residual_sq, weight, g.view(np.float64), f.view(np.float64))
-        for g, f in zip(grad_fft, parts_fft)
-    ))
 
 
 def minimize(
@@ -343,8 +300,8 @@ def minimize(
     else:
         u = _initial_field(grid, params, config)
 
-    precond, weight, precond_weight = _flow_weights(grid, variant)
-    ev = evaluate(u, params, variant, kernel, "spectral")
+    precond, precond_weight = _flow_weights(grid, variant)
+    ev = evaluate(u, params, variant, kernel, True)
     trace: list[TracePoint] = []
     tau = config.initial_step
     converged = False
@@ -354,9 +311,7 @@ def minimize(
     for iteration in range(config.max_iters):
         # the iterate is u with its half spectra f, the gradient its half
         # spectra g; the stopping test reads |g - (<g, u>/rho) u| on them
-        grad_fft, parts_fft = ev.gradient_fft, ev.parts_fft
-        overlap = _spectral_dot(weight, grad_fft, parts_fft)
-        grad_norm = float(np.sqrt(_tangential_sq(weight, grad_fft, parts_fft, overlap / rho)))
+        grad_norm = float(np.sqrt(_tangential_sq(ev, _rayleigh_quotient(ev, rho))))
         trace.append(TracePoint(iteration, ev.breakdown.total, grad_norm))
         if grad_norm <= config.grad_tol * sqrt_rho:
             converged = True
@@ -365,6 +320,7 @@ def minimize(
 
         # d = P(g - beta u) with <d, u> = 0: the residual r = g - beta u,
         # then the direction's half spectra overwrite the gradient's
+        grad_fft, parts_fft = ev.gradient_fft, ev.parts_fft
         beta = _spectral_dot(precond_weight, grad_fft, parts_fft) / _spectral_dot(
             precond_weight, parts_fft, parts_fft
         )
@@ -392,7 +348,7 @@ def minimize(
                 for trial_f, f in zip(trial_fft, parts_fft):
                     trial_f += f
                     trial_f *= scale
-                trial_ev = evaluate(trial, params, variant, kernel, "spectral",
+                trial_ev = evaluate(trial, params, variant, kernel, True,
                                     parts_fft=trial_fft)
                 trial_energy = trial_ev.breakdown.total
                 if trial_energy == -np.inf:
@@ -432,7 +388,7 @@ def minimize(
             )
         if config.recenter_every and (iteration + 1) % config.recenter_every == 0:
             u = recenter(u)
-            ev = evaluate(u, params, variant, kernel, "spectral")
+            ev = evaluate(u, params, variant, kernel, True)
     else:
         iterations = config.max_iters
 
@@ -445,8 +401,9 @@ def minimize(
         v, imag_fraction = _best_global_phase(u)
     del u, ev
 
+    # omega and the residuals are the ones ``identity_report`` reads off v
     final_ev = evaluate(v, params, variant, kernel, True)
-    omega = dot(final_ev.gradient, final_ev.u.parts) * grid.cell_volume / rho
+    omega = _rayleigh_quotient(final_ev)
     residuals = _report(final_ev, params, omega, variant)
     return GroundStateResult(
         field=v,

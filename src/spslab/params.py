@@ -9,7 +9,9 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-P_MAX = 8.0 / 3.0
+# the critical exponent: the largest p, and the p of the best-constant
+# quotient and the scaling experiments
+P_CRITICAL = 8.0 / 3.0
 
 # kinetic-term variants: "inhomogeneous" uses sqrt(1 - Laplacian),
 # "homogeneous" the multiplier |k|.
@@ -39,7 +41,7 @@ class Params:
             raise ConfigurationError(f"alpha must be nonnegative, got {self.alpha}")
         if self.beta < 0:
             raise ConfigurationError(f"beta must be nonnegative, got {self.beta}")
-        if not (2.0 < self.p <= P_MAX + 1e-12):
+        if not (2.0 < self.p <= P_CRITICAL + 1e-12):
             raise ConfigurationError(f"p must lie in (2, 8/3], got {self.p}")
         if self.rho <= 0:
             raise ConfigurationError(f"rho must be positive, got {self.rho}")

@@ -10,7 +10,7 @@ import scipy.fft as fft
 import spslab as sl
 from spslab import fields
 from spslab.coulomb import coulomb_kernel
-from spslab.energy import evaluate
+from spslab.energy import _rayleigh_quotient, _spectral_dot, _spectral_weight, evaluate
 from spslab.identities import identity_report
 from oracles import smooth_random_field
 
@@ -46,12 +46,20 @@ def _full_array_terms(u, params, variant):
     d_value = float(
         np.sum(kernel.double_integral_weight * (rho_hat.real**2 + rho_hat.imag**2))
     )
+    # the gradient and the field pair up on their half spectra, each
+    # complex entry as two floats with its Hermitian plane weight
     ev = evaluate(u, params, variant, kernel, True)
-    dot = float(sum(np.sum(g * c) for g, c in zip(ev.gradient, u.parts)))
+    weight = np.repeat(
+        np.broadcast_to(grid.hermitian_weight, rho_hat.shape), 2, axis=-1
+    )
+    views = [
+        (g.view(np.float64), f.view(np.float64)) for g, f in zip(ev.gradient_fft, ev.parts_fft)
+    ]
+    dot = float(sum(np.sum(weight * g * f) for g, f in views))
     l2_sq = float(np.sum(density) * h3)
-    omega = dot * h3 / l2_sq
+    omega = dot / l2_sq
     dilation = 0.5 * float(np.sum(grid.dilation_weight(variant) * spectrum_sq))
-    el_sq = float(sum(np.sum((g - omega * c) ** 2) for g, c in zip(ev.gradient, u.parts)))
+    el_sq = float(sum(np.sum(weight * (g - omega * f) ** 2) for g, f in views))
     return {
         "lp_p": lp_p,
         "h_half_sq": float(h_half),
@@ -63,14 +71,14 @@ def _full_array_terms(u, params, variant):
         "pohozaev_residual": dilation
         + params.alpha * d_value
         - params.beta * (3.0 * params.p - 6.0) / 2.0 * lp_p,
-        "el_residual_rel": float(np.sqrt(el_sq * h3 / l2_sq)),
+        "el_residual_rel": float(np.sqrt(el_sq / l2_sq)),
     }
 
 
 def _blocked_terms(u, params, variant):
     ev = evaluate(u, params, variant, None, True)
     ns = ev.breakdown.norms
-    dot = fields.dot(ev.gradient, u.parts)
+    dot = _spectral_dot(_spectral_weight(u.grid), ev.gradient_fft, ev.parts_fft)
     report = identity_report(u, params, variant=variant)
     return {
         "lp_p": ns.lp_p,
@@ -79,7 +87,7 @@ def _blocked_terms(u, params, variant):
         "h_minus_half_sq": ns.h_minus_half_sq,
         "d_value": ev.breakdown.d_value,
         "dot": dot,
-        "omega": dot * u.grid.cell_volume / ns.l2_sq,
+        "omega": _rayleigh_quotient(ev),
         "pohozaev_residual": report.pohozaev_residual,
         "el_residual_rel": report.el_residual_rel,
     }
@@ -115,7 +123,8 @@ def test_one_block_is_bit_identical(grid16, kind, variant):
     assert grid16.n**3 <= fields.REDUCTION_BLOCK
     u = _field(grid16, kind)
     assert _blocked_terms(u, PARAMS, variant) == _full_array_terms(u, PARAMS, variant)
-    # the gradient assembly is the full-array expression too
+    # the gradient assembly is the full-array expression too, on the half
+    # spectrum (what an evaluation carries) and on the grid (``gradient``)
     ev = evaluate(u, PARAMS, variant, None, True)
     kernel = coulomb_kernel(grid16)
     density = u.density()
@@ -123,9 +132,11 @@ def test_one_block_is_bit_identical(grid16, kind, variant):
     local *= 4.0 * PARAMS.alpha
     local -= density ** (0.5 * (PARAMS.p - 2.0)) * (PARAMS.beta * PARAMS.p)
     mult = grid16.kinetic_symbol(variant)
-    for g, c in zip(ev.gradient, u.parts):
-        expected = fft.irfftn(mult * fft.rfftn(c), s=grid16.shape) + local * c
-        assert np.array_equal(g, expected)
+    grid_form = sl.gradient(u, PARAMS, variant).parts
+    assert len(ev.gradient_fft) == len(grid_form) == len(u.parts)
+    for g_hat, g, c in zip(ev.gradient_fft, grid_form, u.parts):
+        assert np.array_equal(g_hat, fft.rfftn(local * c) + mult * fft.rfftn(c))
+        assert np.array_equal(g, fft.irfftn(mult * fft.rfftn(c), s=grid16.shape) + local * c)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])

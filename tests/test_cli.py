@@ -537,6 +537,40 @@ class TestVerifyCommand:
             )
             assert run(["verify", "--config", cfg, "--out", str(tmp_path / name)]) == code
 
+    def test_verify_reproduces_minimize_residuals(self, tmp_path):
+        # the C4 problem at 16^3: verify of a run's own field, with omega
+        # left to the report, is the certificate the run wrote, to the bit
+        params = {"alpha": 1.0, "beta": 1.0, "p": 2.5, "rho": 0.05}
+        cfg = write_config(
+            tmp_path,
+            "run.json",
+            {
+                "grid": {"n": 16, "box_length": 40.0},
+                "params": params,
+                "minimize": {"max_iters": 8000, "grad_tol": 5e-7, "init_width": 2.0},
+            },
+        )
+        run_dir = tmp_path / "gs"
+        assert run(["minimize", "--config", cfg, "--out", str(run_dir)]) == EXIT_OK
+        result = json.loads((run_dir / "result.json").read_text())
+        assert result["converged"]
+        # at 16^3 the dilation residual sits near 1.6e-4, above the default
+        # 1e-4 gate, so the gate is set to what this resolution reaches
+        verify_cfg = write_config(
+            tmp_path,
+            "verify.json",
+            {
+                "snapshot": str(run_dir / "field.spsf"),
+                "params": params,
+                "tolerances": {"pohozaev_rel": 1e-3},
+            },
+        )
+        out = tmp_path / "v"
+        assert run(["verify", "--config", verify_cfg, "--out", str(out)]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())["report"]
+        for key in ("virial_rel", "pohozaev_rel", "el_residual_rel"):
+            assert report[key] == result["residuals"][key], key
+
     def test_off_minimizer_fails(self, tmp_path):
         grid = sl.make_grid(16, 8.0)
         snap, _ = make_gaussian_snapshot(tmp_path, grid)

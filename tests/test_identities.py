@@ -187,6 +187,7 @@ class TestSharedEvaluation:
                 counts.clear()
                 sl.identity_report(field, params, omega=omega)
                 assert calls == [True]
-                # rfftn of each real component and of |u|^2, irfftn of each
-                # gradient component and of Phi: 2 + 2 real, 3 + 3 complex
-                assert counts == {"rfftn": n_parts + 1, "irfftn": n_parts + 1}
+                # rfftn of each real component, of |u|^2 and of each
+                # gradient component's local term, irfftn of Phi: 3 + 1
+                # real, 5 + 1 complex
+                assert counts == {"rfftn": 2 * n_parts + 1, "irfftn": 1}
