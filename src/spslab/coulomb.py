@@ -14,7 +14,7 @@ import numpy as np
 from scipy import fft as _fft
 
 from .errors import ConfigurationError
-from .fields import blocked_sum
+from .fields import REDUCTION_BLOCK, blocked_sum
 from .grid import Grid
 
 
@@ -80,13 +80,14 @@ def _double_integral_from_density_fft(
     density_fft: np.ndarray, kernel: CoulombKernel
 ) -> float:
     """sum_k symbol(k) |rho_hat(k)|^2 from the half spectrum ``rfftn(density)``,
-    with the Hermitian plane weights (see ``grid``)."""
-    return float(blocked_sum(_weighted_power, kernel.double_integral_weight, density_fft))
+    with the Hermitian plane weights (see ``grid``).  The squared imaginary
+    part of every block goes to one buffer of this call."""
+    imag_sq = np.empty(min(density_fft.size, REDUCTION_BLOCK))
 
+    def weighted_power(weight, z, out=None):
+        power = np.square(z.real, out=out)
+        power += np.square(z.imag, out=imag_sq[: z.size].reshape(z.shape))
+        power *= weight
+        return power
 
-def _weighted_power(weight: np.ndarray, z: np.ndarray, out=None) -> np.ndarray:
-    """weight |z|^2, elementwise."""
-    power = np.square(z.real, out=out)
-    power += z.imag**2
-    power *= weight
-    return power
+    return float(blocked_sum(weighted_power, kernel.double_integral_weight, density_fft))

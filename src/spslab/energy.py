@@ -149,7 +149,12 @@ def evaluate(
         powers = [density**exponent]
         lp_sum = blocked_sum(np.multiply, powers[0], density)
     else:
-        lp_sum = blocked_sum(lambda d, out=None: np.multiply(d**exponent, d, out=out), density)
+        def lp_terms(d, out=None):
+            power = np.power(d, exponent, out=out)
+            power *= d
+            return power
+
+        lp_sum = blocked_sum(lp_terms, density)
     lp_p = float(lp_sum * grid.cell_volume)
     if parts_fft is None:
         parts_fft = tuple(_fft.rfftn(c) for c in u.parts)

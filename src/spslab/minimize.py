@@ -1,17 +1,19 @@
 """Constrained minimization over the mass sphere by a kinetic-preconditioned
 projected gradient flow.
 
-One step: precondition the L2 gradient g with P = (K(k) + 1/2)^-1, K the
-variant's kinetic symbol, and take the direction d = P(g - beta u) with
-beta = <Pg, u>/<Pu, u>, so that d is tangent to the sphere (Sobolev-gradient
-preconditioning, Danaila & Kazemi, SIAM J. Sci. Comput. 2010).  Move
-against d, retract onto the sphere by mass projection, and accept the step
-under an Armijo decrease test with slope <g - beta u, d>.  P removes the
-stiffness of the kinetic operator, so steps near 1 are accepted at every
-resolution.  The accepted energy sequence is non-increasing by
-construction, every iterate carries mass rho exactly up to rounding, and
-the stopping test reads the L2 norm of the tangential gradient
-g - (Re<g, u>/rho) u.
+One step: precondition the L2 gradient g with P = (K(k) + c)^-1, K the
+variant's kinetic symbol: P = K^-1, the Riesz map of the energy space H^1/2,
+for the inhomogeneous K = sqrt(1 + |k|^2), and c = 1/2 for the homogeneous
+K = |k|, which vanishes at k = 0.  Take the direction d = P(g - beta u)
+with beta = <Pg, u>/<Pu, u>, so that d is tangent to the sphere
+(Sobolev-gradient preconditioning, Danaila & Kazemi, SIAM J. Sci. Comput.
+2010).  Move against d, retract onto the sphere by mass projection, and
+accept the step under an Armijo decrease test with slope <g - beta u, d>.
+P removes the stiffness of the kinetic operator, so steps near 1 are
+accepted at every resolution.  The accepted energy sequence is
+non-increasing by construction, every iterate carries mass rho exactly up
+to rounding, and the stopping test reads the L2 norm of the tangential
+gradient g - (Re<g, u>/rho) u.
 
 The iterate is held as its real components u together with their half
 spectra f = rfftn(u), and the gradient as its half spectra
@@ -59,9 +61,10 @@ from .params import Params, check_variant
 
 # line search gives up once the step underflows this value
 MIN_STEP = 1.0e-18
-# shift c of the flow's preconditioner (K(k) + c)^-1; it bounds the
-# preconditioner at the zero mode of the homogeneous symbol |k|
-PRECONDITIONER_SHIFT = 0.5
+# shift c of the flow's preconditioner (K(k) + c)^-1 per variant: the
+# inhomogeneous symbol sqrt(1 + |k|^2) is at least 1, so P is the H^1/2
+# Riesz map K^-1; the homogeneous |k| needs c > 0 to bound P at k = 0
+PRECONDITIONER_SHIFT = {"inhomogeneous": 0.0, "homogeneous": 0.5}
 
 
 @dataclass(frozen=True)
@@ -255,13 +258,14 @@ def _best_global_phase(u: Field) -> tuple[Field, float]:
 
 
 def _flow_weights(grid: Grid, variant: str) -> tuple[np.ndarray, np.ndarray]:
-    """The flow's preconditioner P = (K(k) + PRECONDITIONER_SHIFT)^-1 on the
-    half spectrum, and P times the Hermitian weights on the float view of a
-    half spectrum, so that <a, P b> is one ``_spectral_dot``; cached per
-    grid."""
+    """The flow's preconditioner P = (K(k) + c)^-1 on the half spectrum, with
+    the variant's ``PRECONDITIONER_SHIFT`` c: the Riesz map K^-1 of H^1/2 for
+    the inhomogeneous variant and (|k| + 1/2)^-1 for the homogeneous one.
+    Returned with P times the Hermitian weights on the float view of a half
+    spectrum, so that <a, P b> is one ``_spectral_dot``; cached per grid."""
 
     def build():
-        precond = 1.0 / (grid.kinetic_symbol(variant) + PRECONDITIONER_SHIFT)
+        precond = 1.0 / (grid.kinetic_symbol(variant) + PRECONDITIONER_SHIFT[variant])
         return precond, np.repeat(precond, 2, axis=-1) * _spectral_weight(grid)
 
     return grid.cached(("flow_preconditioner", variant), build)

@@ -2,6 +2,10 @@
 
 import csv
 import io
+import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ import scipy.fft as fft
 
 import spslab as sl
 from spslab import fields
-from spslab.coulomb import coulomb_kernel
+from spslab.coulomb import _double_integral_from_density_fft, coulomb_kernel
 from spslab.energy import _rayleigh_quotient, _spectral_dot, _spectral_weight, evaluate
 from spslab.identities import identity_report
 from oracles import smooth_random_field
@@ -182,3 +186,78 @@ def test_inner_on_parts_matches_complex_sum(n):
             product = sl.inner(a, b)
             assert abs(product - expected) <= 1e-13 * abs(expected)
             assert product == sl.inner(b, a).conjugate()
+
+
+def _reference_blocked_sum(product, *operands):
+    """The blocked sum with fresh arrays for every block's terms."""
+    views = [op if op.ndim == 2 else op.reshape(-1) for op in operands]
+    block = fields.REDUCTION_BLOCK
+    sums = [
+        np.add.reduce(product(*(v[..., s : s + block] for v in views)), axis=-1)
+        for s in range(0, views[-1].shape[-1], block)
+    ]
+    return np.add.reduce(np.stack(sums, axis=-1), axis=-1)
+
+
+def _interleaved_sums(order):
+    """In ``order``, the 3-row Plancherel stack, a 1-row ``dot``, the
+    no-gradient Lp sum and D of one real 64^3 field (8 and 5 blocks): for
+    each, its blocked sums and the per-block formulas they replace, as
+    float hex."""
+    grid = sl.make_grid(64, 24.0)
+    u = sl.Field(grid, smooth_random_field(grid, 3).values.real)
+    c = u.parts[0]
+    c_hat = fft.rfftn(c)
+    spectrum_sq = (c_hat.real**2 + c_hat.imag**2).ravel()
+    density = u.density()
+    density_fft = fft.rfftn(density)
+    kernel = coulomb_kernel(grid)
+    exponent = 0.5 * (PARAMS.p - 2.0)
+    weights = grid.plancherel_weights
+    sums = {
+        "plancherel": (
+            lambda: fields.blocked_sum(np.multiply, weights, spectrum_sq),
+            lambda: _reference_blocked_sum(np.multiply, weights, spectrum_sq),
+        ),
+        "dot": (
+            lambda: fields.dot((c,), (c,)),
+            lambda: _reference_blocked_sum(np.multiply, c, c),
+        ),
+        "lp": (
+            lambda: sl.norms(u, PARAMS.p).lp_p,
+            lambda: _reference_blocked_sum(lambda d: d**exponent * d, density)
+            * grid.cell_volume,
+        ),
+        "d": (
+            lambda: _double_integral_from_density_fft(density_fft, kernel),
+            lambda: _reference_blocked_sum(
+                lambda w, z: w * (z.real**2 + z.imag**2),
+                kernel.double_integral_weight,
+                density_fft,
+            ),
+        ),
+    }
+    return [
+        (name, *([float(x).hex() for x in np.atleast_1d(f())] for f in sums[name]))
+        for name in order
+    ]
+
+
+def test_interleaved_blocked_sums_are_bit_identical():
+    # multi-block sums of 3 rows and of 1 row, one after another
+    order = ("plancherel", "dot", "lp", "d", "dot", "plancherel", "d", "lp")
+    interleaved = {}
+    for name, blocked, reference in _interleaved_sums(order):
+        assert blocked == reference, name
+        assert interleaved.setdefault(name, blocked) == blocked, name
+    # each as the first blocked sum of a fresh process
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    for name, blocked in interleaved.items():
+        code = (
+            "import json, test_blocked_reductions as t; "
+            f"print(json.dumps(t._interleaved_sums([{name!r}])[0][1]))"
+        )
+        fresh = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert json.loads(fresh.stdout) == blocked, name

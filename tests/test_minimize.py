@@ -9,7 +9,7 @@ import pytest
 
 import spslab as sl
 from spslab.cli import DEFAULT_VERIFY_TOLERANCES
-from spslab.minimize import _best_global_phase
+from spslab.minimize import _best_global_phase, _flow_weights
 from conftest import relerr
 from oracles import smooth_random_field
 
@@ -226,6 +226,20 @@ class TestPreconditionedFlow:
         res = self._solve("homogeneous", 8.0 / 3.0)
         assert res.converged and res.iterations <= 100
         assert relerr(res.energy.total, self.HOM_ENERGY_16) <= 1e-10
+
+    def test_riesz_map_iterations(self):
+        # P = K^-1 takes 223 iterations; (K + 1/2)^-1 took 324
+        res = self._solve("inhomogeneous", 2.5)
+        assert res.converged and res.iterations <= 250
+        assert relerr(res.energy.total, self.C4_ENERGY_16) <= 1e-10
+        assert abs(res.residuals.pohozaev_rel - self.C4_POHOZAEV_16) <= 1e-6
+
+    def test_preconditioner_per_variant(self):
+        grid = sl.make_grid(16, 40.0)
+        riesz = _flow_weights(grid, "inhomogeneous")[0]
+        assert np.array_equal(riesz, 1.0 / grid.kinetic_symbol("inhomogeneous"))
+        shifted = _flow_weights(grid, "homogeneous")[0]
+        assert np.array_equal(shifted, 1.0 / (np.sqrt(grid.wave_sq(half=True)) + 0.5))
 
 
 class _LoggedFft:
