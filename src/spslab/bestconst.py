@@ -21,9 +21,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import fft as _fft
 
-from .coulomb import CoulombKernel, coulomb_kernel
 from .energy import Evaluation, _gradient, evaluate
-# perfbench/tracing.py wraps this by attribute on this module
+# perfbench/tracing.py wraps these two by attribute on this module
+from .coulomb import coulomb_kernel  # noqa: F401
 from .energy import hartree_double_integral  # noqa: F401
 from .errors import (
     ConfigurationError,
@@ -105,7 +105,7 @@ class BestConstantEstimate:
         return doc
 
 
-def _log_quotient_gradient(ev: Evaluation, kernel: CoulombKernel) -> tuple[np.ndarray, ...]:
+def _log_quotient_gradient(ev: Evaluation) -> tuple[np.ndarray, ...]:
     """L2 gradient of log Q at ``ev.u`` from its quotient evaluation, one real
     array per component.  log Q = 3/8 log ||phi||_{8/3}^{8/3} - 1/4 log hdot
     - 1/8 log D, so it is -grad E / (2 hdot) for the homogeneous energy at
@@ -113,7 +113,7 @@ def _log_quotient_gradient(ev: Evaluation, kernel: CoulombKernel) -> tuple[np.nd
     ns = ev.breakdown.norms
     hdot = ns.hdot_half_sq
     params = Params(hdot / (4.0 * ev.breakdown.d_value), 0.75 * hdot / ns.lp_p, P_CRITICAL, 1.0)
-    gradient = _gradient(ev, params, "homogeneous", kernel)
+    gradient = _gradient(ev, params, "homogeneous")
     for g in gradient:
         g *= -0.5 / hdot
     return gradient
@@ -186,9 +186,8 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
         phi = Field(grid, phi.values * (1.0 + 0.3 * noise.values / scale))
     phi, _ = _onto_sphere(grid, phi.parts, 1.0)
 
-    kernel = coulomb_kernel(grid)
     try:
-        ev = evaluate(phi, _QUOTIENT_PARAMS, "homogeneous", kernel)
+        ev = evaluate(phi, _QUOTIENT_PARAMS, "homogeneous")
         q = _quotient(ev)
     except DegenerateFieldError as exc:
         raise NumericalFailureError(f"ascent init degenerate: {exc}", []) from exc
@@ -203,7 +202,7 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
         # mass makes lp_p > 0
         if direction is None:
             direction = _gauge_fixed_direction(
-                phi, _log_quotient_gradient(ev, kernel), ev.parts_fft
+                phi, _log_quotient_gradient(ev), ev.parts_fft
             )
         projected = _onto_sphere(
             grid, tuple(c + step * d for c, d in zip(phi.parts, direction)), 1.0
@@ -213,7 +212,7 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
             continue
         trial, _ = projected
         try:
-            trial_ev = evaluate(trial, _QUOTIENT_PARAMS, "homogeneous", kernel)
+            trial_ev = evaluate(trial, _QUOTIENT_PARAMS, "homogeneous")
             trial_q = _quotient(trial_ev)
         except DegenerateFieldError:
             step *= 0.5

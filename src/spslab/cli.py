@@ -175,13 +175,11 @@ def _result_files(out: Path, result: GroundStateResult, params: Params,
 
 def cmd_energy(config: dict, out: Path, workers: int, seed: int | None) -> int:
     field = _load_snapshot_field(config)
-    # rho does not enter the energy; an absent one is the mass read off it
-    params = _params_from_config(config, rho_fallback=1.0)
+    # rho does not enter the energy; an absent one is the field's mass
+    params = _params_from_config(config, rho_fallback=field.mass() or 1.0)
     variant = _variant(config)
     manifest = _Manifest(out, "energy", config, field.grid)
     breakdown = energy_of(field, params, variant=variant)
-    if config["params"].get("rho") is None:
-        params = replace(params, rho=breakdown.norms.l2_sq or 1.0)
     document = {
         "params": params.to_dict(),
         "variant": variant,

@@ -3,7 +3,8 @@
 The kernel 1/|x| truncated at radius T has the closed-form spectral symbol
 4 pi (1 - cos(T |k|)) / |k|^2 with limit value 2 pi T^2 at k = 0.  As long
 as the density support has diameter at most T the periodic convolution with
-this symbol reproduces the free-space convolution; the default T = L/2.
+this symbol reproduces the free-space convolution.  T = L/2 is fixed: each
+grid holds one kernel, built on first use.
 """
 
 from __future__ import annotations
@@ -13,16 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft as _fft
 
-from .errors import ConfigurationError
 from .fields import REDUCTION_BLOCK, blocked_sum
 from .grid import Grid
 
 
 def _symbol(k_sq: np.ndarray, truncation_radius: float) -> np.ndarray:
-    if truncation_radius <= 0:
-        raise ConfigurationError(
-            f"truncation radius must be positive, got {truncation_radius}"
-        )
     with np.errstate(divide="ignore", invalid="ignore"):
         symbol = 4.0 * np.pi * (1.0 - np.cos(truncation_radius * np.sqrt(k_sq))) / k_sq
     symbol[0, 0, 0] = 2.0 * np.pi * truncation_radius**2
@@ -45,24 +41,22 @@ class CoulombKernel:
 
     @property
     def symbol(self) -> np.ndarray:
-        T = self.truncation_radius
         return self.grid.cached(
-            ("coulomb_symbol", T), lambda: _symbol(self.grid.wave_sq(), T)
+            "coulomb_symbol", lambda: _symbol(self.grid.wave_sq(), self.truncation_radius)
         )
 
 
-def coulomb_kernel(grid: Grid, truncation_radius: float | None = None) -> CoulombKernel:
-    """Kernel for ``grid``; symbols are cached per (grid, T)."""
-    if truncation_radius is None:
-        truncation_radius = grid.box_length / 2.0
-    T = float(truncation_radius)
+def coulomb_kernel(grid: Grid) -> CoulombKernel:
+    """The kernel of ``grid``, T = L/2, built once per grid and kept in its
+    cache (a grid and its kernel refer to each other, so a dropped grid is
+    freed by the cycle collector)."""
 
     def build():
+        T = grid.box_length / 2.0
         half = _symbol(grid.wave_sq(half=True), T)
-        return half, half * grid.hermitian_weight
+        return CoulombKernel(grid, T, half, half * grid.hermitian_weight)
 
-    half, weight = grid.cached(("coulomb_half_symbol", T), build)
-    return CoulombKernel(grid, T, half, weight)
+    return grid.cached("coulomb_kernel", build)
 
 
 def _potential_values(

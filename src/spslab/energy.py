@@ -28,12 +28,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import fft as _fft
 
-from .coulomb import CoulombKernel, _double_integral_from_density_fft, _potential_values
-from .coulomb import coulomb_kernel
+from .coulomb import _double_integral_from_density_fft, _potential_values, coulomb_kernel
 from .fields import Field, blocked_sum, dot
-from .params import P_CRITICAL, Params, check_variant
-
-_DENSITY_PARAMS = Params(0.0, 0.0, P_CRITICAL, 1.0)  # D and Phi: no coupling enters
+from .params import Params, check_variant
 
 
 @dataclass(frozen=True)
@@ -125,7 +122,7 @@ def evaluate(
     u: Field,
     params: Params,
     variant: str = "inhomogeneous",
-    kernel: CoulombKernel | None = None,
+    *,
     with_gradient: bool = False,
     parts_fft: tuple[np.ndarray, ...] | None = None,
 ) -> Evaluation:
@@ -139,8 +136,7 @@ def evaluate(
     """
     check_variant(variant)
     grid = u.grid
-    if kernel is None:
-        kernel = coulomb_kernel(grid)
+    kernel = coulomb_kernel(grid)
     density = u.density()
     # |u|^{p-2} pairs with the density in the Lp term; kept only for the
     # gradient, which is handed the one reference so that it can free it
@@ -177,11 +173,11 @@ def evaluate(
     )
     ev = Evaluation(breakdown, u, parts_fft, spectrum_sq, density_fft)
     if with_gradient:
-        ev.gradient_fft = _gradient(ev, params, variant, kernel, powers.pop(), spectral=True)
+        ev.gradient_fft = _gradient(ev, params, variant, powers.pop(), spectral=True)
     return ev
 
 
-def _gradient(ev: Evaluation, params: Params, variant: str, kernel: CoulombKernel,
+def _gradient(ev: Evaluation, params: Params, variant: str,
               power: np.ndarray | None = None,
               spectral: bool = False) -> tuple[np.ndarray, ...]:
     """L2 energy gradient at ``ev.u`` from its transforms, one real array per
@@ -193,7 +189,7 @@ def _gradient(ev: Evaluation, params: Params, variant: str, kernel: CoulombKerne
         power = u.density() ** (0.5 * (params.p - 2.0))
     # grad_j = K c_j + (4 alpha Phi - beta p |u|^{p-2}) c_j per component
     mult = u.grid.kinetic_symbol(variant)
-    local = _potential_values(ev.density_fft, kernel)
+    local = _potential_values(ev.density_fft, coulomb_kernel(u.grid))
     local *= 4.0 * params.alpha
     if params.beta != 0.0:
         power *= params.beta * params.p
@@ -273,32 +269,20 @@ def norms(u: Field, p: float) -> NormSet:
     return evaluate(u, Params(0.0, 0.0, p, 1.0)).breakdown.norms
 
 
-def energy(
-    u: Field,
-    params: Params,
-    variant: str = "inhomogeneous",
-    kernel: CoulombKernel | None = None,
-) -> EnergyBreakdown:
+def energy(u: Field, params: Params, variant: str = "inhomogeneous") -> EnergyBreakdown:
     """Energy breakdown of ``u``; only the kinetic term depends on the variant."""
     u.require_finite("energy input")
-    return evaluate(u, params, variant, kernel=kernel).breakdown
+    return evaluate(u, params, variant).breakdown
 
 
-def gradient(
-    u: Field,
-    params: Params,
-    variant: str = "inhomogeneous",
-    kernel: CoulombKernel | None = None,
-) -> Field:
+def gradient(u: Field, params: Params, variant: str = "inhomogeneous") -> Field:
     """Unconstrained L2 gradient of the energy at ``u``."""
     u.require_finite("gradient input")
-    if kernel is None:
-        kernel = coulomb_kernel(u.grid)
-    ev = evaluate(u, params, variant, kernel)
-    return Field.of_parts(u.grid, _gradient(ev, params, variant, kernel))
+    ev = evaluate(u, params, variant)
+    return Field.of_parts(u.grid, _gradient(ev, params, variant))
 
 
-def hartree_potential(u: Field, kernel: CoulombKernel | None = None) -> Field:
+def hartree_potential(u: Field) -> Field:
     """Coulomb potential Phi = (1/|x|) * |u|^2 of the density of ``u``.
 
     Aliasing from pointwise squaring and kernel-truncation error are the
@@ -306,13 +290,11 @@ def hartree_potential(u: Field, kernel: CoulombKernel | None = None) -> Field:
     field's effective radius).
     """
     u.require_finite("hartree_potential input")
-    if kernel is None:
-        kernel = coulomb_kernel(u.grid)
-    density_fft = evaluate(u, _DENSITY_PARAMS, kernel=kernel).density_fft
-    return Field.of_parts(u.grid, (_potential_values(density_fft, kernel),))
+    density_fft = _fft.rfftn(u.density())
+    return Field.of_parts(u.grid, (_potential_values(density_fft, coulomb_kernel(u.grid)),))
 
 
-def hartree_double_integral(u: Field, kernel: CoulombKernel | None = None) -> float:
+def hartree_double_integral(u: Field) -> float:
     """The quartic Coulomb self-interaction D(u) = int Phi |u|^2 dx.
 
     Evaluated spectrally as sum_k symbol(k) |rho_hat(k)|^2; equal to the
@@ -320,7 +302,8 @@ def hartree_double_integral(u: Field, kernel: CoulombKernel | None = None) -> fl
     nonnegative because the symbol is.
     """
     u.require_finite("hartree_double_integral input")
-    return evaluate(u, _DENSITY_PARAMS, kernel=kernel).breakdown.d_value
+    density_fft = _fft.rfftn(u.density())
+    return _double_integral_from_density_fft(density_fft, coulomb_kernel(u.grid))
 
 
 def inner(a: Field, b: Field) -> complex:

@@ -24,6 +24,10 @@ from .errors import (
 from .grid import Grid, make_grid
 
 SNAPSHOT_MAGIC = b"SPSF1"
+# ``boundary_mass_fraction`` reads the outer shell of this fraction of n
+SHELL_FRACTION = 0.1
+# ``random_field`` keeps wavenumbers up to this fraction of the largest
+RANDOM_K_CUT = 0.25
 
 
 def _complex(parts: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -162,18 +166,15 @@ def zero_field(grid: Grid) -> Field:
     return Field.of_parts(grid, (np.zeros(grid.shape),))
 
 
-def boundary_mass_fraction(field: Field, shell_fraction: float = 0.1) -> float:
-    """Fraction of |u|^2 in the outer shell of the box.
+def boundary_mass_fraction(field: Field) -> float:
+    """Fraction of |u|^2 in the outer shell of the box (``SHELL_FRACTION``
+    of n cells deep).
 
     Diagnostic for domain truncation: values near zero mean the periodic
     box holds the state; order-one values mean the field feels the box.
     """
-    if not 0.0 < shell_fraction < 0.5:
-        raise ConfigurationError(
-            f"shell_fraction must lie in (0, 0.5), got {shell_fraction}"
-        )
     n = field.grid.n
-    shell = max(1, int(round(shell_fraction * n)))
+    shell = max(1, int(round(SHELL_FRACTION * n)))
     density = field.density()
     total = float(np.sum(density))
     if total == 0.0:
@@ -223,14 +224,14 @@ def gaussian_field(grid: Grid, width: float, amplitude: float = 1.0) -> Field:
     return GaussianProfile(width=width, amplitude=amplitude).sample(grid)
 
 
-def random_field(grid: Grid, seed: int, k_cut_fraction: float = 0.25) -> Field:
-    """Smooth random complex field: white noise low-pass filtered at a
-    fraction of the maximal wavenumber, then windowed by a broad Gaussian
-    envelope so the density decays inside the box."""
+def random_field(grid: Grid, seed: int) -> Field:
+    """Smooth random complex field: white noise low-pass filtered at
+    ``RANDOM_K_CUT`` of the maximal wavenumber, then windowed by a broad
+    Gaussian envelope so the density decays inside the box."""
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     k_abs = np.sqrt(grid.wave_sq())
-    mask = k_abs <= k_cut_fraction * np.max(k_abs)
+    mask = k_abs <= RANDOM_K_CUT * np.max(k_abs)
     smooth = np.fft.ifftn(np.fft.fftn(noise) * mask)
     envelope = np.exp(-grid.radius_sq() / (2.0 * (grid.box_length / 6.0) ** 2))
     return Field(grid, smooth * envelope)

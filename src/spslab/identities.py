@@ -29,7 +29,6 @@ import numpy as np
 # perfbench/tracing.py replaces this alias by attribute on this module
 from scipy import fft as _fft  # noqa: F401
 
-from .coulomb import CoulombKernel
 from .energy import Evaluation, _rayleigh_quotient, _tangential_sq, evaluate
 # perfbench/tracing.py wraps these two by attribute on this module
 from .coulomb import coulomb_kernel  # noqa: F401
@@ -88,14 +87,13 @@ def identity_report(
     params: Params,
     omega: float | None = None,
     variant: str = "inhomogeneous",
-    kernel: CoulombKernel | None = None,
 ) -> IdentityReport:
     """Full report from one gradient evaluation of ``v``; extracts omega by
     Rayleigh quotient when not supplied."""
     v.require_finite("identity_report input")
     if v.is_zero():
         return IdentityReport(0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
-    return _report(evaluate(v, params, variant, kernel, True), params, omega, variant)
+    return _report(evaluate(v, params, variant, with_gradient=True), params, omega, variant)
 
 
 def _report(

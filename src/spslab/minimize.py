@@ -35,7 +35,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import fft as _fft
 
-from .coulomb import coulomb_kernel
 from .energy import EnergyBreakdown, _rayleigh_quotient, _spectral_dot, _spectral_weight
 from .energy import _tangential_sq, evaluate
 from .errors import (
@@ -55,7 +54,8 @@ from .fields import (
 )
 from .grid import Grid
 from .identities import IdentityReport, _report
-# perfbench/tracing.py wraps this by attribute on this module
+# perfbench/tracing.py wraps these two by attribute on this module
+from .coulomb import coulomb_kernel  # noqa: F401
 from .identities import identity_report  # noqa: F401
 from .params import Params, check_variant
 
@@ -294,7 +294,6 @@ def minimize(
     if config is None:
         config = MinimizeConfig()
     variant = config.variant
-    kernel = coulomb_kernel(grid)
     rho = params.rho
     sqrt_rho = np.sqrt(rho)
     if initial is not None:
@@ -305,7 +304,7 @@ def minimize(
         u = _initial_field(grid, params, config)
 
     precond, precond_weight = _flow_weights(grid, variant)
-    ev = evaluate(u, params, variant, kernel, True)
+    ev = evaluate(u, params, variant, with_gradient=True)
     trace: list[TracePoint] = []
     tau = config.initial_step
     converged = False
@@ -352,7 +351,7 @@ def minimize(
                 for trial_f, f in zip(trial_fft, parts_fft):
                     trial_f += f
                     trial_f *= scale
-                trial_ev = evaluate(trial, params, variant, kernel, True,
+                trial_ev = evaluate(trial, params, variant, with_gradient=True,
                                     parts_fft=trial_fft)
                 trial_energy = trial_ev.breakdown.total
                 if trial_energy == -np.inf:
@@ -392,7 +391,7 @@ def minimize(
             )
         if config.recenter_every and (iteration + 1) % config.recenter_every == 0:
             u = recenter(u)
-            ev = evaluate(u, params, variant, kernel, True)
+            ev = evaluate(u, params, variant, with_gradient=True)
     else:
         iterations = config.max_iters
 
@@ -406,7 +405,7 @@ def minimize(
     del u, ev
 
     # omega and the residuals are the ones ``identity_report`` reads off v
-    final_ev = evaluate(v, params, variant, kernel, True)
+    final_ev = evaluate(v, params, variant, with_gradient=True)
     omega = _rayleigh_quotient(final_ev)
     residuals = _report(final_ev, params, omega, variant)
     return GroundStateResult(

@@ -59,7 +59,7 @@ def _trilinear(values: np.ndarray, index: np.ndarray) -> np.ndarray:
     return out
 
 
-def scale_mass_preserving(u: Field, theta: float, warn: bool = True) -> Field:
+def scale_mass_preserving(u: Field, theta: float) -> Field:
     """Return theta^{3/2} u(theta x) resampled onto the same grid.
 
     Interpolation is trilinear on the grid nodes.  A sample point theta * x_j
@@ -82,15 +82,14 @@ def scale_mass_preserving(u: Field, theta: float, warn: bool = True) -> Field:
     for part in parts:
         part *= theta**1.5
     result = Field.of_parts(grid, parts)
-    if warn:
-        mass_in = u.mass()
-        if mass_in > 0:
-            drift = abs(result.mass() - mass_in) / mass_in
-            if drift > MASS_DRIFT_WARN:
-                warnings.warn(
-                    f"mass drift {drift:.3e} after rescale by theta={theta}: "
-                    "the rescaled field no longer fits the grid/box",
-                    ResolutionWarning,
-                    stacklevel=2,
-                )
+    mass_in = u.mass()
+    if mass_in > 0:
+        drift = abs(result.mass() - mass_in) / mass_in
+        if drift > MASS_DRIFT_WARN:
+            warnings.warn(
+                f"mass drift {drift:.3e} after rescale by theta={theta}: "
+                "the rescaled field no longer fits the grid/box",
+                ResolutionWarning,
+                stacklevel=2,
+            )
     return result

@@ -61,9 +61,8 @@ class TestLogQuotientGradient:
     @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
     def test_central_difference(self, grid32, complex_valued):
         phi = _modulated_gaussian(grid32, complex_valued)
-        kernel = sl.coulomb_kernel(grid32)
-        ev = evaluate(phi, _QUOTIENT_PARAMS, "homogeneous", kernel)
-        grad = _log_quotient_gradient(ev, kernel)
+        ev = evaluate(phi, _QUOTIENT_PARAMS, "homogeneous")
+        grad = _log_quotient_gradient(ev)
         assert len(grad) == len(phi.parts)
         v = sl.random_field(grid32, 11).parts[: len(phi.parts)]
         v = tuple(c / np.max(np.abs(c)) for c in v)
@@ -81,10 +80,7 @@ class TestLogQuotientGradient:
         # Q is invariant under amplitude scaling, so the gradient has no
         # component along phi
         phi = _modulated_gaussian(grid32, complex_valued)
-        kernel = sl.coulomb_kernel(grid32)
-        grad = _log_quotient_gradient(
-            evaluate(phi, _QUOTIENT_PARAMS, "homogeneous", kernel), kernel
-        )
+        grad = _log_quotient_gradient(evaluate(phi, _QUOTIENT_PARAMS, "homogeneous"))
         scale = np.sqrt(dot(grad, grad) * dot(phi.parts, phi.parts))
         assert abs(dot(grad, phi.parts)) < 1e-12 * scale
 

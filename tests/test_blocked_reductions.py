@@ -52,7 +52,7 @@ def _full_array_terms(u, params, variant):
     )
     # the gradient and the field pair up on their half spectra, each
     # complex entry as two floats with its Hermitian plane weight
-    ev = evaluate(u, params, variant, kernel, True)
+    ev = evaluate(u, params, variant, with_gradient=True)
     weight = np.repeat(
         np.broadcast_to(grid.hermitian_weight, rho_hat.shape), 2, axis=-1
     )
@@ -80,7 +80,7 @@ def _full_array_terms(u, params, variant):
 
 
 def _blocked_terms(u, params, variant):
-    ev = evaluate(u, params, variant, None, True)
+    ev = evaluate(u, params, variant, with_gradient=True)
     ns = ev.breakdown.norms
     dot = _spectral_dot(_spectral_weight(u.grid), ev.gradient_fft, ev.parts_fft)
     report = identity_report(u, params, variant=variant)
@@ -129,7 +129,7 @@ def test_one_block_is_bit_identical(grid16, kind, variant):
     assert _blocked_terms(u, PARAMS, variant) == _full_array_terms(u, PARAMS, variant)
     # the gradient assembly is the full-array expression too, on the half
     # spectrum (what an evaluation carries) and on the grid (``gradient``)
-    ev = evaluate(u, PARAMS, variant, None, True)
+    ev = evaluate(u, PARAMS, variant, with_gradient=True)
     kernel = coulomb_kernel(grid16)
     density = u.density()
     local = fft.irfftn(kernel.half_symbol * fft.rfftn(density), s=grid16.shape)

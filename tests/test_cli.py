@@ -65,6 +65,21 @@ class TestEnergyCommand:
         expected = sl.energy(field, params)
         assert doc["energy"]["total"] == pytest.approx(expected.total, rel=1e-14)
 
+    @pytest.mark.parametrize("amplitude", [0.7, 0.0], ids=["gaussian", "zero"])
+    def test_absent_rho_is_the_snapshot_mass(self, tmp_path, amplitude):
+        grid = sl.make_grid(16, 8.0)
+        snap, _ = make_gaussian_snapshot(tmp_path, grid, amplitude=amplitude)
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {"snapshot": snap, "params": {"alpha": 1, "beta": 1, "p": 2.5}},
+        )
+        assert run(["energy", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        doc = json.loads((tmp_path / "out" / "energy.json").read_text())
+        mass = sl.load_snapshot(snap).mass()
+        assert (mass > 0) == (amplitude > 0)
+        assert doc["params"]["rho"] == (mass if amplitude else 1.0)
+
     def test_truncated_snapshot_is_config_error(self, tmp_path):
         grid = sl.make_grid(16, 8.0)
         snap, _ = make_gaussian_snapshot(tmp_path, grid)

@@ -254,7 +254,3 @@ class TestBoundaryMassFraction:
 
     def test_zero_field(self, grid16):
         assert sl.boundary_mass_fraction(sl.zero_field(grid16)) == 0.0
-
-    def test_bad_shell_fraction(self, grid16):
-        with pytest.raises(sl.ConfigurationError):
-            sl.boundary_mass_fraction(sl.gaussian_field(grid16, 1.0), 0.7)

@@ -176,7 +176,7 @@ class TestSharedEvaluation:
         calls = []
 
         def counted_evaluate(*args, **kwargs):
-            calls.append(args[4] if len(args) > 4 else kwargs.get("with_gradient", False))
+            calls.append(kwargs.get("with_gradient", False))
             return evaluate(*args, **kwargs)
 
         monkeypatch.setattr(identities, "evaluate", counted_evaluate)

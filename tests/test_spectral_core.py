@@ -1,10 +1,15 @@
 """Norms, operators, Coulomb machinery against frozen values and oracles."""
 
+import importlib
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.fft as fft
 
 import spslab as sl
+from spslab import coulomb
+from spslab.energy import evaluate
 from conftest import (
     GAUSS_D,
     GAUSS_HDOT_SQ,
@@ -174,12 +179,40 @@ class TestCoulomb:
         for seed in range(2):
             u = smooth_random_field(grid16, seed + 100)
             density = np.abs(u.values) ** 2
-            phi_fft = sl.hartree_potential(u, kern).values.real
+            phi_fft = sl.hartree_potential(u).values.real
             phi_direct = direct_sum_potential(grid16, density, kappa)
             scale = np.max(np.abs(phi_direct))
             assert np.max(np.abs(phi_fft - phi_direct)) / scale < 1e-6
             d_direct = direct_sum_double_integral(grid16, density, kappa)
-            assert relerr(sl.hartree_double_integral(u, kern), d_direct) < 1e-6
+            assert relerr(sl.hartree_double_integral(u), d_direct) < 1e-6
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_density_reads_take_one_transform(self, grid32, kind, monkeypatch):
+        # D and Phi need only rfftn(|u|^2), and equal what an evaluation reads
+        u = smooth_random_field(grid32, 41)
+        if kind == "real":
+            u = sl.Field(grid32, u.values.real)
+        ev = evaluate(u, sl.Params(1.0, 1.0, 2.5, 1.0))
+        phi_ev = coulomb._potential_values(ev.density_fft, sl.coulomb_kernel(grid32))
+        counts = Counter()
+
+        class CountingFft:
+            def __getattr__(self, name):
+                def counted(*args, **kwargs):
+                    counts[name] += 1
+                    return getattr(fft, name)(*args, **kwargs)
+
+                return counted
+
+        for name in ("energy", "coulomb"):
+            monkeypatch.setattr(importlib.import_module(f"spslab.{name}"), "_fft", CountingFft())
+        d_value = sl.hartree_double_integral(u)
+        assert counts == {"rfftn": 1}
+        counts.clear()
+        phi = sl.hartree_potential(u)
+        assert counts == {"rfftn": 1, "irfftn": 1}
+        assert d_value == ev.breakdown.d_value
+        assert len(phi.parts) == 1 and np.array_equal(phi.parts[0], phi_ev)
 
 
 class TestRealTransforms:
@@ -241,9 +274,9 @@ class TestRealTransforms:
 
             phi_c2c = fft.ifftn(kern.symbol * density_fft).real
             d_c2c = float(np.sum(kern.symbol * np.abs(density_fft) ** 2) * fw)
-            phi = sl.hartree_potential(u, kern).values
+            phi = sl.hartree_potential(u).values
             assert np.max(np.abs(phi - phi_c2c)) <= 1e-13 * np.max(np.abs(phi_c2c))
-            assert relerr(sl.hartree_double_integral(u, kern), d_c2c) <= 1e-13
+            assert relerr(sl.hartree_double_integral(u), d_c2c) <= 1e-13
             assert relerr(sl.energy(u, params).d_value, d_c2c) <= 1e-13
             for variant, m in (("inhomogeneous", mult), ("homogeneous", k_abs)):
                 grad_c2c = (
