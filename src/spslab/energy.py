@@ -30,7 +30,7 @@ from scipy import fft as _fft
 
 from .coulomb import _double_integral_from_density_fft, _potential_values, coulomb_kernel
 from .fields import Field, blocked_sum, dot
-from .params import Params, check_variant
+from .params import P_CRITICAL, Params, check_variant
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,8 @@ class Evaluation:
     ``u`` is the field, ``parts_fft`` the half spectra ``rfftn`` of its
     real components, ``spectrum_sq`` the summed half power spectrum and
     ``density_fft`` the half spectrum ``rfftn(|u|^2)``.  ``gradient_fft``
-    holds the half spectra of the gradient's components.
+    holds the half spectra of the gradient's components, or with
+    ``with_gradient="grid"`` the components.
     """
 
     breakdown: EnergyBreakdown
@@ -123,14 +124,15 @@ def evaluate(
     params: Params,
     variant: str = "inhomogeneous",
     *,
-    with_gradient: bool = False,
+    with_gradient: bool | str = False,
     parts_fft: tuple[np.ndarray, ...] | None = None,
 ) -> Evaluation:
     """Shared evaluation path: one ``rfftn`` per real component of u and one
     of |u|^2 serve the norms, the energy, and (optionally) the gradient.
 
     ``with_gradient`` adds the gradient's half spectra (``gradient_fft``:
-    one ``irfftn`` for Phi and one ``rfftn`` per component).  ``parts_fft``,
+    one ``irfftn`` for Phi and one ``rfftn`` per component), or with
+    ``"grid"`` its grid components (one ``irfftn`` each).  ``parts_fft``,
     the half spectra of u's components when the caller already holds them,
     replaces their transforms.
     """
@@ -140,13 +142,12 @@ def evaluate(
     density = u.density()
     # |u|^{p-2} pairs with the density in the Lp term; kept only for the
     # gradient, which is handed the one reference so that it can free it
-    exponent = 0.5 * (params.p - 2.0)
     if with_gradient:
-        powers = [density**exponent]
+        powers = [_lp_power(density, params.p)]
         lp_sum = blocked_sum(np.multiply, powers[0], density)
     else:
         def lp_terms(d, out=None):
-            power = np.power(d, exponent, out=out)
+            power = _lp_power(d, params.p, out=out)
             power *= d
             return power
 
@@ -173,8 +174,17 @@ def evaluate(
     )
     ev = Evaluation(breakdown, u, parts_fft, spectrum_sq, density_fft)
     if with_gradient:
-        ev.gradient_fft = _gradient(ev, params, variant, powers.pop(), spectral=True)
+        ev.gradient_fft = _gradient(ev, params, variant, powers.pop(),
+                                    spectral=with_gradient != "grid")
     return ev
+
+
+def _lp_power(density: np.ndarray, p: float, out: np.ndarray | None = None) -> np.ndarray:
+    """|u|^{p-2} from the density |u|^2: its cube root at p = 8/3, the
+    critical exponent, and ``np.power`` otherwise."""
+    if p == P_CRITICAL:
+        return np.cbrt(density, out=out)
+    return np.power(density, 0.5 * (p - 2.0), out=out)
 
 
 def _gradient(ev: Evaluation, params: Params, variant: str,
@@ -186,7 +196,7 @@ def _gradient(ev: Evaluation, params: Params, variant: str,
     is overwritten."""
     u = ev.u
     if power is None:
-        power = u.density() ** (0.5 * (params.p - 2.0))
+        power = _lp_power(u.density(), params.p)
     # grad_j = K c_j + (4 alpha Phi - beta p |u|^{p-2}) c_j per component
     mult = u.grid.kinetic_symbol(variant)
     local = _potential_values(ev.density_fft, coulomb_kernel(u.grid))
@@ -278,8 +288,7 @@ def energy(u: Field, params: Params, variant: str = "inhomogeneous") -> EnergyBr
 def gradient(u: Field, params: Params, variant: str = "inhomogeneous") -> Field:
     """Unconstrained L2 gradient of the energy at ``u``."""
     u.require_finite("gradient input")
-    ev = evaluate(u, params, variant)
-    return Field.of_parts(u.grid, _gradient(ev, params, variant))
+    return Field.of_parts(u.grid, evaluate(u, params, variant, with_gradient="grid").gradient_fft)
 
 
 def hartree_potential(u: Field) -> Field:

@@ -2,13 +2,15 @@
 
 Snapshot format (binary, little-endian): the 5-byte magic ``SPSF1``,
 then n and L as IEEE-754 doubles, then n^3 complex doubles in row-major
-order with the x index varying fastest.
+order with the x index varying fastest.  The format is unchanged: a write
+fills one buffer in file order, a read maps the file and copies it once.
 """
 
 from __future__ import annotations
 
-import csv
 import math
+import mmap
+import struct
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -242,48 +244,60 @@ def save_snapshot(field: Field, path: str | Path) -> None:
     complex samples with the x index varying fastest."""
     path = Path(path)
     header = np.array([float(field.grid.n), field.grid.box_length], dtype="<f8")
-    # internal layout is values[ix, iy, iz]; the stream wants x fastest
-    payload = np.ascontiguousarray(field.values.transpose(2, 1, 0)).astype("<c16")
+    # internal layout is parts[ix, iy, iz]; the stream wants x fastest, so
+    # each part goes transposed into its plane of one (z, y, x, re/im) buffer
+    payload = np.zeros(field.grid.shape + (2,), dtype="<f8")
+    for k, c in enumerate(field.parts):
+        payload[..., k] = c.T
     tmp = path.with_suffix(path.suffix + ".tmp")
     with open(tmp, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(header.tobytes())
-        fh.write(payload.tobytes())
+        fh.write(memoryview(payload).cast("B"))
     tmp.replace(path)
 
 
 def load_snapshot(path: str | Path) -> Field:
     path = Path(path)
     try:
-        raw = path.read_bytes()
+        with open(path, "rb") as fh:
+            try:
+                raw = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            except ValueError:  # mmap refuses an empty file
+                raise SnapshotFormatError(f"snapshot {path} is too short") from None
     except OSError as exc:
         raise SnapshotFormatError(f"cannot read snapshot {path}: {exc}") from exc
-    if len(raw) < len(SNAPSHOT_MAGIC) + 16:
-        raise SnapshotFormatError(f"snapshot {path} is too short")
-    if raw[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
-        raise SnapshotFormatError(f"snapshot {path} has bad magic")
-    header = np.frombuffer(raw, dtype="<f8", count=2, offset=len(SNAPSHOT_MAGIC))
-    n_float, box_length = float(header[0]), float(header[1])
-    if not math.isfinite(n_float) or not n_float.is_integer():
-        raise SnapshotFormatError(f"snapshot {path} has non-integer grid size {n_float}")
-    n = int(n_float)
-    # the payload must match the header before the grid is built: a huge n
-    # would otherwise allocate its grid first
-    offset = len(SNAPSHOT_MAGIC) + 16
-    payload = len(raw) - offset
-    if payload != 16 * n**3:
-        raise SnapshotFormatError(
-            f"snapshot {path} holds {payload} payload bytes, grid size {n} "
-            "needs 16 n^3"
-        )
-    try:
-        grid = make_grid(n, box_length)
-    except ConfigurationError as exc:
-        raise SnapshotFormatError(f"snapshot {path} header invalid: {exc}") from exc
-    data = np.frombuffer(raw, dtype="<c16", offset=offset)
-    # one transpose pass to the internal layout, then the split into parts
-    values = np.ascontiguousarray(data.reshape((n, n, n)).transpose(2, 1, 0))
-    return Field(grid, values)
+    with raw:
+        if len(raw) < len(SNAPSHOT_MAGIC) + 16:
+            raise SnapshotFormatError(f"snapshot {path} is too short")
+        if raw[: len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
+            raise SnapshotFormatError(f"snapshot {path} has bad magic")
+        n_float, box_length = struct.unpack_from("<2d", raw, len(SNAPSHOT_MAGIC))
+        if not math.isfinite(n_float) or not n_float.is_integer():
+            raise SnapshotFormatError(f"snapshot {path} has non-integer grid size {n_float}")
+        n = int(n_float)
+        # the payload must match the header before the grid is built: a huge
+        # n would otherwise allocate its grid first
+        offset = len(SNAPSHOT_MAGIC) + 16
+        payload = len(raw) - offset
+        if payload != 16 * n**3:
+            raise SnapshotFormatError(
+                f"snapshot {path} holds {payload} payload bytes, grid size {n} "
+                "needs 16 n^3"
+            )
+        try:
+            grid = make_grid(n, box_length)
+        except ConfigurationError as exc:
+            raise SnapshotFormatError(f"snapshot {path} header invalid: {exc}") from exc
+        data = np.frombuffer(raw, dtype="<c16", offset=offset).reshape((n, n, n)).T
+        # one transpose pass to the internal layout: of the real plane alone
+        # when the imaginary one is zero, else of the complex samples
+        if np.any(data.imag):
+            field = Field(grid, np.ascontiguousarray(data))
+        else:
+            field = Field.of_parts(grid, (np.array(data.real, dtype=np.float64, order="C"),))
+        del data  # the map closes only once no view of it is left
+    return field
 
 
 def export_abs_slice(
@@ -307,9 +321,9 @@ def export_abs_slice(
     plane = np.abs(_complex(tuple(np.take(c, index, axis=ax) for c in field.parts)))
     others = [name for name in ("x", "y", "z") if name != axis]
     coords = [f"{c:.17g}" for c in field.grid.axis.tolist()]
-    path = Path(path)
+    # one joined string per plane row, in csv.writer's dialect: no field
+    # needs quoting, and every line ends in \r\n
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([others[0], others[1], "abs_u"])
+        fh.write(f"{others[0]},{others[1]},abs_u\r\n")
         for x, row in zip(coords, plane.tolist()):
-            writer.writerows([x, y, f"{a:.17g}"] for y, a in zip(coords, row))
+            fh.write("".join([f"{x},{y},{a:.17g}\r\n" for y, a in zip(coords, row)]))

@@ -3,6 +3,7 @@
 import dataclasses
 import importlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -83,8 +84,8 @@ class TestEnergyCommand:
     def test_truncated_snapshot_is_config_error(self, tmp_path):
         grid = sl.make_grid(16, 8.0)
         snap, _ = make_gaussian_snapshot(tmp_path, grid)
-        raw = open(snap, "rb").read()
-        open(snap, "wb").write(raw[: len(raw) // 3])
+        raw = Path(snap).read_bytes()
+        Path(snap).write_bytes(raw[: len(raw) // 3])
         cfg = write_config(
             tmp_path,
             "cfg.json",
@@ -96,9 +97,9 @@ class TestEnergyCommand:
     def test_huge_grid_size_header_is_config_error(self, tmp_path):
         grid = sl.make_grid(16, 8.0)
         snap, _ = make_gaussian_snapshot(tmp_path, grid)
-        raw = bytearray(open(snap, "rb").read())
+        raw = bytearray(Path(snap).read_bytes())
         raw[5:13] = np.array([2.0**44], dtype="<f8").tobytes()
-        open(snap, "wb").write(bytes(raw))
+        Path(snap).write_bytes(bytes(raw))
         cfg = write_config(
             tmp_path,
             "cfg.json",

@@ -1,11 +1,17 @@
 """Energy assembly and the L2 gradient against finite differences."""
 
+import importlib
+
 import numpy as np
 import pytest
+from scipy import fft
 
 import spslab as sl
 from conftest import GAUSS_D, GAUSS_HDOT_SQ, GAUSS_LP_83, GAUSS_WIDTH, relerr
 from oracles import directional_derivative_fd, smooth_random_field
+from spslab.params import P_CRITICAL
+
+energy_module = importlib.import_module("spslab.energy")
 
 
 @pytest.fixture(scope="module")
@@ -85,3 +91,74 @@ class TestGradient:
         g = sl.gradient(sl.Field(grid16, values), params)
         assert np.all(np.isfinite(g.values.real))
         assert np.all(np.isfinite(g.values.imag))
+
+
+class TestLpPower:
+    """|u|^{p-2} comes from one helper: a cube root at p = 8/3, where it
+    moves the numbers by rounding only, and ``np.power`` elsewhere."""
+
+    @staticmethod
+    def _with_np_power(monkeypatch):
+        def reference(density, p, out=None):
+            return np.power(density, 0.5 * (p - 2.0), out=out)
+
+        monkeypatch.setattr(energy_module, "_lp_power", reference)
+
+    @staticmethod
+    def _read(u, params):
+        ev = energy_module.evaluate(u, params, "homogeneous", with_gradient=True)
+        return ev.breakdown, sl.gradient(u, params).parts
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_critical_exponent_matches_np_power(self, monkeypatch, n):
+        grid = sl.make_grid(n, 16.0)
+        u = smooth_random_field(grid, 5)
+        params = sl.Params(alpha=0.5, beta=1.5, p=P_CRITICAL, rho=1.0)
+        breakdown, grad = self._read(u, params)
+        no_grad = energy_module.energy(u, params)
+        self._with_np_power(monkeypatch)
+        ref_breakdown, ref_grad = self._read(u, params)
+        ref_no_grad = energy_module.energy(u, params)
+        assert relerr(breakdown.norms.lp_p, ref_breakdown.norms.lp_p) < 1e-14
+        assert relerr(no_grad.norms.lp_p, ref_no_grad.norms.lp_p) < 1e-14
+        assert relerr(breakdown.total, ref_breakdown.total) < 1e-14
+        assert relerr(no_grad.total, ref_no_grad.total) < 1e-14
+        for g, ref in zip(grad, ref_grad):
+            assert np.max(np.abs(g - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_other_exponents_bit_identical(self, monkeypatch, grid32, kind):
+        u = smooth_random_field(grid32, 6)
+        if kind == "real":
+            u = sl.Field.of_parts(grid32, u.parts[:1])
+        params = sl.Params(alpha=1.0, beta=1.0, p=2.5, rho=1.0)
+        breakdown, grad = self._read(u, params)
+        no_grad = energy_module.energy(u, params)
+        self._with_np_power(monkeypatch)
+        ref_breakdown, ref_grad = self._read(u, params)
+        assert breakdown == ref_breakdown
+        assert no_grad == energy_module.energy(u, params)
+        assert all(np.array_equal(g, ref) for g, ref in zip(grad, ref_grad))
+
+    def test_gradient_builds_density_and_power_once(self, monkeypatch, grid16):
+        u = smooth_random_field(grid16, 7)
+        params = sl.Params(alpha=1.0, beta=1.0, p=2.5, rho=1.0)
+        calls = {"power": 0, "density": 0}
+        power, density = energy_module._lp_power, sl.Field.density
+
+        def counted_power(*args, **kwargs):
+            calls["power"] += 1
+            return power(*args, **kwargs)
+
+        def counted_density(self):
+            calls["density"] += 1
+            return density(self)
+
+        monkeypatch.setattr(energy_module, "_lp_power", counted_power)
+        monkeypatch.setattr(sl.Field, "density", counted_density)
+        grad = sl.gradient(u, params)
+        assert calls == {"power": 1, "density": 1}
+        # and the grid gradient is the half spectra's, transformed back
+        spectral = energy_module.evaluate(u, params, with_gradient=True).gradient_fft
+        for g, g_hat in zip(grad.parts, spectral):
+            assert np.allclose(g, fft.irfftn(g_hat, s=grid16.shape), rtol=0, atol=1e-13)

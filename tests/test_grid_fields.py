@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -165,6 +167,89 @@ class TestSnapshotRoundTrip:
         path.write_bytes(bytes(raw))
         with pytest.raises(SnapshotFormatError):
             sl.load_snapshot(path)
+
+
+def _reference_snapshot_bytes(field):
+    """The snapshot as written by assembling, transposing and converting
+    the complex samples."""
+    header = np.array([float(field.grid.n), field.grid.box_length], dtype="<f8")
+    payload = np.ascontiguousarray(field.values.transpose(2, 1, 0)).astype("<c16")
+    return b"SPSF1" + header.tobytes() + payload.tobytes()
+
+
+def _reference_snapshot_read(raw, grid):
+    """The field of a snapshot's bytes, by one complex transpose pass."""
+    data = np.frombuffer(raw, dtype="<c16", offset=21)
+    return sl.Field(grid, np.ascontiguousarray(data.reshape(grid.shape).transpose(2, 1, 0)))
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+class TestSnapshotCopies:
+    """Reads map the file and writes fill one buffer; the bytes and the
+    parts are those of a plain read-and-transpose reference."""
+
+    @staticmethod
+    def _values(grid, kind):
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal(grid.shape)
+        values[0, 1, 2] = -0.0
+        if kind == "complex":
+            values = values + 1j * rng.standard_normal(grid.shape)
+        elif kind == "negative_zero_imag":
+            values = values + 1j * np.full(grid.shape, -0.0)
+        return values
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_write_bytes_unchanged(self, tmp_path, grid16, kind):
+        field = sl.Field(grid16, self._values(grid16, kind))
+        sl.save_snapshot(field, tmp_path / "f.spsf")
+        assert (tmp_path / "f.spsf").read_bytes() == _reference_snapshot_bytes(field)
+
+    @pytest.mark.parametrize("kind", ["real", "complex", "negative_zero_imag"])
+    def test_read_parts_bit_identical(self, tmp_path, grid16, kind):
+        values = self._values(grid16, kind)
+        # written by hand, so that the -0.0 imaginary plane reaches the file
+        raw = (b"SPSF1" + np.array([16.0, 8.0], dtype="<f8").tobytes()
+               + np.ascontiguousarray(values.transpose(2, 1, 0)).astype("<c16").tobytes())
+        (tmp_path / "f.spsf").write_bytes(raw)
+        back = sl.load_snapshot(tmp_path / "f.spsf")
+        expected = _reference_snapshot_read(raw, grid16)
+        assert len(back.parts) == len(expected.parts) == (2 if kind == "complex" else 1)
+        for part, ref in zip(back.parts, expected.parts):
+            assert part.dtype == np.float64 and part.flags.c_contiguous
+            assert np.array_equal(part.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("size", [0, 4, 20])
+    def test_short_file_rejected(self, tmp_path, size):
+        # mmap raises ValueError on an empty file; the reader reports it
+        path = tmp_path / "f.spsf"
+        path.write_bytes((b"SPSF1" + np.array([16.0, 8.0], dtype="<f8").tobytes())[:size])
+        with pytest.raises(SnapshotFormatError, match="too short"):
+            sl.load_snapshot(path)
+
+    def test_no_descriptor_left_open(self, tmp_path, grid16):
+        if not os.path.isdir("/proc/self/fd"):
+            pytest.skip("no /proc/self/fd to count descriptors in")
+        good = tmp_path / "good.spsf"
+        sl.save_snapshot(sl.gaussian_field(grid16, 1.0), good)
+        bad = {name: tmp_path / f"{name}.spsf" for name in ("empty", "short", "magic", "size")}
+        bad["empty"].write_bytes(b"")
+        bad["short"].write_bytes(good.read_bytes()[:12])
+        bad["magic"].write_bytes(b"NOPE!" + good.read_bytes()[5:])
+        bad["size"].write_bytes(good.read_bytes()[:-16])
+        before = _open_fds()
+        kept = []
+        for path in [good, *bad.values(), tmp_path / "missing.spsf"] * 2:
+            if path is good:
+                kept.append(sl.load_snapshot(path))
+                continue
+            with pytest.raises(SnapshotFormatError) as excinfo:
+                sl.load_snapshot(path)
+            kept.append(excinfo)  # its traceback keeps the reader's locals
+        assert _open_fds() == before
 
 
 class TestField:
