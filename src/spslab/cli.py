@@ -44,7 +44,6 @@ from .experiments import (
 )
 from .fields import (
     Field,
-    GaussianProfile,
     boundary_mass_fraction,
     export_abs_slice,
     load_snapshot,
@@ -52,7 +51,9 @@ from .fields import (
 )
 from .grid import Grid, make_grid
 from .identities import identity_report
-from .minimize import GroundStateResult, MinimizeConfig, minimize, project_mass
+from .minimize import GroundStateResult, MinimizeConfig, _start_field, minimize
+# perfbench/tracing.py wraps this by attribute on this module
+from .minimize import project_mass  # noqa: F401
 from .params import Params, check_variant, read_block, read_list, read_value
 from .reporting import write_json, write_table
 
@@ -91,6 +92,14 @@ class _ScalingInit:
     kind: str = "gaussian"
     width: float | None = None
     path: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("gaussian", "from_file"):
+            raise ConfigurationError(
+                f"scaling init kind must be gaussian or from_file, got {self.kind!r}"
+            )
+        if self.kind == "from_file" and self.path is None:
+            raise ConfigurationError("scaling init config is missing the key 'path'")
 
 
 CURVE_COLUMNS = (
@@ -156,14 +165,17 @@ def _variant(config: dict) -> str:
     return check_variant(config.get("variant", "inhomogeneous"))
 
 
-def _finite_snapshot(path: str) -> Field:
-    """The snapshot at ``path``; NaN or Inf samples are a numerical input
-    error, raised before any output is written."""
-    return load_snapshot(path).require_finite("snapshot")
+def _snapshot_inputs(config: dict) -> tuple[Field, Params, str]:
+    """The field, params and variant of ``energy`` and ``verify``.
 
-
-def _load_snapshot_field(config: dict) -> Field:
-    return _finite_snapshot(read_value(_require(config, "snapshot", "run"), str, "snapshot"))
+    NaN or Inf samples are a numerical input error, raised before any
+    output is written.  rho does not enter the energy; an absent one is the
+    snapshot's mass.
+    """
+    field = load_snapshot(read_value(_require(config, "snapshot", "run"), str, "snapshot"))
+    field.require_finite("snapshot")
+    params = _params_from_config(config, rho_fallback=field.mass() or 1.0)
+    return field, params, _variant(config)
 
 
 def _result_files(out: Path, result: GroundStateResult, params: Params,
@@ -174,10 +186,7 @@ def _result_files(out: Path, result: GroundStateResult, params: Params,
 
 
 def cmd_energy(config: dict, out: Path, workers: int, seed: int | None) -> int:
-    field = _load_snapshot_field(config)
-    # rho does not enter the energy; an absent one is the field's mass
-    params = _params_from_config(config, rho_fallback=field.mass() or 1.0)
-    variant = _variant(config)
+    field, params, variant = _snapshot_inputs(config)
     manifest = _Manifest(out, "energy", config, field.grid)
     breakdown = energy_of(field, params, variant=variant)
     document = {
@@ -312,22 +321,16 @@ def cmd_curve(config: dict, out: Path, workers: int, seed: int | None) -> int:
         )
     write_table(out / "curve.csv", "curve", CURVE_COLUMNS, rows)
 
-    all_converged = all(result.converged for _, _, result in points)
-    if all_converged:
-        ratios = [row[2] for row in rows]  # sorted by increasing rho
-        verdicts = {
-            "all_ratios_below_half": all(r < 0.5 for r in ratios),
-            "ratios_increase_as_rho_decreases": all(
-                ratios[i] > ratios[i + 1] for i in range(len(ratios) - 1)
-            ),
-            "converged": True,
-        }
-    else:
-        verdicts = {
-            "all_ratios_below_half": None,
-            "ratios_increase_as_rho_decreases": None,
-            "converged": False,
-        }
+    # the ratio verdicts are None unless every point converged
+    converged = all(result.converged for _, _, result in points)
+    ratios = [row[2] for row in rows]  # sorted by increasing rho
+    verdicts = {
+        "all_ratios_below_half": all(r < 0.5 for r in ratios) if converged else None,
+        "ratios_increase_as_rho_decreases": all(
+            ratios[i] > ratios[i + 1] for i in range(len(ratios) - 1)
+        ) if converged else None,
+        "converged": converged,
+    }
     write_json(out / "verdicts.json", verdicts)
     manifest.finalize()
     print(json.dumps(verdicts, indent=2, sort_keys=True))
@@ -361,30 +364,6 @@ def cmd_best_constant(config: dict, out: Path, workers: int, seed: int | None) -
     return EXIT_OK
 
 
-def _scaling_inputs(config: dict, grid: Grid, params: Params):
-    init = read_block(_ScalingInit, config.get("init", {}), "init")
-    if init.kind == "gaussian":
-        width = init.width if init.width is not None else grid.box_length / 8.0
-        sampled = GaussianProfile(width=width).sample(grid)
-        mass = sampled.mass()
-        if mass <= 0:
-            raise ConfigurationError("gaussian init has zero mass")
-        profile = GaussianProfile(width=width, amplitude=np.sqrt(params.rho / mass))
-        # times the amplitude, the unit sample is ``profile.sample`` bit for bit
-        np.multiply(sampled.parts[0], profile.amplitude, out=sampled.parts[0])
-        return sampled, profile
-    if init.kind == "from_file":
-        if init.path is None:
-            raise ConfigurationError("scaling init config is missing the key 'path'")
-        field = _finite_snapshot(init.path)
-        if field.grid != grid:
-            raise ConfigurationError("snapshot grid does not match the run grid")
-        return project_mass(field, params.rho), None
-    raise ConfigurationError(
-        f"scaling init kind must be gaussian or from_file, got {init.kind!r}"
-    )
-
-
 def cmd_scaling(config: dict, out: Path, workers: int, seed: int | None) -> int:
     grid = _grid_from_config(config)
     params = _params_from_config(config)
@@ -396,7 +375,9 @@ def cmd_scaling(config: dict, out: Path, workers: int, seed: int | None) -> int:
     thetas = read_list(_require(config, "thetas", "scaling"), float, "thetas")
     _check_critical(params)
     thetas = _validated_thetas(thetas, increasing=experiment == "blowup")
-    field, profile = _scaling_inputs(config, grid, params)
+    init = read_block(_ScalingInit, config.get("init", {}), "init")
+    snapshot = load_snapshot(init.path) if init.kind == "from_file" else None
+    field, profile = _start_field(grid, params.rho, init.kind, init.width, snapshot=snapshot)
     manifest = _Manifest(out, "scaling", config, grid)
 
     follow = blowup_experiment if experiment == "blowup" else blowdown_experiment
@@ -423,9 +404,7 @@ def cmd_scaling(config: dict, out: Path, workers: int, seed: int | None) -> int:
 
 
 def cmd_verify(config: dict, out: Path, workers: int, seed: int | None) -> int:
-    field = _load_snapshot_field(config)
-    params = _params_from_config(config, rho_fallback=field.mass() or 1.0)
-    variant = _variant(config)
+    field, params, variant = _snapshot_inputs(config)
     omega = config.get("omega")
     if omega is not None:
         omega = read_value(omega, float, "omega")
@@ -497,10 +476,9 @@ def run(argv: list[str] | None = None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return command(config, out, args.workers, args.seed)
-    except (ConfigurationError, SnapshotFormatError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
+    except (
+        ConfigurationError, SnapshotFormatError, FileNotFoundError, json.JSONDecodeError
+    ) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except UnboundedEnergyError as exc:

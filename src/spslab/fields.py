@@ -24,6 +24,7 @@ from .errors import (
     SnapshotFormatError,
 )
 from .grid import Grid, make_grid
+from .reporting import atomic_open
 
 SNAPSHOT_MAGIC = b"SPSF1"
 # ``boundary_mass_fraction`` reads the outer shell of this fraction of n
@@ -242,19 +243,16 @@ def random_field(grid: Grid, seed: int) -> Field:
 def save_snapshot(field: Field, path: str | Path) -> None:
     """Write the binary snapshot: magic, n and L as doubles, then the
     complex samples with the x index varying fastest."""
-    path = Path(path)
     header = np.array([float(field.grid.n), field.grid.box_length], dtype="<f8")
     # internal layout is parts[ix, iy, iz]; the stream wants x fastest, so
     # each part goes transposed into its plane of one (z, y, x, re/im) buffer
     payload = np.zeros(field.grid.shape + (2,), dtype="<f8")
     for k, c in enumerate(field.parts):
         payload[..., k] = c.T
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    with open(tmp, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(SNAPSHOT_MAGIC)
         fh.write(header.tobytes())
         fh.write(memoryview(payload).cast("B"))
-    tmp.replace(path)
 
 
 def load_snapshot(path: str | Path) -> Field:
@@ -291,13 +289,16 @@ def load_snapshot(path: str | Path) -> Field:
             raise SnapshotFormatError(f"snapshot {path} header invalid: {exc}") from exc
         data = np.frombuffer(raw, dtype="<c16", offset=offset).reshape((n, n, n)).T
         # one transpose pass to the internal layout: of the real plane alone
-        # when the imaginary one is zero, else of the complex samples
+        # when the imaginary one is zero, else of the complex samples, whose
+        # planes are then split off without a second scan
         if np.any(data.imag):
-            field = Field(grid, np.ascontiguousarray(data))
+            values = np.ascontiguousarray(data)
+            planes = (values.real, values.imag)
         else:
-            field = Field.of_parts(grid, (np.array(data.real, dtype=np.float64, order="C"),))
-        del data  # the map closes only once no view of it is left
-    return field
+            planes = (data.real,)
+        parts = tuple(np.array(c, dtype=np.float64, order="C") for c in planes)
+        del data, planes  # the map closes only once no view of it is left
+    return Field.of_parts(grid, parts)
 
 
 def export_abs_slice(
@@ -323,7 +324,7 @@ def export_abs_slice(
     coords = [f"{c:.17g}" for c in field.grid.axis.tolist()]
     # one joined string per plane row, in csv.writer's dialect: no field
     # needs quoting, and every line ends in \r\n
-    with open(path, "w", newline="") as fh:
+    with atomic_open(path, "w", newline="") as fh:
         fh.write(f"{others[0]},{others[1]},abs_u\r\n")
         for x, row in zip(coords, plane.tolist()):
             fh.write("".join([f"{x},{y},{a:.17g}\r\n" for y, a in zip(coords, row)]))

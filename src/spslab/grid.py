@@ -47,7 +47,8 @@ class Grid:
     at -L/2 + j h) and ``wavenumbers`` (1-D angular wavenumbers
     (2 pi / L) * {-n/2, ..., n/2 - 1} in FFT storage order).  The
     half-spectrum multiplier and weight arrays the operators read are built
-    on first use and cached; ``wave_sq`` builds |k|^2 uncached.
+    on first use and cached; ``wave_sq`` builds |k|^2 uncached.  Equality
+    and the hash read the (n, L) pair alone.
     """
 
     n: int
@@ -73,18 +74,6 @@ class Grid:
         object.__setattr__(self, "spacing", h)
         object.__setattr__(self, "axis", -L / 2 + h * np.arange(n))
         object.__setattr__(self, "wavenumbers", 2.0 * np.pi * np.fft.fftfreq(n, d=h))
-
-    # dataclass equality would compare arrays elementwise; identity of the
-    # (n, L) pair is what callers mean by "same grid".
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Grid)
-            and self.n == other.n
-            and self.box_length == other.box_length
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.box_length))
 
     @property
     def shape(self) -> tuple[int, int, int]:

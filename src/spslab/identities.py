@@ -23,7 +23,7 @@ tolerances are dimensionless.  The zero field reports residual 0, scale 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 # perfbench/tracing.py replaces this alias by attribute on this module
@@ -64,17 +64,7 @@ class IdentityReport:
         return abs(self.pohozaev_residual) / self.pohozaev_scale
 
     def to_dict(self) -> dict:
-        return {
-            "virial_residual": self.virial_residual,
-            "virial_scale": self.virial_scale,
-            "virial_rel": self.virial_rel,
-            "pohozaev_residual": self.pohozaev_residual,
-            "pohozaev_scale": self.pohozaev_scale,
-            "pohozaev_rel": self.pohozaev_rel,
-            "el_residual_rel": self.el_residual_rel,
-            "f_prime_at_1": self.f_prime_at_1,
-            "g_prime_at_1": self.g_prime_at_1,
-        }
+        return {**asdict(self), "virial_rel": self.virial_rel, "pohozaev_rel": self.pohozaev_rel}
 
 
 def _scale(*terms: float) -> float:

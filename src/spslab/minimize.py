@@ -45,6 +45,7 @@ from .errors import (
 )
 from .fields import (
     Field,
+    GaussianProfile,
     _onto_sphere,
     boundary_mass_fraction,
     dot,
@@ -187,6 +188,25 @@ def project_mass(u: Field, rho: float) -> Field:
     return projected[0]
 
 
+def _start_field(grid: Grid, rho: float, kind: str, width: float | None = None, seed: int = 0,
+                 snapshot: Field | None = None) -> tuple[Field, GaussianProfile | None]:
+    """The starting field on the mass sphere ``rho``, with its Gaussian
+    profile when it has one: the centered Gaussian of ``width`` (default
+    L/8), which its profile samples bit for bit; the random field of
+    ``seed``; or ``snapshot``, which must lie on ``grid`` and be finite."""
+    if kind == "gaussian":
+        width = grid.box_length / 8.0 if width is None else width
+        # the centre sample is exactly 1, so the mass is positive
+        start, scale = _onto_sphere(grid, gaussian_field(grid, width).parts, rho)
+        return start, GaussianProfile(width=width, amplitude=scale)
+    if kind == "random":
+        return project_mass(random_field(grid, seed), rho), None
+    if snapshot.grid != grid:
+        raise ConfigurationError(f"snapshot grid {snapshot.grid.describe()} does not match "
+                                 f"the run grid {grid.describe()}")
+    return project_mass(snapshot.require_finite("snapshot"), rho), None
+
+
 def _centering_shifts(density: np.ndarray) -> tuple[int, ...]:
     """Circular shifts moving the density centroid to the box center.
 
@@ -219,22 +239,6 @@ def recenter(u: Field) -> Field:
         return u
     rolled = tuple(np.roll(c, shifts, axis=(0, 1, 2)) for c in u.parts)
     return Field.of_parts(u.grid, rolled)
-
-
-def _initial_field(grid: Grid, params: Params, config: MinimizeConfig) -> Field:
-    if config.init_kind == "gaussian":
-        width = config.init_width if config.init_width else grid.box_length / 8.0
-        start = gaussian_field(grid, width)
-    elif config.init_kind == "random":
-        start = random_field(grid, config.init_seed)
-    else:
-        start = load_snapshot(config.init_path).require_finite("initial snapshot")
-        if start.grid != grid:
-            raise ConfigurationError(
-                "snapshot grid does not match the run grid: "
-                f"{start.grid.describe()} vs {grid.describe()}"
-            )
-    return project_mass(start, params.rho)
 
 
 def _best_global_phase(u: Field) -> tuple[Field, float]:
@@ -301,7 +305,9 @@ def minimize(
             raise ConfigurationError("initial field lives on a different grid")
         u = project_mass(initial.require_finite("initial field"), rho)
     else:
-        u = _initial_field(grid, params, config)
+        snapshot = load_snapshot(config.init_path) if config.init_kind == "from_file" else None
+        u, _ = _start_field(grid, rho, config.init_kind, config.init_width, config.init_seed,
+                            snapshot)
 
     precond, precond_weight = _flow_weights(grid, variant)
     ev = evaluate(u, params, variant, with_gradient=True)

@@ -1,9 +1,11 @@
 """Result persistence: JSON documents, versioned CSV tables, run manifests.
 
-All writes are atomic (write to a temporary file in the same directory and
-rename) so concurrent runs never observe partial files.  CSV tables start
-with a schema comment line; the column order is part of the contract and
-only changes together with the schema version.
+Every result file, snapshots and slice exports included, is written by
+``atomic_open``: into a temporary file beside the target, which replaces
+the target on success and is deleted on failure, so no reader sees a
+partial file.  Files get the mode a plain ``open`` gives under the umask.
+CSV tables start with a schema comment line; the column order is part of
+the contract and only changes together with the schema version.
 """
 
 from __future__ import annotations
@@ -12,28 +14,35 @@ import csv
 import io
 import json
 import os
-import tempfile
+import secrets
+from contextlib import contextmanager
 from pathlib import Path
 
 CSV_SCHEMA_VERSION = 1
 
 
-def atomic_write_text(path: str | Path, text: str) -> None:
+@contextmanager
+def atomic_open(path: str | Path, mode: str = "w", **kwargs):
+    """``open(path, mode)`` for writing, made atomic: the block writes a new
+    temporary file beside ``path``, which replaces ``path`` when the block
+    ends and is deleted if it raises."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{secrets.token_hex(4)}.tmp")
+    # exclusive creation: a name already taken is never written or deleted
+    fh = open(tmp, mode.replace("w", "x"), **kwargs)
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        with fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
 def write_json(path: str | Path, document: dict) -> None:
-    atomic_write_text(path, json.dumps(document, indent=2, sort_keys=True) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(json.dumps(document, indent=2, sort_keys=True) + "\n")
 
 
 def write_table(path: str | Path, kind: str, columns, rows) -> None:
@@ -45,7 +54,8 @@ def write_table(path: str | Path, kind: str, columns, rows) -> None:
     for row in rows:
         writer.writerow([_format_cell(c) for c in row])
     lines.append(buf.getvalue())
-    atomic_write_text(path, "\n".join(lines))
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines))
 
 
 def _format_cell(value) -> str:

@@ -438,6 +438,28 @@ class TestScalingCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["proceeded"] is True
 
+    def test_snapshot_on_wrong_grid_is_config_error(self, tmp_path, capsys):
+        snap, _ = make_gaussian_snapshot(tmp_path, sl.make_grid(32, 8.0))
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {
+                "grid": GRID16,
+                "experiment": "blowdown",
+                "params": {"alpha": 1.0, "beta": 1.0, "p": 8.0 / 3.0, "rho": 0.05},
+                "thetas": [1.0, 0.5],
+                "init": {"kind": "from_file", "path": snap},
+            },
+        )
+        out = tmp_path / "run"
+        assert run(["scaling", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        snap_grid, run_grid = sl.make_grid(32, 8.0).describe(), sl.make_grid(16, 8.0).describe()
+        assert (
+            f"snapshot grid {snap_grid} does not match the run grid {run_grid}"
+            in capsys.readouterr().err
+        )
+        assert not (out / "manifest.json").exists()
+
     def test_blowup_sign_report(self, tmp_path):
         cfg = write_config(
             tmp_path,

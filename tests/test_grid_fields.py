@@ -45,6 +45,22 @@ class TestMakeGrid:
         sl.save_snapshot(sl.gaussian_field(g, 1.0), tmp_path / "g.spsf")
         assert sl.load_snapshot(tmp_path / "g.spsf").grid is g
 
+    @pytest.mark.parametrize(
+        "a, b", [((16, 8.0), (np.int64(16), 8.0)), ((8, 8), (8, 8.0))], ids=["int64-n", "int-L"]
+    )
+    def test_same_pair_is_equal_and_hashes_alike(self, a, b):
+        g, h = sl.Grid(*a), sl.Grid(*b)
+        g.radius_sq()  # a filled cache does not enter equality
+        assert g is not h
+        assert g == h and hash(g) == hash(h)
+        assert len({g, h}) == 1
+
+    def test_other_length_or_type_is_unequal(self):
+        g = sl.Grid(16, 8.0)
+        assert g != sl.Grid(16, 8.5)
+        assert g != sl.Grid(32, 8.0)
+        assert g != "grid"
+
     def test_grid_memo_is_bounded(self):
         from spslab.grid import GRID_MEMO_SIZE
 

@@ -9,7 +9,7 @@ import pytest
 
 import spslab as sl
 from spslab.cli import DEFAULT_VERIFY_TOLERANCES
-from spslab.minimize import _best_global_phase, _flow_weights
+from spslab.minimize import _best_global_phase, _flow_weights, _start_field
 from conftest import relerr
 from oracles import smooth_random_field
 
@@ -422,6 +422,16 @@ class TestEdgeCases:
         r2 = sl.minimize(grid16, params, cfg)
         assert np.array_equal(r1.field.values, r2.field.values)
 
+    def test_snapshot_on_wrong_grid_names_both_grids(self, tmp_path, grid16, grid32):
+        path = tmp_path / "start.spsf"
+        sl.save_snapshot(sl.gaussian_field(grid32, 1.0), path)
+        config = sl.MinimizeConfig(max_iters=1, init_kind="from_file", init_path=str(path))
+        with pytest.raises(sl.ConfigurationError) as info:
+            sl.minimize(grid16, sl.Params(alpha=1.0, beta=1.0, p=2.5, rho=0.1), config)
+        assert str(info.value) == (
+            f"snapshot grid {grid32.describe()} does not match the run grid {grid16.describe()}"
+        )
+
     def test_initial_field_on_wrong_grid_rejected(self, grid16, grid32):
         params = sl.Params(alpha=1.0, beta=1.0, p=2.5, rho=0.1)
         with pytest.raises(sl.ConfigurationError):
@@ -450,3 +460,24 @@ class TestEdgeCases:
             bump_result.field, bump_params, omega=bump_result.omega + 0.1
         )
         assert abs(report.el_residual_rel - 0.1) < 1e-3
+
+
+class TestStartField:
+    """The one builder of a run's starting field."""
+
+    @pytest.mark.parametrize("n", [16, 32])
+    @pytest.mark.parametrize("width", [None, 1.7], ids=["default-width", "width"])
+    def test_gaussian_is_the_projected_gaussian_and_its_profile(self, n, width):
+        grid = sl.make_grid(n, 12.0)
+        start, profile = _start_field(grid, 0.3, "gaussian", width)
+        expected = sl.project_mass(sl.gaussian_field(grid, width or 12.0 / 8.0), 0.3)
+        assert profile.width == (width or 1.5)
+        assert len(start.parts) == 1
+        assert start.parts[0].tobytes() == expected.parts[0].tobytes()
+        assert start.parts[0].tobytes() == profile.sample(grid).parts[0].tobytes()
+
+    def test_random_is_the_projected_random_field(self, grid16):
+        start, profile = _start_field(grid16, 0.3, "random", seed=5)
+        expected = sl.project_mass(sl.random_field(grid16, 5), 0.3)
+        assert profile is None
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(start.parts, expected.parts))
