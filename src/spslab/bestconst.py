@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import fft as _fft
 
-from .energy import Evaluation, _gradient, evaluate
+from .energy import Evaluation, _gradient, _lp_power, evaluate
 # perfbench/tracing.py wraps these two by attribute on this module
 from .coulomb import coulomb_kernel  # noqa: F401
 from .energy import hartree_double_integral  # noqa: F401
@@ -105,15 +105,19 @@ class BestConstantEstimate:
         return doc
 
 
-def _log_quotient_gradient(ev: Evaluation) -> tuple[np.ndarray, ...]:
+def _log_quotient_gradient(ev: Evaluation, density: np.ndarray | None = None
+                           ) -> tuple[np.ndarray, ...]:
     """L2 gradient of log Q at ``ev.u`` from its quotient evaluation, one real
     array per component.  log Q = 3/8 log ||phi||_{8/3}^{8/3} - 1/4 log hdot
     - 1/8 log D, so it is -grad E / (2 hdot) for the homogeneous energy at
-    alpha = hdot / (4 D), beta = 3 hdot / (4 ||phi||_{8/3}^{8/3}), p = 8/3."""
+    alpha = hdot / (4 D), beta = 3 hdot / (4 ||phi||_{8/3}^{8/3}), p = 8/3.
+    ``density``, |phi|^2 when the caller holds it, is overwritten by the
+    gradient's |phi|^{2/3}."""
     ns = ev.breakdown.norms
     hdot = ns.hdot_half_sq
     params = Params(hdot / (4.0 * ev.breakdown.d_value), 0.75 * hdot / ns.lp_p, P_CRITICAL, 1.0)
-    gradient = _gradient(ev, params, "homogeneous")
+    power = None if density is None else _lp_power(density, P_CRITICAL, out=density)
+    gradient = _gradient(ev, params, "homogeneous", power)
     for g in gradient:
         g *= -0.5 / hdot
     return gradient
@@ -161,10 +165,11 @@ def _gauge_fixed_direction(
     return direction
 
 
-def _is_localized(phi: Field) -> bool:
+def _is_localized(phi: Field, density: np.ndarray | None = None) -> bool:
     """Boundary-shell mass small: the quotient of a box-filling field is a
-    torus artifact and must not be certified."""
-    return not phi.is_zero() and boundary_mass_fraction(phi) < 1.0e-4
+    torus artifact and must not be certified.  ``density`` is |phi|^2 when
+    the caller holds it."""
+    return not phi.is_zero() and boundary_mass_fraction(phi, density) < 1.0e-4
 
 
 def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> BestConstantEstimate:
@@ -193,7 +198,10 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
         raise NumericalFailureError(f"ascent init degenerate: {exc}", []) from exc
     if not np.isfinite(q):
         raise NumericalFailureError("non-finite quotient at ascent init", [])
-    trace = [(0, q)] if _is_localized(phi) else []
+    # the accepted phi's density serves its localization test, then its
+    # cube root serves the gradient
+    density = phi.density()
+    trace = [(0, q)] if _is_localized(phi, density) else []
     step = config.step_size
     direction = None
     for it in range(1, config.steps + 1):
@@ -201,9 +209,12 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
         # that accepted it, whose seminorm and D ``_quotient`` checked; unit
         # mass makes lp_p > 0
         if direction is None:
-            direction = _gauge_fixed_direction(
-                phi, _log_quotient_gradient(ev), ev.parts_fft
-            )
+            # each array is freed once spent: the gauge projection is the
+            # ascent's memory peak
+            gradient = _log_quotient_gradient(ev, density)
+            density = None
+            direction = _gauge_fixed_direction(phi, gradient, ev.parts_fft)
+            del gradient
         projected = _onto_sphere(
             grid, tuple(c + step * d for c, d in zip(phi.parts, direction)), 1.0
         )
@@ -221,14 +232,17 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
             raise NumericalFailureError(
                 f"non-finite quotient at ascent step {it}", trace
             )
-        if trial_q > q and _is_localized(trial):
-            phi, q, ev, direction = trial, trial_q, trial_ev, None
-            step = min(step * 1.25, 10.0 * config.step_size)
-            trace.append((it, q))
-        else:
-            step *= 0.5
-            if step < 1.0e-14:
-                break
+        if trial_q > q:
+            density = trial.density()
+            if _is_localized(trial, density):
+                phi, q, ev, direction = trial, trial_q, trial_ev, None
+                step = min(step * 1.25, 10.0 * config.step_size)
+                trace.append((it, q))
+                continue
+            density = None
+        step *= 0.5
+        if step < 1.0e-14:
+            break
     if not trace:
         raise NumericalFailureError(
             "no localized iterate encountered; the bound cannot be certified",

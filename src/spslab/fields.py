@@ -169,16 +169,18 @@ def zero_field(grid: Grid) -> Field:
     return Field.of_parts(grid, (np.zeros(grid.shape),))
 
 
-def boundary_mass_fraction(field: Field) -> float:
+def boundary_mass_fraction(field: Field, density: np.ndarray | None = None) -> float:
     """Fraction of |u|^2 in the outer shell of the box (``SHELL_FRACTION``
-    of n cells deep).
+    of n cells deep); ``density`` is the field's |u|^2 when the caller
+    holds it.
 
     Diagnostic for domain truncation: values near zero mean the periodic
     box holds the state; order-one values mean the field feels the box.
     """
     n = field.grid.n
     shell = max(1, int(round(SHELL_FRACTION * n)))
-    density = field.density()
+    if density is None:
+        density = field.density()
     total = float(np.sum(density))
     if total == 0.0:
         return 0.0

@@ -9,11 +9,11 @@ with beta = <Pg, u>/<Pu, u>, so that d is tangent to the sphere
 (Sobolev-gradient preconditioning, Danaila & Kazemi, SIAM J. Sci. Comput.
 2010).  Move against d, retract onto the sphere by mass projection, and
 accept the step under an Armijo decrease test with slope <g - beta u, d>.
-P removes the stiffness of the kinetic operator, so steps near 1 are
-accepted at every resolution.  The accepted energy sequence is
-non-increasing by construction, every iterate carries mass rho exactly up
-to rounding, and the stopping test reads the L2 norm of the tangential
-gradient g - (Re<g, u>/rho) u.
+P removes the stiffness of the kinetic operator, so steps up to the
+variant's cap ``STEP_CAP`` are accepted at every resolution.  The accepted
+energy sequence is non-increasing by construction, every iterate carries
+mass rho exactly up to rounding, and the stopping test reads the L2 norm
+of the tangential gradient g - (Re<g, u>/rho) u.
 
 The iterate is held as its real components u together with their half
 spectra f = rfftn(u), and the gradient as its half spectra
@@ -66,6 +66,10 @@ MIN_STEP = 1.0e-18
 # inhomogeneous symbol sqrt(1 + |k|^2) is at least 1, so P is the H^1/2
 # Riesz map K^-1; the homogeneous |k| needs c > 0 to bound P at k = 0
 PRECONDITIONER_SHIFT = {"inhomogeneous": 0.0, "homogeneous": 0.5}
+# default step cap per variant: with the Riesz map the preconditioned
+# kinetic Hessian is the identity, and a step of 2 is the largest that
+# amplifies no mode; the shifted homogeneous P is not the Riesz map
+STEP_CAP = {"inhomogeneous": 2.0, "homogeneous": 1.0}
 
 
 @dataclass(frozen=True)
@@ -74,9 +78,11 @@ class MinimizeConfig:
 
     ``grad_tol`` is relative: the flow stops once the tangential gradient's
     L2 norm, read on the half spectrum, falls below grad_tol * sqrt(rho).
-    ``initial_step`` caps the step along the preconditioned direction: the
-    step doubles after each accepted iteration up to the cap and is cut by
-    ``backtrack_factor`` until the Armijo test with constant ``armijo_c``
+    ``initial_step`` caps the step along the preconditioned direction; left
+    unset it resolves to the variant's ``STEP_CAP`` (2 for the inhomogeneous
+    Riesz-map flow, 1 for the homogeneous one), and a given value is kept.
+    The step doubles after each accepted iteration up to the cap and is cut
+    by ``backtrack_factor`` until the Armijo test with constant ``armijo_c``
     holds.  Below the flow's rounding floor a tolerance may not be reached:
     the flow then ends ``stagnated`` when no step passes the test or an
     accepted step leaves the iterate bitwise unchanged, and otherwise at
@@ -90,7 +96,7 @@ class MinimizeConfig:
 
     max_iters: int = 5000
     grad_tol: float = 1.0e-8
-    initial_step: float = 1.0
+    initial_step: float | None = None
     backtrack_factor: float = 0.5
     armijo_c: float = 1.0e-4
     init_kind: str = "gaussian"
@@ -102,6 +108,9 @@ class MinimizeConfig:
     variant: str = "inhomogeneous"
 
     def __post_init__(self) -> None:
+        check_variant(self.variant)
+        if self.initial_step is None:
+            object.__setattr__(self, "initial_step", STEP_CAP[self.variant])
         if self.max_iters < 0:
             raise ConfigurationError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.grad_tol <= 0:
@@ -132,7 +141,6 @@ class MinimizeConfig:
             raise ConfigurationError(
                 f"recenter_every must be >= 0, got {self.recenter_every}"
             )
-        check_variant(self.variant)
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,14 @@ edge cases."""
 
 import dataclasses
 import importlib
+import json
 
 import numpy as np
 import pytest
 
 import spslab as sl
-from spslab.cli import DEFAULT_VERIFY_TOLERANCES
-from spslab.minimize import _best_global_phase, _flow_weights, _start_field
+from spslab.cli import DEFAULT_VERIFY_TOLERANCES, EXIT_OK, run
+from spslab.minimize import STEP_CAP, _best_global_phase, _flow_weights, _start_field
 from conftest import relerr
 from oracles import smooth_random_field
 
@@ -228,11 +229,23 @@ class TestPreconditionedFlow:
         assert relerr(res.energy.total, self.HOM_ENERGY_16) <= 1e-10
 
     def test_riesz_map_iterations(self):
-        # P = K^-1 takes 223 iterations; (K + 1/2)^-1 took 324
+        # P = K^-1 takes 109 iterations at its step cap 2 and took 223 at
+        # the cap 1; (K + 1/2)^-1 took 324
         res = self._solve("inhomogeneous", 2.5)
-        assert res.converged and res.iterations <= 250
+        assert res.converged and res.iterations <= 120
         assert relerr(res.energy.total, self.C4_ENERGY_16) <= 1e-10
         assert abs(res.residuals.pohozaev_rel - self.C4_POHOZAEV_16) <= 1e-6
+
+    # the README floor starts: every mass and start width of the table
+    @pytest.mark.parametrize("width", [1.9, 2.0, 2.5, 3.0, 4.0, 5.0])
+    @pytest.mark.parametrize("rho", [0.05, 0.1, 0.25])
+    def test_floor_start_converges(self, rho, width):
+        params = sl.Params(alpha=1.0, beta=1.0, p=2.5, rho=rho)
+        cfg = sl.MinimizeConfig(max_iters=2000, grad_tol=1e-8, init_width=width)
+        res = sl.minimize(sl.make_grid(16, 40.0), params, cfg)
+        assert res.converged
+        energies = [t.energy for t in res.trace]
+        assert all(b <= a for a, b in zip(energies, energies[1:]))
 
     def test_preconditioner_per_variant(self):
         grid = sl.make_grid(16, 40.0)
@@ -240,6 +253,54 @@ class TestPreconditionedFlow:
         assert np.array_equal(riesz, 1.0 / grid.kinetic_symbol("inhomogeneous"))
         shifted = _flow_weights(grid, "homogeneous")[0]
         assert np.array_equal(shifted, 1.0 / (np.sqrt(grid.wave_sq(half=True)) + 0.5))
+
+
+class TestStepCap:
+    """``initial_step`` left unset resolves to the variant's cap: 2 for the
+    Riesz-map flow, whose preconditioned kinetic Hessian is the identity,
+    and 1 for the shifted homogeneous preconditioner."""
+
+    def test_default_per_variant(self):
+        assert STEP_CAP == {"inhomogeneous": 2.0, "homogeneous": 1.0}
+        assert sl.MinimizeConfig().initial_step == 2.0
+        assert sl.MinimizeConfig(initial_step=None).initial_step == 2.0
+        assert sl.MinimizeConfig(variant="homogeneous").initial_step == 1.0
+
+    @pytest.mark.parametrize("variant", ["inhomogeneous", "homogeneous"])
+    @pytest.mark.parametrize("step", [0.5, 1.0, 2.0, 4.0])
+    def test_explicit_step_kept(self, variant, step):
+        assert sl.MinimizeConfig(initial_step=step, variant=variant).initial_step == step
+
+    def test_explicit_step_is_the_cap(self):
+        # at the old cap 1 the C4 flow takes 223 iterations, at its default 2
+        # 109; both reach the same state
+        params = sl.Params(alpha=1.0, beta=1.0, p=2.5, rho=0.1)
+        grid = sl.make_grid(16, 40.0)
+        capped = sl.minimize(grid, params, sl.MinimizeConfig(
+            max_iters=8000, grad_tol=5e-7, init_width=2.0, initial_step=1.0))
+        default = sl.minimize(grid, params, sl.MinimizeConfig(
+            max_iters=8000, grad_tol=5e-7, init_width=2.0))
+        assert capped.converged and default.converged
+        assert default.iterations < capped.iterations
+        assert relerr(default.energy.total, capped.energy.total) <= 1e-10
+
+    @pytest.mark.parametrize("block, expected", [
+        ({}, 2.0),
+        ({"initial_step": None}, 2.0),
+        ({"variant": "homogeneous"}, 1.0),
+        ({"initial_step": 0.75}, 0.75),
+    ])
+    def test_result_echoes_resolved_step(self, tmp_path, block, expected):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({
+            "grid": {"n": 16, "box_length": 20.0},
+            "params": {"alpha": 1.0, "beta": 1.0, "p": 2.5, "rho": 0.1},
+            "minimize": {"max_iters": 3, **block},
+        }))
+        out = tmp_path / "out"
+        assert run(["minimize", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        doc = json.loads((out / "result.json").read_text())
+        assert doc["config"]["initial_step"] == expected
 
 
 class _LoggedFft:
