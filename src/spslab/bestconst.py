@@ -94,30 +94,26 @@ class BestConstantEstimate:
     ascent_trace: tuple[tuple[int, float], ...]
     grid_meta: dict
 
-    def to_document(self, config: AscentConfig | None = None) -> dict:
-        doc = {
+    def to_document(self, config: AscentConfig) -> dict:
+        return {
             "s_lower": self.s_lower,
             "grid": self.grid_meta,
             "ascent_trace": [list(t) for t in self.ascent_trace],
+            "ascent_config": asdict(config),
         }
-        if config is not None:
-            doc["ascent_config"] = asdict(config)
-        return doc
 
 
-def _log_quotient_gradient(ev: Evaluation, density: np.ndarray | None = None
-                           ) -> tuple[np.ndarray, ...]:
+def _log_quotient_gradient(ev: Evaluation, density: np.ndarray) -> tuple[np.ndarray, ...]:
     """L2 gradient of log Q at ``ev.u`` from its quotient evaluation, one real
     array per component.  log Q = 3/8 log ||phi||_{8/3}^{8/3} - 1/4 log hdot
     - 1/8 log D, so it is -grad E / (2 hdot) for the homogeneous energy at
     alpha = hdot / (4 D), beta = 3 hdot / (4 ||phi||_{8/3}^{8/3}), p = 8/3.
-    ``density``, |phi|^2 when the caller holds it, is overwritten by the
-    gradient's |phi|^{2/3}."""
+    ``density`` is |phi|^2, and is overwritten by the gradient's
+    |phi|^{2/3}."""
     ns = ev.breakdown.norms
     hdot = ns.hdot_half_sq
     params = Params(hdot / (4.0 * ev.breakdown.d_value), 0.75 * hdot / ns.lp_p, P_CRITICAL, 1.0)
-    power = None if density is None else _lp_power(density, P_CRITICAL, out=density)
-    gradient = _gradient(ev, params, "homogeneous", power)
+    gradient = _gradient(ev, params, "homogeneous", _lp_power(density, P_CRITICAL, out=density))
     for g in gradient:
         g *= -0.5 / hdot
     return gradient
@@ -265,9 +261,7 @@ class ThresholdVerdict:
     verdict: str  # "unbounded_certified" | "indeterminate"
 
 
-def classify_boundedness(
-    alpha: float, beta: float, estimate: BestConstantEstimate | float
-) -> ThresholdVerdict:
+def classify_boundedness(alpha: float, beta: float, s_lower: float) -> ThresholdVerdict:
     """Compare (27 alpha / beta^3)^{1/8} with sqrt(2) * s_lower.
 
     Strictly below certifies the unbounded regime (s_lower underestimates
@@ -278,7 +272,6 @@ def classify_boundedness(
         raise ConfigurationError(
             f"alpha and beta must be positive, got alpha={alpha}, beta={beta}"
         )
-    s_lower = estimate.s_lower if isinstance(estimate, BestConstantEstimate) else float(estimate)
     lhs = (27.0 * alpha / beta**3) ** 0.125
     rhs_lower = np.sqrt(2.0) * s_lower
     verdict = "unbounded_certified" if lhs < rhs_lower else "indeterminate"

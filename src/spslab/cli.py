@@ -2,9 +2,10 @@
 
 Subcommands: ``energy``, ``minimize``, ``curve``, ``best-constant``,
 ``scaling``, ``verify``.  Every run takes a JSON config (``--config``) and
-an output directory (``--out``); it writes ``manifest.json`` (config echo,
-code version, grid metadata, wall time) before any result file, then its
-result documents, tables, and field snapshots.
+an output directory (``--out``); ``minimize`` also takes ``--workers``, the
+process count for its multi-start seeds.  A run writes ``manifest.json``
+(config echo, code version, grid metadata, wall time) before any result
+file, then its result documents, tables, and field snapshots.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 unbounded regime detected, 5 verification failure.
@@ -120,14 +121,14 @@ VERDICT_COLUMNS = ("alpha", "beta", "lhs", "rhs_lower", "verdict")
 class _Manifest:
     """Run manifest written before results and finalized with the wall time."""
 
-    def __init__(self, out_dir: Path, command: str, config: dict, grid: Grid | None):
+    def __init__(self, out_dir: Path, command: str, config: dict, grid: Grid):
         self.path = out_dir / "manifest.json"
         self.started = time.monotonic()
         self.document = {
             "command": command,
             "config": config,
             "version": __version__,
-            "grid": grid.describe() if grid is not None else None,
+            "grid": grid.describe(),
             "wall_time_s": None,
         }
         write_json(self.path, self.document)
@@ -156,9 +157,8 @@ def _params_from_config(config: dict, rho_fallback: float | None = None) -> Para
     return read_block(Params, block, "params", rho=rho_fallback)
 
 
-def _minimize_config(config: dict, seed_override: int | None) -> MinimizeConfig:
-    fixed = {} if seed_override is None else {"init_seed": seed_override}
-    return read_block(MinimizeConfig, config.get("minimize", {}), "minimize", **fixed)
+def _minimize_config(config: dict) -> MinimizeConfig:
+    return read_block(MinimizeConfig, config.get("minimize", {}), "minimize")
 
 
 def _variant(config: dict) -> str:
@@ -185,7 +185,7 @@ def _result_files(out: Path, result: GroundStateResult, params: Params,
     export_abs_slice(result.field, out / "slice.csv")
 
 
-def cmd_energy(config: dict, out: Path, workers: int, seed: int | None) -> int:
+def cmd_energy(config: dict, out: Path) -> int:
     field, params, variant = _snapshot_inputs(config)
     manifest = _Manifest(out, "energy", config, field.grid)
     breakdown = energy_of(field, params, variant=variant)
@@ -222,10 +222,12 @@ def _run_seed(
     return summary, result
 
 
-def cmd_minimize(config: dict, out: Path, workers: int, seed: int | None) -> int:
+def cmd_minimize(config: dict, out: Path, workers: int) -> int:
+    if workers < 1:
+        raise ConfigurationError(f"--workers must be >= 1, got {workers}")
     grid = _grid_from_config(config)
     params = _params_from_config(config)
-    mconfig = _minimize_config(config, seed)
+    mconfig = _minimize_config(config)
     seeds = read_list(config.get("seeds", []), int, "seeds")
     if seeds and mconfig.init_kind != "random":
         raise ConfigurationError("multi-start 'seeds' requires init_kind 'random'")
@@ -246,8 +248,8 @@ def cmd_minimize(config: dict, out: Path, workers: int, seed: int | None) -> int
         finished = [(s["energy"], s["seed"], r) for s, r in outcomes if r is not None]
         if not finished:
             # all seeds collapsed: the unbounded signature
-            manifest.finalize()
             write_json(out / "unbounded.json", {"seeds": summaries})
+            manifest.finalize()
             print("unbounded regime detected on every start")
             return EXIT_UNBOUNDED
         _, best_seed, result = min(finished, key=lambda item: item[:2])
@@ -274,7 +276,7 @@ def cmd_minimize(config: dict, out: Path, workers: int, seed: int | None) -> int
     return EXIT_OK
 
 
-def cmd_curve(config: dict, out: Path, workers: int, seed: int | None) -> int:
+def cmd_curve(config: dict, out: Path) -> int:
     grid = _grid_from_config(config)
     rhos = read_list(_require(config, "rhos", "curve"), float, "rhos")
     if len(rhos) < 2:
@@ -282,7 +284,7 @@ def cmd_curve(config: dict, out: Path, workers: int, seed: int | None) -> int:
     if any(r <= 0 for r in rhos):
         raise ConfigurationError("curve rho values must be positive")
     base = _require(config, "params", "curve")
-    mconfig = _minimize_config(config, seed)
+    mconfig = _minimize_config(config)
     save_fields = read_value(config.get("save_fields", False), bool, "save_fields")
     snapshot_names = [f"field_rho_{rho:g}.spsf" for rho in rhos]
     if save_fields and len(set(snapshot_names)) < len(rhos):
@@ -337,10 +339,9 @@ def cmd_curve(config: dict, out: Path, workers: int, seed: int | None) -> int:
     return EXIT_OK
 
 
-def cmd_best_constant(config: dict, out: Path, workers: int, seed: int | None) -> int:
+def cmd_best_constant(config: dict, out: Path) -> int:
     grid = _grid_from_config(config)
-    fixed = {} if seed is None else {"seed": seed}
-    ascent = read_block(AscentConfig, config.get("ascent", {}), "ascent", **fixed)
+    ascent = read_block(AscentConfig, config.get("ascent", {}), "ascent")
     pairs = [read_list(p, float, "pairs") for p in read_list(config.get("pairs", []), list, "pairs")]
     if any(len(pair) != 2 for pair in pairs):
         raise ConfigurationError(f"bad pairs {pairs!r}: each pair is [alpha, beta]")
@@ -356,7 +357,7 @@ def cmd_best_constant(config: dict, out: Path, workers: int, seed: int | None) -
     if pairs:
         rows = []
         for alpha, beta in pairs:
-            verdict = classify_boundedness(alpha, beta, estimate)
+            verdict = classify_boundedness(alpha, beta, estimate.s_lower)
             rows.append([alpha, beta, verdict.lhs, verdict.rhs_lower, verdict.verdict])
         write_table(out / "verdicts.csv", "threshold", VERDICT_COLUMNS, rows)
     manifest.finalize()
@@ -364,7 +365,7 @@ def cmd_best_constant(config: dict, out: Path, workers: int, seed: int | None) -
     return EXIT_OK
 
 
-def cmd_scaling(config: dict, out: Path, workers: int, seed: int | None) -> int:
+def cmd_scaling(config: dict, out: Path) -> int:
     grid = _grid_from_config(config)
     params = _params_from_config(config)
     experiment = _require(config, "experiment", "scaling")
@@ -377,7 +378,7 @@ def cmd_scaling(config: dict, out: Path, workers: int, seed: int | None) -> int:
     thetas = _validated_thetas(thetas, increasing=experiment == "blowup")
     init = read_block(_ScalingInit, config.get("init", {}), "init")
     snapshot = load_snapshot(init.path) if init.kind == "from_file" else None
-    field, profile = _start_field(grid, params.rho, init.kind, init.width, snapshot=snapshot)
+    field, profile = _start_field(grid, params.rho, init.kind, init.width, initial=snapshot)
     manifest = _Manifest(out, "scaling", config, grid)
 
     follow = blowup_experiment if experiment == "blowup" else blowdown_experiment
@@ -403,7 +404,7 @@ def cmd_scaling(config: dict, out: Path, workers: int, seed: int | None) -> int:
     return EXIT_OK
 
 
-def cmd_verify(config: dict, out: Path, workers: int, seed: int | None) -> int:
+def cmd_verify(config: dict, out: Path) -> int:
     field, params, variant = _snapshot_inputs(config)
     omega = config.get("omega")
     if omega is not None:
@@ -453,8 +454,9 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="JSON run configuration")
         cmd.add_argument("--out", default="runs", help="output directory")
-        cmd.add_argument("--workers", type=int, default=1, help="parallel workers")
-        cmd.add_argument("--seed", type=int, default=None, help="seed override")
+        if name == "minimize":
+            cmd.add_argument("--workers", type=int, default=1,
+                             help="processes for the multi-start seeds")
     return parser
 
 
@@ -471,11 +473,11 @@ def run(argv: list[str] | None = None) -> int:
             raise ConfigurationError(
                 f"unknown top-level keys {sorted(unknown)}: {args.command} reads {list(keys)}"
             )
-        if args.workers < 1:
-            raise ConfigurationError(f"--workers must be >= 1, got {args.workers}")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return command(config, out, args.workers, args.seed)
+        if args.command == "minimize":
+            return command(config, out, args.workers)
+        return command(config, out)
     except (
         ConfigurationError, SnapshotFormatError, FileNotFoundError, json.JSONDecodeError
     ) as exc:

@@ -187,16 +187,12 @@ def _lp_power(density: np.ndarray, p: float, out: np.ndarray | None = None) -> n
     return np.power(density, 0.5 * (p - 2.0), out=out)
 
 
-def _gradient(ev: Evaluation, params: Params, variant: str,
-              power: np.ndarray | None = None,
+def _gradient(ev: Evaluation, params: Params, variant: str, power: np.ndarray,
               spectral: bool = False) -> tuple[np.ndarray, ...]:
     """L2 energy gradient at ``ev.u`` from its transforms, one real array per
     component (K c + local c), or with ``spectral`` their half spectra
-    (K f + rfftn(local c)); ``power`` is |u|^{p-2} (built when None), and
-    is overwritten."""
+    (K f + rfftn(local c)); ``power`` is |u|^{p-2}, and is overwritten."""
     u = ev.u
-    if power is None:
-        power = _lp_power(u.density(), params.p)
     # grad_j = K c_j + (4 alpha Phi - beta p |u|^{p-2}) c_j per component
     mult = u.grid.kinetic_symbol(variant)
     local = _potential_values(ev.density_fft, coulomb_kernel(u.grid))

@@ -303,30 +303,18 @@ def load_snapshot(path: str | Path) -> Field:
     return Field.of_parts(grid, parts)
 
 
-def export_abs_slice(
-    field: Field, path: str | Path, axis: str = "z", index: int | None = None
-) -> None:
-    """Lossy text export: CSV of |u| on one axis-normal plane.
+def export_abs_slice(field: Field, path: str | Path) -> None:
+    """Lossy text export: CSV of |u| on the mid z-plane, index n // 2.
 
-    Columns are the in-plane coordinates and |u|; intended for plotting,
-    not for round-tripping fields.
+    Columns are the in-plane coordinates x, y and |u|; intended for
+    plotting, not for round-tripping fields.
     """
-    axes = {"x": 0, "y": 1, "z": 2}
-    if axis not in axes:
-        raise ConfigurationError(f"slice axis must be one of x, y, z, got {axis!r}")
-    ax = axes[axis]
-    n = field.grid.n
-    if index is None:
-        index = n // 2
-    if not 0 <= index < n:
-        raise ConfigurationError(f"slice index {index} outside [0, {n})")
     # the plane alone is assembled from the parts, never the whole field
-    plane = np.abs(_complex(tuple(np.take(c, index, axis=ax) for c in field.parts)))
-    others = [name for name in ("x", "y", "z") if name != axis]
+    plane = np.abs(_complex(tuple(c[:, :, field.grid.n // 2] for c in field.parts)))
     coords = [f"{c:.17g}" for c in field.grid.axis.tolist()]
     # one joined string per plane row, in csv.writer's dialect: no field
     # needs quoting, and every line ends in \r\n
     with atomic_open(path, "w", newline="") as fh:
-        fh.write(f"{others[0]},{others[1]},abs_u\r\n")
+        fh.write("x,y,abs_u\r\n")
         for x, row in zip(coords, plane.tolist()):
             fh.write("".join([f"{x},{y},{a:.17g}\r\n" for y, a in zip(coords, row)]))

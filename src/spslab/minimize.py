@@ -22,8 +22,8 @@ product above is a Hermitian-weighted half-spectrum sum.  A trial
 s (u - tau d) has the half spectra s (f - tau d^), d^ those of d, so an
 iteration whose first trial is accepted costs four real transforms for a
 real field (the direction's irfftn, then rfftn(|u|^2), Phi's irfftn and the
-local term's rfftn) and six for a complex one.  Recentering and the output
-evaluation transform from the grid.  A trial that Armijo accepts with the
+local term's rfftn) and six for a complex one.  The output evaluation
+transforms from the grid.  A trial that Armijo accepts with the
 current energy and the current iterate's exact bits is a floating-point
 fixed point: the flow stops there with ``stagnated`` set.
 """
@@ -62,6 +62,10 @@ from .params import Params, check_variant
 
 # line search gives up once the step underflows this value
 MIN_STEP = 1.0e-18
+# the textbook Armijo constant and backtracking factor (Nocedal & Wright,
+# Numerical Optimization, section 3.1)
+ARMIJO_C = 1.0e-4
+BACKTRACK_FACTOR = 0.5
 # shift c of the flow's preconditioner (K(k) + c)^-1 per variant: the
 # inhomogeneous symbol sqrt(1 + |k|^2) is at least 1, so P is the H^1/2
 # Riesz map K^-1; the homogeneous |k| needs c > 0 to bound P at k = 0
@@ -82,7 +86,7 @@ class MinimizeConfig:
     unset it resolves to the variant's ``STEP_CAP`` (2 for the inhomogeneous
     Riesz-map flow, 1 for the homogeneous one), and a given value is kept.
     The step doubles after each accepted iteration up to the cap and is cut
-    by ``backtrack_factor`` until the Armijo test with constant ``armijo_c``
+    by ``BACKTRACK_FACTOR`` until the Armijo test with constant ``ARMIJO_C``
     holds.  Below the flow's rounding floor a tolerance may not be reached:
     the flow then ends ``stagnated`` when no step passes the test or an
     accepted step leaves the iterate bitwise unchanged, and otherwise at
@@ -90,20 +94,17 @@ class MinimizeConfig:
     selects the starting field: a centered real Gaussian (default width
     L/8), a seeded smooth random field, or a snapshot file.
     ``energy_floor`` converts an energy collapse into an
-    ``UnboundedEnergyError`` instead of iterating toward -infinity.
-    ``recenter_every`` = 0 means recenter only at output.
+    ``UnboundedEnergyError`` instead of iterating toward -infinity.  The
+    output is recentered once, after the flow.
     """
 
     max_iters: int = 5000
     grad_tol: float = 1.0e-8
     initial_step: float | None = None
-    backtrack_factor: float = 0.5
-    armijo_c: float = 1.0e-4
     init_kind: str = "gaussian"
     init_width: float | None = None
     init_seed: int = 0
     init_path: str | None = None
-    recenter_every: int = 0
     energy_floor: float = -1.0e6
     variant: str = "inhomogeneous"
 
@@ -119,14 +120,6 @@ class MinimizeConfig:
             raise ConfigurationError(
                 f"initial_step must be positive, got {self.initial_step}"
             )
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ConfigurationError(
-                f"backtrack_factor must lie in (0, 1), got {self.backtrack_factor}"
-            )
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ConfigurationError(
-                f"armijo_c must lie in (0, 1), got {self.armijo_c}"
-            )
         if self.init_kind not in ("gaussian", "random", "from_file"):
             raise ConfigurationError(
                 f"init_kind must be gaussian, random, or from_file, got {self.init_kind!r}"
@@ -136,10 +129,6 @@ class MinimizeConfig:
         if self.init_width is not None and self.init_width <= 0:
             raise ConfigurationError(
                 f"init_width must be positive, got {self.init_width}"
-            )
-        if self.recenter_every < 0:
-            raise ConfigurationError(
-                f"recenter_every must be >= 0, got {self.recenter_every}"
             )
 
 
@@ -197,22 +186,23 @@ def project_mass(u: Field, rho: float) -> Field:
 
 
 def _start_field(grid: Grid, rho: float, kind: str, width: float | None = None, seed: int = 0,
-                 snapshot: Field | None = None) -> tuple[Field, GaussianProfile | None]:
+                 initial: Field | None = None) -> tuple[Field, GaussianProfile | None]:
     """The starting field on the mass sphere ``rho``, with its Gaussian
-    profile when it has one: the centered Gaussian of ``width`` (default
-    L/8), which its profile samples bit for bit; the random field of
-    ``seed``; or ``snapshot``, which must lie on ``grid`` and be finite."""
+    profile when it has one: the ``initial`` field when there is one, which
+    must lie on ``grid`` and be finite; else by ``kind`` the centered
+    Gaussian of ``width`` (default L/8), which its profile samples bit for
+    bit, or the random field of ``seed``."""
+    if initial is not None:
+        if initial.grid != grid:
+            raise ConfigurationError(f"snapshot grid {initial.grid.describe()} does not match "
+                                     f"the run grid {grid.describe()}")
+        return project_mass(initial.require_finite("snapshot"), rho), None
     if kind == "gaussian":
         width = grid.box_length / 8.0 if width is None else width
         # the centre sample is exactly 1, so the mass is positive
         start, scale = _onto_sphere(grid, gaussian_field(grid, width).parts, rho)
         return start, GaussianProfile(width=width, amplitude=scale)
-    if kind == "random":
-        return project_mass(random_field(grid, seed), rho), None
-    if snapshot.grid != grid:
-        raise ConfigurationError(f"snapshot grid {snapshot.grid.describe()} does not match "
-                                 f"the run grid {grid.describe()}")
-    return project_mass(snapshot.require_finite("snapshot"), rho), None
+    return project_mass(random_field(grid, seed), rho), None
 
 
 def _centering_shifts(density: np.ndarray) -> tuple[int, ...]:
@@ -292,8 +282,8 @@ def minimize(
     """Run the preconditioned gradient flow for one starting point.
 
     ``initial`` overrides the configured starting field (used to warm-start
-    mass sweeps from a neighboring minimizer); it is projected onto the
-    sphere first.  The flow runs on the start's real components: one when
+    mass sweeps from a neighboring minimizer); a ``from_file`` config loads
+    its snapshot into it.  Either is projected onto the sphere first.  The flow runs on the start's real components: one when
     its imaginary part is exactly zero, so a real start stays real.  Raises
     ``UnboundedEnergyError`` when the energy passes below
     ``config.energy_floor`` (the signature of an unbounded regime).  A line
@@ -308,14 +298,9 @@ def minimize(
     variant = config.variant
     rho = params.rho
     sqrt_rho = np.sqrt(rho)
-    if initial is not None:
-        if initial.grid != grid:
-            raise ConfigurationError("initial field lives on a different grid")
-        u = project_mass(initial.require_finite("initial field"), rho)
-    else:
-        snapshot = load_snapshot(config.init_path) if config.init_kind == "from_file" else None
-        u, _ = _start_field(grid, rho, config.init_kind, config.init_width, config.init_seed,
-                            snapshot)
+    if initial is None and config.init_kind == "from_file":
+        initial = load_snapshot(config.init_path)
+    u, _ = _start_field(grid, rho, config.init_kind, config.init_width, config.init_seed, initial)
 
     precond, precond_weight = _flow_weights(grid, variant)
     ev = evaluate(u, params, variant, with_gradient=True)
@@ -379,7 +364,7 @@ def minimize(
                         f"{iteration}, step {tau:.3g}",
                         trace=[t.to_list() for t in trace],
                     )
-                if trial_energy <= current - config.armijo_c * tau * slope:
+                if trial_energy <= current - ARMIJO_C * tau * slope:
                     # a step that leaves the iterate bitwise unchanged is a
                     # floating-point fixed point: the flow cannot move on
                     fixed_point = trial_energy == current and all(
@@ -389,7 +374,7 @@ def minimize(
                     ev = trial_ev
                     accepted = True
                     break
-            tau *= config.backtrack_factor
+            tau *= BACKTRACK_FACTOR
         iterations = iteration + 1
         if not accepted or fixed_point:
             stagnated = True
@@ -403,9 +388,6 @@ def minimize(
                 f"{config.energy_floor:.6g}; unbounded regime detected",
                 trace=[t.to_list() for t in trace],
             )
-        if config.recenter_every and (iteration + 1) % config.recenter_every == 0:
-            u = recenter(u)
-            ev = evaluate(u, params, variant, with_gradient=True)
     else:
         iterations = config.max_iters
 

@@ -62,7 +62,7 @@ class TestLogQuotientGradient:
     def test_central_difference(self, grid32, complex_valued):
         phi = _modulated_gaussian(grid32, complex_valued)
         ev = evaluate(phi, _QUOTIENT_PARAMS, "homogeneous")
-        grad = _log_quotient_gradient(ev)
+        grad = _log_quotient_gradient(ev, phi.density())
         assert len(grad) == len(phi.parts)
         v = sl.random_field(grid32, 11).parts[: len(phi.parts)]
         v = tuple(c / np.max(np.abs(c)) for c in v)
@@ -80,7 +80,8 @@ class TestLogQuotientGradient:
         # Q is invariant under amplitude scaling, so the gradient has no
         # component along phi
         phi = _modulated_gaussian(grid32, complex_valued)
-        grad = _log_quotient_gradient(evaluate(phi, _QUOTIENT_PARAMS, "homogeneous"))
+        ev = evaluate(phi, _QUOTIENT_PARAMS, "homogeneous")
+        grad = _log_quotient_gradient(ev, phi.density())
         scale = np.sqrt(dot(grad, grad) * dot(phi.parts, phi.parts))
         assert abs(dot(grad, phi.parts)) < 1e-12 * scale
 
@@ -208,4 +209,4 @@ class TestThreshold:
             ascent_trace=((0, 0.9),),
             grid_meta=grid16.describe(),
         )
-        assert sl.classify_boundedness(1.0, 3.0, est).verdict == "unbounded_certified"
+        assert sl.classify_boundedness(1.0, 3.0, est.s_lower).verdict == "unbounded_certified"

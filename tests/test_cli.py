@@ -10,6 +10,7 @@ import pytest
 
 import spslab as sl
 from spslab.cli import (
+    COMMANDS,
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -192,6 +193,31 @@ class TestMinimizeCommand:
         assert run(["minimize", "--config", cfg, "--out", str(out)]) == EXIT_UNBOUNDED
         report = json.loads((out / "unbounded.json").read_text())
         assert report["trace"]
+
+    @pytest.mark.parametrize("seeds", [[], [0, 1]], ids=["single", "multistart"])
+    def test_unbounded_report_written_before_the_manifest_is_finalized(
+        self, tmp_path, monkeypatch, seeds
+    ):
+        cli = importlib.import_module("spslab.cli")
+        write_json = cli.write_json
+        written = []
+
+        def record(path, document):
+            written.append(Path(path).name)
+            write_json(path, document)
+
+        def collapse(*args, **kwargs):
+            raise sl.UnboundedEnergyError("energy fell below the floor", trace=[[0, -1.0, 0.0]])
+
+        monkeypatch.setattr(cli, "write_json", record)
+        monkeypatch.setattr(cli, "minimize", collapse)
+        payload = {"grid": GRID16, "params": PARAMS, "minimize": {"init_kind": "random"}}
+        if seeds:
+            payload["seeds"] = seeds
+        cfg = write_config(tmp_path, "cfg.json", payload)
+        assert run(["minimize", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_UNBOUNDED
+        reports = ["multistart.json"] if seeds else []
+        assert written == ["manifest.json", *reports, "unbounded.json", "manifest.json"]
 
     def test_nan_trial_energy_exit_code(self, tmp_path, monkeypatch):
         minimize_module = importlib.import_module("spslab.minimize")
@@ -753,6 +779,10 @@ def test_non_numeric_config_number_is_config_error(tmp_path, capsys, command, ke
         ("best-constant", "ascent", [1]),
         ("scaling", "grid", 16),
         ("scaling", "init", "gaussian"),
+        # the flow's Armijo constants and its in-loop recentering are fixed
+        ("minimize", "minimize.backtrack_factor", 0.5),
+        ("minimize", "minimize.armijo_c", 1e-4),
+        ("minimize", "minimize.recenter_every", 0),
     ],
 )
 def test_unknown_key_or_non_object_block_is_config_error(
@@ -779,6 +809,19 @@ def test_scaling_range_error_leaves_no_manifest(tmp_path, capsys, key, bad):
     run_malformed(tmp_path, "scaling", key, bad)
     err = capsys.readouterr().err
     assert ("p = 8/3" in err) if key == "params.p" else ("theta" in err)
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    # --seed is no flag of any command, --workers one of minimize alone
+    [(c, "--seed") for c in COMMANDS] + [(c, "--workers") for c in COMMANDS if c != "minimize"],
+)
+def test_unread_flags_are_rejected(tmp_path, command, flag):
+    argv = [command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as info:
+        run([*argv, flag, "2"])
+    assert info.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 class TestWorkers:

@@ -338,7 +338,7 @@ class TestField:
 def test_abs_slice_export(tmp_path, grid16):
     field = sl.gaussian_field(grid16, 1.0)
     path = tmp_path / "slice.csv"
-    sl.export_abs_slice(field, path, axis="z")
+    sl.export_abs_slice(field, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "x,y,abs_u"
     assert len(lines) == 1 + 16 * 16
