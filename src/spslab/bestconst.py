@@ -64,7 +64,8 @@ def weinstein_quotient(phi: Field) -> float:
 
 @dataclass(frozen=True)
 class AscentConfig:
-    """Budget and gauge choices of the quotient ascent."""
+    """Budget and gauge choices of the quotient ascent; ``init_width`` is
+    the start Gaussian's width, L/10 when unset."""
 
     steps: int = 200
     step_size: float = 0.5
@@ -82,6 +83,10 @@ class AscentConfig:
         if self.init_kind not in ("gaussian", "random"):
             raise ConfigurationError(
                 f"ascent init must be gaussian or random, got {self.init_kind!r}"
+            )
+        if self.init_width is not None and self.init_width <= 0:
+            raise ConfigurationError(
+                f"init_width must be positive, got {self.init_width}"
             )
 
 
@@ -179,7 +184,7 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
     """
     if config is None:
         config = AscentConfig()
-    width = config.init_width if config.init_width else grid.box_length / 10.0
+    width = grid.box_length / 10.0 if config.init_width is None else config.init_width
     phi = gaussian_field(grid, width)
     if config.init_kind == "random":
         noise = random_field(grid, config.seed)

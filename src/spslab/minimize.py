@@ -15,14 +15,16 @@ energy sequence is non-increasing by construction, every iterate carries
 mass rho exactly up to rounding, and the stopping test reads the L2 norm
 of the tangential gradient g - (Re<g, u>/rho) u.
 
-The iterate is held as its real components u together with their half
-spectra f = rfftn(u), and the gradient as its half spectra
+The iterate is held as its real array u together with its half spectra
+f = rfftn(u), and the gradient as its half spectra
 K f + rfftn((4 alpha Phi - beta p |u|^{p-2}) u), so that every inner
 product above is a Hermitian-weighted half-spectrum sum.  A trial
 s (u - tau d) has the half spectra s (f - tau d^), d^ those of d, so an
-iteration whose first trial is accepted costs four real transforms for a
-real field (the direction's irfftn, then rfftn(|u|^2), Phi's irfftn and the
-local term's rfftn) and six for a complex one.  The output evaluation
+iteration whose first trial is accepted costs four real transforms (the
+direction's irfftn, then rfftn(|u|^2), Phi's irfftn and the local term's
+rfftn).  The flow runs on one real component: a complex start enters as its
+modulus, since E(|u|) <= E(u) (D and the L^p term read |u| only, and the
+kinetic form does not rise under u -> |u|).  The output evaluation
 transforms from the grid.  A trial that Armijo accepts with the
 current energy and the current iterate's exact bits is a floating-point
 fixed point: the flow stops there with ``stagnated`` set.
@@ -48,7 +50,6 @@ from .fields import (
     GaussianProfile,
     _onto_sphere,
     boundary_mass_fraction,
-    dot,
     gaussian_field,
     load_snapshot,
     random_field,
@@ -92,7 +93,8 @@ class MinimizeConfig:
     accepted step leaves the iterate bitwise unchanged, and otherwise at
     ``max_iters``.  ``init_kind``
     selects the starting field: a centered real Gaussian (default width
-    L/8), a seeded smooth random field, or a snapshot file.
+    L/8), the modulus of a seeded smooth random field, or a snapshot file
+    (its modulus when it is complex).
     ``energy_floor`` converts an energy collapse into an
     ``UnboundedEnergyError`` instead of iterating toward -infinity.  The
     output is recentered once, after the flow.
@@ -154,7 +156,6 @@ class GroundStateResult:
     converged: bool
     trace: tuple[TracePoint, ...]
     stagnated: bool
-    imag_mass_fraction: float
     variant: str
 
     def to_document(self, params: Params, config: MinimizeConfig) -> dict:
@@ -169,7 +170,6 @@ class GroundStateResult:
             "omega": self.omega,
             "energy": self.energy.to_dict(),
             "residuals": self.residuals.to_dict(),
-            "imag_mass_fraction": self.imag_mass_fraction,
             "boundary_mass_fraction": boundary_mass_fraction(self.field),
             "trace": [t.to_list() for t in self.trace],
         }
@@ -239,26 +239,6 @@ def recenter(u: Field) -> Field:
     return Field.of_parts(u.grid, rolled)
 
 
-def _best_global_phase(u: Field) -> tuple[Field, float]:
-    """Rotate a nonzero two-part field by the global phase maximizing the
-    real part's mass; returns the rotated field and the remaining imaginary
-    mass fraction.
-
-    The real part of e^{it} u has mass S/2 + (r/2) cos(2t - phi), with
-    S = s_aa + s_bb and r e^{i phi} = (s_aa - s_bb) - 2i s_ab, so the
-    maximizer is t = phi/2 in closed form.
-    """
-    a, b = u.parts
-    saa, sbb, sab = dot((a,), (a,)), dot((b,), (b,)), dot((a,), (b,))
-    theta = 0.5 * np.arctan2(-2.0 * sab, saa - sbb)
-    cos, sin = np.cos(theta), np.sin(theta)
-    # e^{i theta} (a + i b) = (a cos - b sin) + i (a sin + b cos)
-    real = a * cos - b * sin
-    imag = a * sin + b * cos
-    rotated = Field.of_parts(u.grid, (real, imag) if np.any(imag) else (real,))
-    return rotated, dot((imag,), (imag,)) / (saa + sbb)
-
-
 def _flow_weights(grid: Grid, variant: str) -> tuple[np.ndarray, np.ndarray]:
     """The flow's preconditioner P = (K(k) + c)^-1 on the half spectrum, with
     the variant's ``PRECONDITIONER_SHIFT`` c: the Riesz map K^-1 of H^1/2 for
@@ -283,8 +263,9 @@ def minimize(
 
     ``initial`` overrides the configured starting field (used to warm-start
     mass sweeps from a neighboring minimizer); a ``from_file`` config loads
-    its snapshot into it.  Either is projected onto the sphere first.  The flow runs on the start's real components: one when
-    its imaginary part is exactly zero, so a real start stays real.  Raises
+    its snapshot into it.  Either is projected onto the sphere first.  A
+    complex start is then replaced by its modulus, projected again; a real
+    start keeps its sign, so the flow runs on one real component.  Raises
     ``UnboundedEnergyError`` when the energy passes below
     ``config.energy_floor`` (the signature of an unbounded regime).  A line
     search that cannot find a decreasing step at machine precision, or
@@ -301,6 +282,9 @@ def minimize(
     if initial is None and config.init_kind == "from_file":
         initial = load_snapshot(config.init_path)
     u, _ = _start_field(grid, rho, config.init_kind, config.init_width, config.init_seed, initial)
+    if len(u.parts) > 1:
+        # E(|u|) <= E(u): the modulus, back on the sphere, is a real start
+        u, _ = _onto_sphere(grid, (np.sqrt(u.density()),), rho)
 
     precond, precond_weight = _flow_weights(grid, variant)
     ev = evaluate(u, params, variant, with_gradient=True)
@@ -391,13 +375,8 @@ def minimize(
     else:
         iterations = config.max_iters
 
-    # output normalization: translation then global phase, both exact
-    # isometries of the energy; a real iterate needs no rotation.
-    u = recenter(u)
-    if len(u.parts) == 1:
-        v, imag_fraction = u, 0.0
-    else:
-        v, imag_fraction = _best_global_phase(u)
+    # output normalization: a translation, an exact isometry of the energy
+    v = recenter(u)
     del u, ev
 
     # omega and the residuals are the ones ``identity_report`` reads off v
@@ -413,6 +392,5 @@ def minimize(
         converged=converged,
         trace=tuple(trace),
         stagnated=stagnated,
-        imag_mass_fraction=imag_fraction,
         variant=variant,
     )

@@ -811,6 +811,15 @@ def test_scaling_range_error_leaves_no_manifest(tmp_path, capsys, key, bad):
     assert ("p = 8/3" in err) if key == "params.p" else ("theta" in err)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+def test_ascent_width_range_error_leaves_no_manifest(tmp_path, capsys, bad):
+    # a non-positive start width is refused before any file is written: 0.0
+    # is not read as unset (L/10), and -1.0 does not fail inside the ascent
+    run_malformed(tmp_path, "best-constant", "ascent.init_width", bad)
+    assert "init_width must be positive" in capsys.readouterr().err
+    assert not any((tmp_path / "o").iterdir())
+
+
 @pytest.mark.parametrize(
     "command, flag",
     # --seed is no flag of any command, --workers one of minimize alone
