@@ -2,10 +2,11 @@
 
 Subcommands: ``energy``, ``minimize``, ``curve``, ``best-constant``,
 ``scaling``, ``verify``.  Every run takes a JSON config (``--config``) and
-an output directory (``--out``); ``minimize`` also takes ``--workers``, the
-process count for its multi-start seeds.  A run writes ``manifest.json``
-(config echo, code version, grid metadata, wall time) before any result
-file, then its result documents, tables, and field snapshots.
+an output directory (``--out``), and no other flag; the multi-start seeds
+of ``minimize`` run one after another in the command's process.  A run
+writes ``manifest.json`` (config echo, code version, grid metadata, wall
+time) before any result file, then its result documents, tables, and field
+snapshots.  A config that is rejected leaves no output directory.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 unbounded regime detected, 5 verification failure.
@@ -17,9 +18,7 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -222,9 +221,7 @@ def _run_seed(
     return summary, result
 
 
-def cmd_minimize(config: dict, out: Path, workers: int) -> int:
-    if workers < 1:
-        raise ConfigurationError(f"--workers must be >= 1, got {workers}")
+def cmd_minimize(config: dict, out: Path) -> int:
     grid = _grid_from_config(config)
     params = _params_from_config(config)
     mconfig = _minimize_config(config)
@@ -234,15 +231,7 @@ def cmd_minimize(config: dict, out: Path, workers: int) -> int:
     manifest = _Manifest(out, "minimize", config, grid)
 
     if seeds:
-        starts = [replace(mconfig, init_seed=s) for s in seeds]
-        run_start = partial(_run_seed, grid, params)
-        # a fork pool starts every worker up front: no more than there are starts
-        pool_size = min(workers, len(starts))
-        if pool_size > 1:
-            with ProcessPoolExecutor(max_workers=pool_size) as pool:
-                outcomes = list(pool.map(run_start, starts))
-        else:
-            outcomes = [run_start(c) for c in starts]
+        outcomes = [_run_seed(grid, params, replace(mconfig, init_seed=s)) for s in seeds]
         summaries = [summary for summary, _ in outcomes]
         write_json(out / "multistart.json", {"seeds": summaries})
         finished = [(s["energy"], s["seed"], r) for s, r in outcomes if r is not None]
@@ -281,8 +270,6 @@ def cmd_curve(config: dict, out: Path) -> int:
     rhos = read_list(_require(config, "rhos", "curve"), float, "rhos")
     if len(rhos) < 2:
         raise ConfigurationError("curve needs at least 2 rho values")
-    if any(r <= 0 for r in rhos):
-        raise ConfigurationError("curve rho values must be positive")
     base = _require(config, "params", "curve")
     mconfig = _minimize_config(config)
     save_fields = read_value(config.get("save_fields", False), bool, "save_fields")
@@ -454,9 +441,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="JSON run configuration")
         cmd.add_argument("--out", default="runs", help="output directory")
-        if name == "minimize":
-            cmd.add_argument("--workers", type=int, default=1,
-                             help="processes for the multi-start seeds")
     return parser
 
 
@@ -473,11 +457,7 @@ def run(argv: list[str] | None = None) -> int:
             raise ConfigurationError(
                 f"unknown top-level keys {sorted(unknown)}: {args.command} reads {list(keys)}"
             )
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        if args.command == "minimize":
-            return command(config, out, args.workers)
-        return command(config, out)
+        return command(config, Path(args.out))
     except (
         ConfigurationError, SnapshotFormatError, FileNotFoundError, json.JSONDecodeError
     ) as exc:

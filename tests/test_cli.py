@@ -302,23 +302,22 @@ class TestMinimizeCommand:
         result = json.loads((out / "result.json").read_text())
         assert result["energy"]["total"] == best
 
-    def test_multistart_parallel_matches_serial(self, tmp_path):
-        payload = {
-            "grid": GRID16,
-            "params": {"alpha": 1.0, "beta": 1.0, "p": 2.5, "rho": 0.1},
-            "minimize": {"max_iters": 20, "init_kind": "random"},
-            "seeds": [0, 1],
-        }
-        cfg = write_config(tmp_path, "cfg.json", payload)
-        serial, parallel = tmp_path / "s", tmp_path / "p"
-        assert run(["minimize", "--config", cfg, "--out", str(serial)]) == EXIT_OK
-        assert (
-            run(["minimize", "--config", cfg, "--out", str(parallel), "--workers", "2"])
-            == EXIT_OK
+    def test_integral_floats_are_read_as_ints(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {
+                "grid": {"n": 16.0, "box_length": 8.0},
+                "params": {"alpha": 1.0, "beta": 1.0, "p": 2.5, "rho": 0.1},
+                "minimize": {"max_iters": 3.0},
+            },
         )
-        r1 = json.loads((serial / "result.json").read_text())
-        r2 = json.loads((parallel / "result.json").read_text())
-        assert r1 == r2
+        out = tmp_path / "run"
+        assert run(["minimize", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        result = json.loads((out / "result.json").read_text())
+        grid, mconfig = result["grid"], result["config"]
+        assert type(grid["n"]) is int and grid["n"] == 16
+        assert type(mconfig["max_iters"]) is int and mconfig["max_iters"] == 3
 
 
 class TestCurveCommand:
@@ -715,18 +714,33 @@ def malformed_configs(snap):
     }
 
 
+# run_malformed deletes a key set to this
+ABSENT = object()
+
+
+def run_rejected(tmp_path, command, config):
+    """Run ``command`` on ``config``: it must exit 2 and leave no output
+    directory."""
+    cfg = write_config(tmp_path, "cfg.json", config)
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert not out.exists()
+
+
 def run_malformed(tmp_path, command, key, bad):
-    """Set the dotted ``key`` of ``command``'s valid config to ``bad`` and run
-    it; the run must fail before its manifest is written.  A word after the
-    command picks one of its config variants (``"scaling from_file"``)."""
+    """Set the dotted ``key`` of ``command``'s valid config to ``bad`` (or
+    delete it, for ``ABSENT``) and run it through ``run_rejected``.  A word
+    after the command picks one of its config variants
+    (``"scaling from_file"``)."""
     snap, _ = make_gaussian_snapshot(tmp_path, sl.make_grid(16, 8.0))
     config = malformed_configs(snap)[command]
     block, _, leaf = key.rpartition(".")
-    (config[block] if block else config)[leaf] = bad
-    cfg = write_config(tmp_path, "cfg.json", config)
-    out = tmp_path / "o"
-    assert run([command.split()[0], "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert not (out / "manifest.json").exists()
+    parent = config[block] if block else config
+    if bad is ABSENT:
+        del parent[leaf]
+    else:
+        parent[leaf] = bad
+    run_rejected(tmp_path, command.split()[0], config)
 
 
 @pytest.mark.parametrize(
@@ -811,19 +825,49 @@ def test_scaling_range_error_leaves_no_manifest(tmp_path, capsys, key, bad):
     assert ("p = 8/3" in err) if key == "params.p" else ("theta" in err)
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0])
-def test_ascent_width_range_error_leaves_no_manifest(tmp_path, capsys, bad):
-    # a non-positive start width is refused before any file is written: 0.0
-    # is not read as unset (L/10), and -1.0 does not fail inside the ascent
-    run_malformed(tmp_path, "best-constant", "ascent.init_width", bad)
-    assert "init_width must be positive" in capsys.readouterr().err
-    assert not any((tmp_path / "o").iterdir())
+RANGE_ERRORS = [
+    # a non-positive ascent start width is refused before the output
+    # directory is made: 0.0 is not read as unset (L/10), and -1.0 does not
+    # fail inside the ascent
+    ("best-constant", "ascent.init_width", 0.0, "init_width must be positive"),
+    ("best-constant", "ascent.init_width", -1.0, "init_width must be positive"),
+    ("best-constant", "ascent.steps", 0, "ascent budget must be >= 1"),
+    ("best-constant", "ascent.step_size", 0.0, "ascent step size must be positive"),
+    ("best-constant", "ascent.init_kind", "flat", "ascent init must be gaussian or random"),
+    ("minimize", "minimize.grad_tol", 0.0, "grad_tol must be positive"),
+    ("minimize", "minimize.initial_step", 0.0, "initial_step must be positive"),
+    ("minimize", "minimize.init_kind", "flat", "init_kind must be gaussian, random"),
+    ("minimize", "minimize.init_width", 0.0, "init_width must be positive"),
+    ("minimize", "grid", ABSENT, "run config is missing the key 'grid'"),
+    ("minimize", "params.alpha", ABSENT, "params block is missing the key 'alpha'"),
+    ("scaling", "init.kind", "random", "scaling init kind must be gaussian or from_file"),
+    ("scaling", "init.kind", "from_file", "scaling init config is missing the key 'path'"),
+    ("scaling", "experiment", "sideways", "experiment must be blowup or blowdown"),
+    # every point's Params is built before the manifest
+    ("curve", "rhos", [0.1, -0.1], "rho must be positive"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, key, bad, message",
+    RANGE_ERRORS,
+    ids=[f"{c}-{k}-{'absent' if b is ABSENT else b}" for c, k, b, _ in RANGE_ERRORS],
+)
+def test_range_error_leaves_no_output(tmp_path, capsys, command, key, bad, message):
+    run_malformed(tmp_path, command, key, bad)
+    assert message in capsys.readouterr().err
+
+
+def test_non_object_config_root_leaves_no_output(tmp_path, capsys):
+    snap, _ = make_gaussian_snapshot(tmp_path, sl.make_grid(16, 8.0))
+    run_rejected(tmp_path, "minimize", [malformed_configs(snap)["minimize"]])
+    assert "config root must be a JSON object" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
     "command, flag",
-    # --seed is no flag of any command, --workers one of minimize alone
-    [(c, "--seed") for c in COMMANDS] + [(c, "--workers") for c in COMMANDS if c != "minimize"],
+    # no command takes a flag other than --config and --out
+    [(c, "--seed") for c in COMMANDS] + [(c, "--workers") for c in COMMANDS],
 )
 def test_unread_flags_are_rejected(tmp_path, command, flag):
     argv = [command, "--config", str(tmp_path / "cfg.json"), "--out", str(tmp_path / "o")]
@@ -831,44 +875,6 @@ def test_unread_flags_are_rejected(tmp_path, command, flag):
         run([*argv, flag, "2"])
     assert info.value.code == 2
     assert not (tmp_path / "o").exists()
-
-
-class TestWorkers:
-    CONFIG = {
-        "grid": GRID16,
-        "params": PARAMS,
-        "minimize": {"max_iters": 2, "init_kind": "random"},
-        "seeds": [0, 1],
-    }
-
-    @pytest.mark.parametrize("workers", ["0", "-1"])
-    def test_workers_below_one_rejected(self, tmp_path, workers):
-        cfg = write_config(tmp_path, "cfg.json", self.CONFIG)
-        out = tmp_path / "o"
-        argv = ["minimize", "--config", cfg, "--out", str(out), "--workers", workers]
-        assert run(argv) == EXIT_CONFIG
-        assert not (out / "manifest.json").exists()
-
-    def test_pool_capped_at_seed_count(self, tmp_path, monkeypatch):
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr("spslab.cli.ProcessPoolExecutor", SerialPool)
-        cfg = write_config(tmp_path, "cfg.json", self.CONFIG)
-        argv = ["minimize", "--config", cfg, "--out", str(tmp_path / "o"), "--workers", "64"]
-        assert run(argv) == EXIT_OK
-        assert sizes == [2]
 
 
 class TestReproducibility:
