@@ -64,8 +64,11 @@ def weinstein_quotient(phi: Field) -> float:
 
 @dataclass(frozen=True)
 class AscentConfig:
-    """Budget and gauge choices of the quotient ascent; ``init_width`` is
-    the start Gaussian's width, L/10 when unset."""
+    """Budget and gauge choices of the quotient ascent.  ``init_kind``
+    "gaussian" starts from the centered Gaussian of width ``init_width``
+    (L/10 when unset); "random" multiplies it by the modulus
+    |1 + 0.3 noise / max|noise||, noise the ``random_field`` of ``seed``,
+    so both starts are real."""
 
     steps: int = 200
     step_size: float = 0.5
@@ -176,6 +179,12 @@ def _is_localized(phi: Field, density: np.ndarray | None = None) -> bool:
 def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> BestConstantEstimate:
     """Gauge-fixed gradient ascent on log Q with unit-mass renormalization.
 
+    The ascent runs on one real component.  Q(|phi|) >= Q(phi), since
+    ||phi||_{8/3} and D read |phi| only and the seminorm does not rise
+    under phi -> |phi|, so a random start enters as its modulus; the
+    gradient, the gauge projection and the retraction of a real field are
+    real, and an accepted step costs two rfftn and five irfftn.
+
     A trial is accepted only when it raises Q and is localized (see
     ``_is_localized``), so every accepted iterate is certified: the trace
     holds the start (when localized) and each accepted quotient, the last
@@ -185,12 +194,13 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
     if config is None:
         config = AscentConfig()
     width = grid.box_length / 10.0 if config.init_width is None else config.init_width
-    phi = gaussian_field(grid, width)
+    parts = gaussian_field(grid, width).parts
     if config.init_kind == "random":
-        noise = random_field(grid, config.seed)
-        scale = np.max(np.abs(noise.values)) or 1.0
-        phi = Field(grid, phi.values * (1.0 + 0.3 * noise.values / scale))
-    phi, _ = _onto_sphere(grid, phi.parts, 1.0)
+        # |gaussian (1 + 0.3 noise / scale)|, as the Gaussian is positive
+        noise = random_field(grid, config.seed).values
+        scale = np.max(np.abs(noise)) or 1.0
+        parts = (parts[0] * np.abs(1.0 + 0.3 * noise / scale),)
+    phi, _ = _onto_sphere(grid, parts, 1.0)
 
     try:
         ev = evaluate(phi, _QUOTIENT_PARAMS, "homogeneous")

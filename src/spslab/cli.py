@@ -123,6 +123,12 @@ class _Manifest:
     def __init__(self, out_dir: Path, command: str, config: dict, grid: Grid):
         self.path = out_dir / "manifest.json"
         self.started = time.monotonic()
+        # the first write of a run: an --out that cannot be a directory is
+        # a configuration error, a failed write later on is not
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError) as exc:
+            raise ConfigurationError(f"--out {out_dir}: {exc.strerror}") from exc
         self.document = {
             "command": command,
             "config": config,
@@ -444,13 +450,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_config(path: str) -> dict:
+    """The JSON object in the config file ``path``."""
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except IsADirectoryError as exc:
+        raise ConfigurationError(f"--config {path}: {exc.strerror}") from exc
+    if not isinstance(config, dict):
+        raise ConfigurationError("config root must be a JSON object")
+    return config
+
+
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with open(args.config) as fh:
-            config = json.load(fh)
-        if not isinstance(config, dict):
-            raise ConfigurationError("config root must be a JSON object")
+        config = _load_config(args.config)
         command, keys = COMMANDS[args.command]
         unknown = set(config) - set(keys)
         if unknown:

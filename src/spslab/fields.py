@@ -232,7 +232,9 @@ def gaussian_field(grid: Grid, width: float, amplitude: float = 1.0) -> Field:
 def random_field(grid: Grid, seed: int) -> Field:
     """Smooth random complex field: white noise low-pass filtered at
     ``RANDOM_K_CUT`` of the maximal wavenumber, then windowed by a broad
-    Gaussian envelope so the density decays inside the box."""
+    Gaussian envelope so the density decays inside the box.  Its users
+    take a modulus: ``minimize`` starts from |noise|, the best-constant
+    ascent from a Gaussian times |1 + 0.3 noise / max|noise||."""
     rng = np.random.default_rng(seed)
     noise = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
     k_abs = np.sqrt(grid.wave_sq())

@@ -45,3 +45,25 @@ def gauss32(grid32):
 
 def relerr(a, b):
     return abs(a - b) / max(abs(a), abs(b))
+
+
+class LoggedFft:
+    """Stands in for a module's ``scipy.fft`` alias and logs each
+    ``rfftn``/``irfftn`` call: as ``label`` when one is given, else as the
+    function's name."""
+
+    def __init__(self, real, events, label=None):
+        self._real = real
+
+        def logged(fn):
+            def call(*args, **kwargs):
+                events.append(label or fn.__name__)
+                return fn(*args, **kwargs)
+
+            return call
+
+        self.rfftn = logged(real.rfftn)
+        self.irfftn = logged(real.irfftn)
+
+    def __getattr__(self, attr):
+        return getattr(self._real, attr)

@@ -1,14 +1,16 @@
 """Weinstein quotient, ascent lower bounds, boundedness threshold."""
 
+import importlib
+
 import numpy as np
 import pytest
 
 import spslab as sl
-from conftest import GAUSS_WEINSTEIN, relerr
+from conftest import GAUSS_WEINSTEIN, LoggedFft, relerr
 from spslab import bestconst
 from spslab.bestconst import _QUOTIENT_PARAMS, _is_localized, _log_quotient_gradient
 from spslab.energy import evaluate
-from spslab.fields import dot
+from spslab.fields import _onto_sphere, dot
 
 
 class TestQuotient:
@@ -168,6 +170,69 @@ class TestAscent:
             grid64, sl.AscentConfig(steps=60, init_kind="gaussian")
         )
         assert coarse.s_lower <= fine.s_lower + 1e-2
+
+
+class TestModulusStart:
+    """Q(|phi|) >= Q(phi): ||phi||_{8/3} and D read |phi| only, and the
+    seminorm does not rise under phi -> |phi|, so the random start enters
+    the ascent as its modulus and every iterate is real."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_start_is_its_modulus(self, grid32, seed):
+        noise = sl.random_field(grid32, seed).values
+        gaussian = sl.gaussian_field(grid32, grid32.box_length / 10.0).values
+        complex_start = sl.Field(grid32, gaussian * (1.0 + 0.3 * noise / np.max(np.abs(noise))))
+        modulus, _ = _onto_sphere(grid32, (np.abs(complex_start.values),), 1.0)
+        est = sl.estimate_best_constant(
+            grid32, sl.AscentConfig(steps=3, seed=seed, init_kind="random")
+        )
+        start_it, start_q = est.ascent_trace[0]
+        assert start_it == 0
+        assert relerr(start_q, sl.weinstein_quotient(modulus)) < 1e-12
+        assert start_q >= sl.weinstein_quotient(complex_start)
+        assert len(est.maximizer.parts) == 1
+
+    def test_modulus_does_not_raise_the_seminorm(self, grid32):
+        # the grid-level inequality behind Q(|phi|) >= Q(phi), for the
+        # homogeneous seminorm the quotient reads
+        rng = np.random.default_rng(2301)
+        for _ in range(20):
+            w = rng.standard_normal(grid32.shape) + 1j * rng.standard_normal(grid32.shape)
+            ns_w = sl.norms(sl.Field(grid32, w), p=8.0 / 3.0)
+            ns_abs = sl.norms(sl.Field(grid32, np.abs(w)), p=8.0 / 3.0)
+            assert ns_abs.hdot_half_sq <= ns_w.hdot_half_sq + 1e-10
+
+    def test_accepted_step_takes_seven_transforms(self, grid32, monkeypatch):
+        # an evaluation opens each step: the trial's rfftn of phi and of
+        # |phi|^2, then the next direction's irfftn of Phi, of the gradient's
+        # kinetic term and of the dilation generator's three derivatives
+        events = []
+        for name in ("energy", "coulomb", "bestconst"):
+            module = importlib.import_module(f"spslab.{name}")
+            monkeypatch.setattr(module, "_fft", LoggedFft(module._fft, events))
+
+        def logged(*args, _evaluate=bestconst.evaluate, **kwargs):
+            events.append("evaluate")
+            return _evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(bestconst, "evaluate", logged)
+        steps = 12
+        est = sl.estimate_best_constant(
+            grid32,
+            sl.AscentConfig(steps=steps, seed=2, init_kind="random", init_width=1.6,
+                            step_size=0.005),
+        )
+        assert [it for it, _ in est.ascent_trace] == list(range(steps + 1))
+        chunks = []
+        for event in events:
+            if event == "evaluate":
+                chunks.append([])
+            else:
+                chunks[-1].append(event)
+        assert len(chunks) == steps + 1
+        per_step = [(c.count("rfftn"), c.count("irfftn")) for c in chunks[:-1]]
+        assert per_step == [(2, 5)] * steps
+        assert chunks[-1] == ["rfftn", "rfftn"]
 
 
 class TestThreshold:

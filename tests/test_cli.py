@@ -680,8 +680,37 @@ class TestConfigErrors:
         )
         assert run(["minimize", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
+    @staticmethod
+    def assert_one_line_config_error(capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
-PARAMS = {"alpha": 1.0, "beta": 1.0, "p": 2.5, "rho": 0.1}
+    def test_config_is_a_directory(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert run(["minimize", "--config", str(tmp_path), "--out", str(out)]) == EXIT_CONFIG
+        self.assert_one_line_config_error(capsys)
+        assert not out.exists()
+
+    def test_out_is_an_existing_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cfg.json", {"grid": GRID16, "ascent": {"steps": 2}})
+        out = tmp_path / "taken"
+        out.write_text("kept")
+        assert run(["best-constant", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        self.assert_one_line_config_error(capsys)
+        assert out.read_text() == "kept"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "taken"]
+
+    def test_out_below_a_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "cfg.json", {"grid": GRID16, "ascent": {"steps": 2}})
+        parent = tmp_path / "taken"
+        parent.write_text("kept")
+        assert run(["best-constant", "--config", cfg, "--out", str(parent / "o")]) == EXIT_CONFIG
+        self.assert_one_line_config_error(capsys)
+        assert parent.read_text() == "kept"
+
+
+PARAMS ={"alpha": 1.0, "beta": 1.0, "p": 2.5, "rho": 0.1}
 
 
 def malformed_configs(snap):

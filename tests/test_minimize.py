@@ -11,7 +11,7 @@ import pytest
 import spslab as sl
 from spslab.cli import DEFAULT_VERIFY_TOLERANCES, EXIT_OK, run
 from spslab.minimize import STEP_CAP, _flow_weights, _start_field
-from conftest import relerr
+from conftest import LoggedFft, relerr
 from oracles import smooth_random_field
 
 
@@ -282,27 +282,6 @@ class TestStepCap:
         assert doc["config"]["initial_step"] == expected
 
 
-class _LoggedFft:
-    """Stands in for a module's ``scipy.fft`` alias and logs the module's
-    name for each ``rfftn``/``irfftn`` call."""
-
-    def __init__(self, real, name, events):
-        self._real = real
-
-        def logged(fn):
-            def call(*args, **kwargs):
-                events.append(name)
-                return fn(*args, **kwargs)
-
-            return call
-
-        self.rfftn = logged(real.rfftn)
-        self.irfftn = logged(real.irfftn)
-
-    def __getattr__(self, attr):
-        return getattr(self._real, attr)
-
-
 class TestSpectralIterate:
     """The flow carries the half spectra of its iterate and its gradient, so
     an iteration whose first trial is accepted costs the direction's
@@ -315,7 +294,7 @@ class TestSpectralIterate:
         events = []
         for name in ("energy", "coulomb", "minimize"):
             module = importlib.import_module(f"spslab.{name}")
-            monkeypatch.setattr(module, "_fft", _LoggedFft(module._fft, name, events))
+            monkeypatch.setattr(module, "_fft", LoggedFft(module._fft, events, label=name))
         minimize_module = importlib.import_module("spslab.minimize")
 
         def logged(*args, _evaluate=minimize_module.evaluate, **kwargs):
