@@ -43,7 +43,7 @@ from .params import P_CRITICAL, Params
 
 # Q reads ||phi||_{8/3}, the homogeneous seminorm and D off one
 # homogeneous-variant evaluation; couplings and mass do not enter it
-_QUOTIENT_PARAMS = Params(alpha=1.0, beta=1.0, p=P_CRITICAL, rho=1.0)
+_QUOTIENT_PARAMS = Params(alpha=1.0, beta=1.0, p=P_CRITICAL, rho=1.0, variant="homogeneous")
 
 
 def _quotient(ev: Evaluation) -> float:
@@ -59,7 +59,7 @@ def _quotient(ev: Evaluation) -> float:
 def weinstein_quotient(phi: Field) -> float:
     """Q(phi); invariant under amplitude scaling and dilation."""
     phi.require_finite("weinstein_quotient input").require_nonzero("weinstein_quotient input")
-    return _quotient(evaluate(phi, _QUOTIENT_PARAMS, "homogeneous"))
+    return _quotient(evaluate(phi, _QUOTIENT_PARAMS))
 
 
 @dataclass(frozen=True)
@@ -67,8 +67,8 @@ class AscentConfig:
     """Budget and gauge choices of the quotient ascent.  ``init_kind``
     "gaussian" starts from the centered Gaussian of width ``init_width``
     (L/10 when unset); "random" multiplies it by the modulus
-    |1 + 0.3 noise / max|noise||, noise the ``random_field`` of ``seed``,
-    so both starts are real."""
+    |1 + 0.3 noise / max|noise||, noise the ``random_field`` of the
+    nonnegative ``seed``, so both starts are real."""
 
     steps: int = 200
     step_size: float = 0.5
@@ -79,6 +79,8 @@ class AscentConfig:
     def __post_init__(self) -> None:
         if self.steps < 1:
             raise ConfigurationError(f"ascent budget must be >= 1, got {self.steps}")
+        if self.seed < 0:
+            raise ConfigurationError(f"ascent seed must be >= 0, got {self.seed}")
         if self.step_size <= 0:
             raise ConfigurationError(
                 f"ascent step size must be positive, got {self.step_size}"
@@ -120,8 +122,9 @@ def _log_quotient_gradient(ev: Evaluation, density: np.ndarray) -> tuple[np.ndar
     |phi|^{2/3}."""
     ns = ev.breakdown.norms
     hdot = ns.hdot_half_sq
-    params = Params(hdot / (4.0 * ev.breakdown.d_value), 0.75 * hdot / ns.lp_p, P_CRITICAL, 1.0)
-    gradient = _gradient(ev, params, "homogeneous", _lp_power(density, P_CRITICAL, out=density))
+    params = Params(hdot / (4.0 * ev.breakdown.d_value), 0.75 * hdot / ns.lp_p, P_CRITICAL, 1.0,
+                    variant="homogeneous")
+    gradient = _gradient(ev, params, _lp_power(density, P_CRITICAL, out=density))
     for g in gradient:
         g *= -0.5 / hdot
     return gradient
@@ -203,7 +206,7 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
     phi, _ = _onto_sphere(grid, parts, 1.0)
 
     try:
-        ev = evaluate(phi, _QUOTIENT_PARAMS, "homogeneous")
+        ev = evaluate(phi, _QUOTIENT_PARAMS)
         q = _quotient(ev)
     except DegenerateFieldError as exc:
         raise NumericalFailureError(f"ascent init degenerate: {exc}", []) from exc
@@ -234,7 +237,7 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
             continue
         trial, _ = projected
         try:
-            trial_ev = evaluate(trial, _QUOTIENT_PARAMS, "homogeneous")
+            trial_ev = evaluate(trial, _QUOTIENT_PARAMS)
             trial_q = _quotient(trial_ev)
         except DegenerateFieldError:
             step *= 0.5

@@ -54,7 +54,7 @@ from .identities import identity_report
 from .minimize import GroundStateResult, MinimizeConfig, _start_field, minimize
 # perfbench/tracing.py wraps this by attribute on this module
 from .minimize import project_mass  # noqa: F401
-from .params import Params, check_variant, read_block, read_list, read_value
+from .params import Params, read_block, read_list, read_value
 from .reporting import write_json, write_table
 
 EXIT_OK = 0
@@ -76,6 +76,11 @@ class _Tolerances:
     pohozaev_rel: float = 1.0e-4
     el_rel: float = 1.0e-6
     virial_rel: float | None = None
+
+    def __post_init__(self) -> None:
+        for key, tol in self.gates().items():
+            if tol <= 0:
+                raise ConfigurationError(f"tolerances.{key} must be positive, got {tol}")
 
     def gates(self) -> dict:
         return {key: tol for key, tol in asdict(self).items() if tol is not None}
@@ -166,12 +171,8 @@ def _minimize_config(config: dict) -> MinimizeConfig:
     return read_block(MinimizeConfig, config.get("minimize", {}), "minimize")
 
 
-def _variant(config: dict) -> str:
-    return check_variant(config.get("variant", "inhomogeneous"))
-
-
-def _snapshot_inputs(config: dict) -> tuple[Field, Params, str]:
-    """The field, params and variant of ``energy`` and ``verify``.
+def _snapshot_inputs(config: dict) -> tuple[Field, Params]:
+    """The field and params of ``energy`` and ``verify``.
 
     NaN or Inf samples are a numerical input error, raised before any
     output is written.  rho does not enter the energy; an absent one is the
@@ -180,7 +181,7 @@ def _snapshot_inputs(config: dict) -> tuple[Field, Params, str]:
     field = load_snapshot(read_value(_require(config, "snapshot", "run"), str, "snapshot"))
     field.require_finite("snapshot")
     params = _params_from_config(config, rho_fallback=field.mass() or 1.0)
-    return field, params, _variant(config)
+    return field, params
 
 
 def _result_files(out: Path, result: GroundStateResult, params: Params,
@@ -191,12 +192,11 @@ def _result_files(out: Path, result: GroundStateResult, params: Params,
 
 
 def cmd_energy(config: dict, out: Path) -> int:
-    field, params, variant = _snapshot_inputs(config)
+    field, params = _snapshot_inputs(config)
     manifest = _Manifest(out, "energy", config, field.grid)
-    breakdown = energy_of(field, params, variant=variant)
+    breakdown = energy_of(field, params)
     document = {
         "params": params.to_dict(),
-        "variant": variant,
         "grid": field.grid.describe(),
         "energy": breakdown.to_dict(),
         "boundary_mass_fraction": boundary_mass_fraction(field),
@@ -234,6 +234,8 @@ def cmd_minimize(config: dict, out: Path) -> int:
     seeds = read_list(config.get("seeds", []), int, "seeds")
     if seeds and mconfig.init_kind != "random":
         raise ConfigurationError("multi-start 'seeds' requires init_kind 'random'")
+    if any(s < 0 for s in seeds):
+        raise ConfigurationError(f"bad seeds {seeds!r}: each seed must be >= 0")
     manifest = _Manifest(out, "minimize", config, grid)
 
     if seeds:
@@ -398,14 +400,14 @@ def cmd_scaling(config: dict, out: Path) -> int:
 
 
 def cmd_verify(config: dict, out: Path) -> int:
-    field, params, variant = _snapshot_inputs(config)
+    field, params = _snapshot_inputs(config)
     omega = config.get("omega")
     if omega is not None:
         omega = read_value(omega, float, "omega")
     tolerances = read_block(_Tolerances, config.get("tolerances", {}), "tolerances").gates()
     manifest = _Manifest(out, "verify", config, field.grid)
 
-    report = identity_report(field, params, omega=omega, variant=variant)
+    report = identity_report(field, params, omega=omega)
     measured = {
         "virial_rel": report.virial_rel,
         "pohozaev_rel": report.pohozaev_rel,
@@ -414,7 +416,6 @@ def cmd_verify(config: dict, out: Path) -> int:
     passed = all(measured[key] <= tol for key, tol in tolerances.items())
     document = {
         "params": params.to_dict(),
-        "variant": variant,
         "tolerances": tolerances,
         "report": report.to_dict(),
         "passed": passed,
@@ -427,12 +428,12 @@ def cmd_verify(config: dict, out: Path) -> int:
 
 # each command with the top-level config keys it reads
 COMMANDS = {
-    "energy": (cmd_energy, ("snapshot", "params", "variant")),
+    "energy": (cmd_energy, ("snapshot", "params")),
     "minimize": (cmd_minimize, ("grid", "params", "minimize", "seeds")),
     "curve": (cmd_curve, ("grid", "params", "rhos", "minimize", "save_fields")),
     "best-constant": (cmd_best_constant, ("grid", "ascent", "pairs")),
     "scaling": (cmd_scaling, ("grid", "params", "experiment", "thetas", "init")),
-    "verify": (cmd_verify, ("snapshot", "params", "variant", "omega", "tolerances")),
+    "verify": (cmd_verify, ("snapshot", "params", "omega", "tolerances")),
 }
 
 

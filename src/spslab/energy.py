@@ -4,9 +4,10 @@ The energy of a field u with couplings (alpha, beta, p) is
 
     E(u) = kinetic(u) + alpha D(u) - beta ||u||_p^p,
 
-with kinetic(u) = 1/2 ||u||^2 in H^{1/2} (inhomogeneous variant, multiplier
-sqrt(1 + |k|^2)) or in the homogeneous seminorm (multiplier |k|), and D the
-Coulomb double integral.  Its unconstrained L2 gradient is
+with kinetic(u) = 1/2 ||u||^2 in H^{1/2} (``params.variant``
+"inhomogeneous", multiplier sqrt(1 + |k|^2)) or in the homogeneous seminorm
+("homogeneous", multiplier |k|), and D the Coulomb double integral.  Its
+unconstrained L2 gradient is
 
     grad E(u) = sqrt(1 - Lap) u + 4 alpha Phi u - beta p |u|^{p-2} u
 
@@ -30,7 +31,7 @@ from scipy import fft as _fft
 
 from .coulomb import _double_integral_from_density_fft, _potential_values, coulomb_kernel
 from .fields import Field, blocked_sum, dot
-from .params import P_CRITICAL, Params, check_variant
+from .params import P_CRITICAL, Params
 
 
 @dataclass(frozen=True)
@@ -122,13 +123,13 @@ class Evaluation:
 def evaluate(
     u: Field,
     params: Params,
-    variant: str = "inhomogeneous",
     *,
     with_gradient: bool | str = False,
     parts_fft: tuple[np.ndarray, ...] | None = None,
 ) -> Evaluation:
     """Shared evaluation path: one ``rfftn`` per real component of u and one
     of |u|^2 serve the norms, the energy, and (optionally) the gradient.
+    The kinetic term is the norm of ``params.variant``.
 
     ``with_gradient`` adds the gradient's half spectra (``gradient_fft``:
     one ``irfftn`` for Phi and one ``rfftn`` per component), or with
@@ -136,7 +137,6 @@ def evaluate(
     the half spectra of u's components when the caller already holds them,
     replaces their transforms.
     """
-    check_variant(variant)
     grid = u.grid
     kernel = coulomb_kernel(grid)
     density = u.density()
@@ -161,7 +161,7 @@ def evaluate(
     del density
     d_value = _double_integral_from_density_fft(density_fft, kernel)
 
-    kinetic = 0.5 * (ns.h_half_sq if variant == "inhomogeneous" else ns.hdot_half_sq)
+    kinetic = 0.5 * (ns.h_half_sq if params.variant == "inhomogeneous" else ns.hdot_half_sq)
     hartree = params.alpha * d_value
     potential = params.beta * ns.lp_p
     breakdown = EnergyBreakdown(
@@ -174,7 +174,7 @@ def evaluate(
     )
     ev = Evaluation(breakdown, u, parts_fft, spectrum_sq, density_fft)
     if with_gradient:
-        ev.gradient_fft = _gradient(ev, params, variant, powers.pop(),
+        ev.gradient_fft = _gradient(ev, params, powers.pop(),
                                     spectral=with_gradient != "grid")
     return ev
 
@@ -187,14 +187,14 @@ def _lp_power(density: np.ndarray, p: float, out: np.ndarray | None = None) -> n
     return np.power(density, 0.5 * (p - 2.0), out=out)
 
 
-def _gradient(ev: Evaluation, params: Params, variant: str, power: np.ndarray,
+def _gradient(ev: Evaluation, params: Params, power: np.ndarray,
               spectral: bool = False) -> tuple[np.ndarray, ...]:
     """L2 energy gradient at ``ev.u`` from its transforms, one real array per
     component (K c + local c), or with ``spectral`` their half spectra
     (K f + rfftn(local c)); ``power`` is |u|^{p-2}, and is overwritten."""
     u = ev.u
     # grad_j = K c_j + (4 alpha Phi - beta p |u|^{p-2}) c_j per component
-    mult = u.grid.kinetic_symbol(variant)
+    mult = u.grid.kinetic_symbol(params.variant)
     local = _potential_values(ev.density_fft, coulomb_kernel(u.grid))
     local *= 4.0 * params.alpha
     if params.beta != 0.0:
@@ -275,16 +275,16 @@ def norms(u: Field, p: float) -> NormSet:
     return evaluate(u, Params(0.0, 0.0, p, 1.0)).breakdown.norms
 
 
-def energy(u: Field, params: Params, variant: str = "inhomogeneous") -> EnergyBreakdown:
+def energy(u: Field, params: Params) -> EnergyBreakdown:
     """Energy breakdown of ``u``; only the kinetic term depends on the variant."""
     u.require_finite("energy input")
-    return evaluate(u, params, variant).breakdown
+    return evaluate(u, params).breakdown
 
 
-def gradient(u: Field, params: Params, variant: str = "inhomogeneous") -> Field:
+def gradient(u: Field, params: Params) -> Field:
     """Unconstrained L2 gradient of the energy at ``u``."""
     u.require_finite("gradient input")
-    return Field.of_parts(u.grid, evaluate(u, params, variant, with_gradient="grid").gradient_fft)
+    return Field.of_parts(u.grid, evaluate(u, params, with_gradient="grid").gradient_fft)
 
 
 def hartree_potential(u: Field) -> Field:

@@ -90,9 +90,15 @@ class ScalingExperimentResult:
 
 
 def _check_critical(params: Params) -> None:
+    """The experiments' problem: p = 8/3 and the inhomogeneous norm, whose
+    energy each row reads beside the homogeneous one."""
     if abs(params.p - P_CRITICAL) > 1.0e-12:
         raise ConfigurationError(
             f"scaling experiments require p = 8/3, got p = {params.p}"
+        )
+    if params.variant != "inhomogeneous":
+        raise ConfigurationError(
+            f"scaling experiments require the inhomogeneous variant, got {params.variant!r}"
         )
 
 
@@ -122,7 +128,7 @@ def _rescaled_field(
 
 
 def _evaluate_row(field: Field, params: Params, theta: float, method: str) -> ScalingRow:
-    breakdown = energy(field, params, variant="inhomogeneous")
+    breakdown = energy(field, params)
     ns = breakdown.norms
     e_tilde = 0.5 * ns.hdot_half_sq + breakdown.hartree - breakdown.potential
     return ScalingRow(

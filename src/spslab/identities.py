@@ -76,19 +76,16 @@ def identity_report(
     v: Field,
     params: Params,
     omega: float | None = None,
-    variant: str = "inhomogeneous",
 ) -> IdentityReport:
     """Full report from one gradient evaluation of ``v``; extracts omega by
     Rayleigh quotient when not supplied."""
     v.require_finite("identity_report input")
     if v.is_zero():
         return IdentityReport(0.0, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0)
-    return _report(evaluate(v, params, variant, with_gradient=True), params, omega, variant)
+    return _report(evaluate(v, params, with_gradient=True), params, omega)
 
 
-def _report(
-    ev: Evaluation, params: Params, omega: float | None, variant: str
-) -> IdentityReport:
+def _report(ev: Evaluation, params: Params, omega: float | None) -> IdentityReport:
     """``identity_report`` of a nonzero field from its gradient evaluation
     ``ev``: every residual is arithmetic on that one evaluation."""
     grid = ev.u.grid
@@ -103,7 +100,7 @@ def _report(
 
     # dilation: the kinetic term's derivative is read off the half power
     # spectrum, 1/2 sum |k|^2 / sqrt(1 + |k|^2) |v_hat|^2 (|k| homogeneous)
-    dilation_weight = grid.dilation_weight(variant)
+    dilation_weight = grid.dilation_weight(params.variant)
     kinetic = 0.5 * float(blocked_sum(np.multiply, dilation_weight, ev.spectrum_sq))
     coulomb = params.alpha * d_value
     power = params.beta * (3.0 * params.p - 6.0) / 2.0 * ns.lp_p

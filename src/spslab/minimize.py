@@ -2,18 +2,19 @@
 projected gradient flow.
 
 One step: precondition the L2 gradient g with P = (K(k) + c)^-1, K the
-variant's kinetic symbol: P = K^-1, the Riesz map of the energy space H^1/2,
-for the inhomogeneous K = sqrt(1 + |k|^2), and c = 1/2 for the homogeneous
-K = |k|, which vanishes at k = 0.  Take the direction d = P(g - beta u)
-with beta = <Pg, u>/<Pu, u>, so that d is tangent to the sphere
-(Sobolev-gradient preconditioning, Danaila & Kazemi, SIAM J. Sci. Comput.
-2010).  Move against d, retract onto the sphere by mass projection, and
-accept the step under an Armijo decrease test with slope <g - beta u, d>.
-P removes the stiffness of the kinetic operator, so steps up to the
-variant's cap ``STEP_CAP`` are accepted at every resolution.  The accepted
-energy sequence is non-increasing by construction, every iterate carries
-mass rho exactly up to rounding, and the stopping test reads the L2 norm
-of the tangential gradient g - (Re<g, u>/rho) u.
+kinetic symbol of ``params.variant``: P = K^-1, the Riesz map of the energy
+space H^1/2, for the inhomogeneous K = sqrt(1 + |k|^2), and c = 1/2 for the
+homogeneous K = |k|, which vanishes at k = 0.  Take the direction
+d = P(g - beta u) with beta = <Pg, u>/<Pu, u>, so that d is tangent to the
+sphere (Sobolev-gradient preconditioning, Danaila & Kazemi, SIAM J. Sci.
+Comput. 2010).  Move against d, retract onto the sphere by mass
+projection, and accept the step under an Armijo decrease test with slope
+<g - beta u, d>.  P removes the stiffness of the kinetic operator, so
+steps up to the variant's cap ``STEP_CAP[params.variant]`` are accepted at
+every resolution.  The accepted energy sequence is non-increasing by
+construction, every iterate carries mass rho exactly up to rounding, and
+the stopping test reads the L2 norm of the tangential gradient
+g - (Re<g, u>/rho) u.
 
 The iterate is held as its real array u together with its half spectra
 f = rfftn(u), and the gradient as its half spectra
@@ -59,7 +60,7 @@ from .identities import IdentityReport, _report
 # perfbench/tracing.py wraps these two by attribute on this module
 from .coulomb import coulomb_kernel  # noqa: F401
 from .identities import identity_report  # noqa: F401
-from .params import Params, check_variant
+from .params import Params
 
 # line search gives up once the step underflows this value
 MIN_STEP = 1.0e-18
@@ -71,9 +72,9 @@ BACKTRACK_FACTOR = 0.5
 # inhomogeneous symbol sqrt(1 + |k|^2) is at least 1, so P is the H^1/2
 # Riesz map K^-1; the homogeneous |k| needs c > 0 to bound P at k = 0
 PRECONDITIONER_SHIFT = {"inhomogeneous": 0.0, "homogeneous": 0.5}
-# default step cap per variant: with the Riesz map the preconditioned
-# kinetic Hessian is the identity, and a step of 2 is the largest that
-# amplifies no mode; the shifted homogeneous P is not the Riesz map
+# step cap per variant: with the Riesz map the preconditioned kinetic
+# Hessian is the identity, and a step of 2 is the largest that amplifies
+# no mode; the shifted homogeneous P is not the Riesz map
 STEP_CAP = {"inhomogeneous": 2.0, "homogeneous": 1.0}
 
 
@@ -83,18 +84,17 @@ class MinimizeConfig:
 
     ``grad_tol`` is relative: the flow stops once the tangential gradient's
     L2 norm, read on the half spectrum, falls below grad_tol * sqrt(rho).
-    ``initial_step`` caps the step along the preconditioned direction; left
-    unset it resolves to the variant's ``STEP_CAP`` (2 for the inhomogeneous
-    Riesz-map flow, 1 for the homogeneous one), and a given value is kept.
-    The step doubles after each accepted iteration up to the cap and is cut
-    by ``BACKTRACK_FACTOR`` until the Armijo test with constant ``ARMIJO_C``
-    holds.  Below the flow's rounding floor a tolerance may not be reached:
+    The step along the preconditioned direction is capped at
+    ``STEP_CAP[params.variant]`` (2 for the inhomogeneous Riesz-map flow, 1
+    for the homogeneous one): it starts at the cap, doubles after each
+    accepted iteration up to the cap and is cut by ``BACKTRACK_FACTOR``
+    until the Armijo test with constant ``ARMIJO_C`` holds.  Below the flow's rounding floor a tolerance may not be reached:
     the flow then ends ``stagnated`` when no step passes the test or an
     accepted step leaves the iterate bitwise unchanged, and otherwise at
     ``max_iters``.  ``init_kind``
     selects the starting field: a centered real Gaussian (default width
-    L/8), the modulus of a seeded smooth random field, or a snapshot file
-    (its modulus when it is complex).
+    L/8), the modulus of the smooth random field of the nonnegative
+    ``init_seed``, or a snapshot file (its modulus when it is complex).
     ``energy_floor`` converts an energy collapse into an
     ``UnboundedEnergyError`` instead of iterating toward -infinity.  The
     output is recentered once, after the flow.
@@ -102,26 +102,19 @@ class MinimizeConfig:
 
     max_iters: int = 5000
     grad_tol: float = 1.0e-8
-    initial_step: float | None = None
     init_kind: str = "gaussian"
     init_width: float | None = None
     init_seed: int = 0
     init_path: str | None = None
     energy_floor: float = -1.0e6
-    variant: str = "inhomogeneous"
 
     def __post_init__(self) -> None:
-        check_variant(self.variant)
-        if self.initial_step is None:
-            object.__setattr__(self, "initial_step", STEP_CAP[self.variant])
         if self.max_iters < 0:
             raise ConfigurationError(f"max_iters must be >= 0, got {self.max_iters}")
         if self.grad_tol <= 0:
             raise ConfigurationError(f"grad_tol must be positive, got {self.grad_tol}")
-        if self.initial_step <= 0:
-            raise ConfigurationError(
-                f"initial_step must be positive, got {self.initial_step}"
-            )
+        if self.init_seed < 0:
+            raise ConfigurationError(f"init_seed must be >= 0, got {self.init_seed}")
         if self.init_kind not in ("gaussian", "random", "from_file"):
             raise ConfigurationError(
                 f"init_kind must be gaussian, random, or from_file, got {self.init_kind!r}"
@@ -156,14 +149,12 @@ class GroundStateResult:
     converged: bool
     trace: tuple[TracePoint, ...]
     stagnated: bool
-    variant: str
 
     def to_document(self, params: Params, config: MinimizeConfig) -> dict:
         return {
             "params": params.to_dict(),
             "config": asdict(config),
             "grid": self.field.grid.describe(),
-            "variant": self.variant,
             "converged": self.converged,
             "stagnated": self.stagnated,
             "iterations": self.iterations,
@@ -276,7 +267,6 @@ def minimize(
     """
     if config is None:
         config = MinimizeConfig()
-    variant = config.variant
     rho = params.rho
     sqrt_rho = np.sqrt(rho)
     if initial is None and config.init_kind == "from_file":
@@ -286,10 +276,10 @@ def minimize(
         # E(|u|) <= E(u): the modulus, back on the sphere, is a real start
         u, _ = _onto_sphere(grid, (np.sqrt(u.density()),), rho)
 
-    precond, precond_weight = _flow_weights(grid, variant)
-    ev = evaluate(u, params, variant, with_gradient=True)
+    precond, precond_weight = _flow_weights(grid, params.variant)
+    ev = evaluate(u, params, with_gradient=True)
     trace: list[TracePoint] = []
-    tau = config.initial_step
+    tau = step_cap = STEP_CAP[params.variant]
     converged = False
     stagnated = False
     iterations = 0
@@ -319,8 +309,8 @@ def minimize(
         direction = tuple(_fft.irfftn(d, s=grid.shape) for d in direction_fft)
 
         # Armijo backtracking on E(project(u - tau * d)); the step grows
-        # again each iteration up to the cap ``initial_step``.
-        tau = min(2.0 * tau, config.initial_step)
+        # again each iteration up to the cap.
+        tau = min(2.0 * tau, step_cap)
         current = ev.breakdown.total
         accepted = fixed_point = False
         while tau >= MIN_STEP:
@@ -334,8 +324,7 @@ def minimize(
                 for trial_f, f in zip(trial_fft, parts_fft):
                     trial_f += f
                     trial_f *= scale
-                trial_ev = evaluate(trial, params, variant, with_gradient=True,
-                                    parts_fft=trial_fft)
+                trial_ev = evaluate(trial, params, with_gradient=True, parts_fft=trial_fft)
                 trial_energy = trial_ev.breakdown.total
                 if trial_energy == -np.inf:
                     raise UnboundedEnergyError(
@@ -380,9 +369,9 @@ def minimize(
     del u, ev
 
     # omega and the residuals are the ones ``identity_report`` reads off v
-    final_ev = evaluate(v, params, variant, with_gradient=True)
+    final_ev = evaluate(v, params, with_gradient=True)
     omega = _rayleigh_quotient(final_ev)
-    residuals = _report(final_ev, params, omega, variant)
+    residuals = _report(final_ev, params, omega)
     return GroundStateResult(
         field=v,
         energy=final_ev.breakdown,
@@ -392,5 +381,4 @@ def minimize(
         converged=converged,
         trace=tuple(trace),
         stagnated=stagnated,
-        variant=variant,
     )

@@ -20,17 +20,20 @@ VARIANTS = ("inhomogeneous", "homogeneous")
 
 @dataclass(frozen=True)
 class Params:
-    """Couplings and mass (alpha, beta, p, rho).
+    """Couplings, mass and kinetic norm (alpha, beta, p, rho, variant).
 
     The theory lives at alpha, beta > 0; zero couplings are accepted so the
     linear regime can be used as an exact diagnostic (the kinetic operator
-    alone has known eigenpairs).
+    alone has known eigenpairs).  ``variant`` is one of ``VARIANTS``: the
+    paper's inhomogeneous H^{1/2} norm, or the homogeneous seminorm of the
+    p = 8/3 noncompactness problem.
     """
 
     alpha: float
     beta: float
     p: float
     rho: float
+    variant: str = "inhomogeneous"
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "p", "rho"):
@@ -45,17 +48,13 @@ class Params:
             raise ConfigurationError(f"p must lie in (2, 8/3], got {self.p}")
         if self.rho <= 0:
             raise ConfigurationError(f"rho must be positive, got {self.rho}")
+        if self.variant not in VARIANTS:
+            raise ConfigurationError(
+                f"variant must be one of {VARIANTS}, got {self.variant!r}"
+            )
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def check_variant(variant: str) -> str:
-    if variant not in VARIANTS:
-        raise ConfigurationError(
-            f"variant must be one of {VARIANTS}, got {variant!r}"
-        )
-    return variant
 
 
 def _integral(value) -> int:

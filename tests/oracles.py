@@ -58,14 +58,13 @@ def directional_derivative_fd(
     u: Field,
     direction: Field,
     params: Params,
-    variant: str = "inhomogeneous",
     eps: float = 1.0e-4,
 ) -> float:
     """Central difference (E(u + eps v) - E(u - eps v)) / (2 eps)."""
     plus = Field(u.grid, u.values + eps * direction.values)
     minus = Field(u.grid, u.values - eps * direction.values)
-    e_plus = energy(plus, params, variant).total
-    e_minus = energy(minus, params, variant).total
+    e_plus = energy(plus, params).total
+    e_minus = energy(minus, params).total
     return (e_plus - e_minus) / (2.0 * eps)
 
 

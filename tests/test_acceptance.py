@@ -314,7 +314,7 @@ def test_criterion_09_blowup_regime(tmp_path):
     profile = sl.GaussianProfile(width=2.0, amplitude=np.sqrt(params.rho / mass))
     phi = profile.sample(grid)
 
-    e_tilde = sl.energy(phi, params, variant="homogeneous").total
+    e_tilde = sl.energy(phi, dataclasses.replace(params, variant="homogeneous")).total
     c.check("seed has negative homogeneous energy (verified sign)", e_tilde < 0,
             f"E_hom {e_tilde:.4f}")
     res = sl.blowup_experiment(phi, params, [1.0, 2.0, 4.0], profile=profile)
@@ -370,10 +370,10 @@ def test_criterion_10_nonattainment_mechanism():
     flow_grid = sl.make_grid(32, 16.0)
     start = sl.project_mass(sl.gaussian_field(flow_grid, 1.0), params.rho)
     hdot0 = np.sqrt(sl.norms(start, 8.0 / 3.0).hdot_half_sq)
-    e_tilde0 = sl.energy(start, params, variant="homogeneous").total
-    config = sl.MinimizeConfig(max_iters=1500, grad_tol=1e-12, init_width=1.0,
-                               variant="homogeneous")
-    flow = sl.minimize(flow_grid, params, config)
+    hom_params = dataclasses.replace(params, variant="homogeneous")
+    e_tilde0 = sl.energy(start, hom_params).total
+    config = sl.MinimizeConfig(max_iters=1500, grad_tol=1e-12, init_width=1.0)
+    flow = sl.minimize(flow_grid, hom_params, config)
     hdot_final = np.sqrt(flow.energy.norms.hdot_half_sq)
     c.check("seminorm driven below 1e-2 of its initial value",
             hdot_final < 1e-2 * hdot0,

@@ -63,7 +63,7 @@ class TestLogQuotientGradient:
     @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
     def test_central_difference(self, grid32, complex_valued):
         phi = _modulated_gaussian(grid32, complex_valued)
-        ev = evaluate(phi, _QUOTIENT_PARAMS, "homogeneous")
+        ev = evaluate(phi, _QUOTIENT_PARAMS)
         grad = _log_quotient_gradient(ev, phi.density())
         assert len(grad) == len(phi.parts)
         v = sl.random_field(grid32, 11).parts[: len(phi.parts)]
@@ -82,7 +82,7 @@ class TestLogQuotientGradient:
         # Q is invariant under amplitude scaling, so the gradient has no
         # component along phi
         phi = _modulated_gaussian(grid32, complex_valued)
-        ev = evaluate(phi, _QUOTIENT_PARAMS, "homogeneous")
+        ev = evaluate(phi, _QUOTIENT_PARAMS)
         grad = _log_quotient_gradient(ev, phi.density())
         scale = np.sqrt(dot(grad, grad) * dot(phi.parts, phi.parts))
         assert abs(dot(grad, phi.parts)) < 1e-12 * scale

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ def _field(grid, kind):
     return u
 
 
-def _full_array_terms(u, params, variant):
+def _full_array_terms(u, params):
     """Every reduction of one evaluation, each as one full-array product
     and one ``np.sum``, in the order the evaluation computes it."""
     grid = u.grid
@@ -52,7 +53,7 @@ def _full_array_terms(u, params, variant):
     )
     # the gradient and the field pair up on their half spectra, each
     # complex entry as two floats with its Hermitian plane weight
-    ev = evaluate(u, params, variant, with_gradient=True)
+    ev = evaluate(u, params, with_gradient=True)
     weight = np.repeat(
         np.broadcast_to(grid.hermitian_weight, rho_hat.shape), 2, axis=-1
     )
@@ -62,7 +63,7 @@ def _full_array_terms(u, params, variant):
     dot = float(sum(np.sum(weight * g * f) for g, f in views))
     l2_sq = float(np.sum(density) * h3)
     omega = dot / l2_sq
-    dilation = 0.5 * float(np.sum(grid.dilation_weight(variant) * spectrum_sq))
+    dilation = 0.5 * float(np.sum(grid.dilation_weight(params.variant) * spectrum_sq))
     el_sq = float(sum(np.sum(weight * (g - omega * f) ** 2) for g, f in views))
     return {
         "lp_p": lp_p,
@@ -79,11 +80,11 @@ def _full_array_terms(u, params, variant):
     }
 
 
-def _blocked_terms(u, params, variant):
-    ev = evaluate(u, params, variant, with_gradient=True)
+def _blocked_terms(u, params):
+    ev = evaluate(u, params, with_gradient=True)
     ns = ev.breakdown.norms
     dot = _spectral_dot(_spectral_weight(u.grid), ev.gradient_fft, ev.parts_fft)
-    report = identity_report(u, params, variant=variant)
+    report = identity_report(u, params)
     return {
         "lp_p": ns.lp_p,
         "h_half_sq": ns.h_half_sq,
@@ -104,8 +105,9 @@ def test_many_blocks_match_full_arrays(grid16, monkeypatch, kind, variant):
     # blocks of 500, the last one partial
     monkeypatch.setattr(fields, "REDUCTION_BLOCK", 500)
     u = _field(grid16, kind)
-    full = _full_array_terms(u, PARAMS, variant)
-    blocked = _blocked_terms(u, PARAMS, variant)
+    params = replace(PARAMS, variant=variant)
+    full = _full_array_terms(u, params)
+    blocked = _blocked_terms(u, params)
     for name, value in full.items():
         assert abs(blocked[name] - value) <= 1e-14 * abs(value), name
 
@@ -126,17 +128,18 @@ def test_blocked_sum_rows_and_partial_block(monkeypatch):
 def test_one_block_is_bit_identical(grid16, kind, variant):
     assert grid16.n**3 <= fields.REDUCTION_BLOCK
     u = _field(grid16, kind)
-    assert _blocked_terms(u, PARAMS, variant) == _full_array_terms(u, PARAMS, variant)
+    params = replace(PARAMS, variant=variant)
+    assert _blocked_terms(u, params) == _full_array_terms(u, params)
     # the gradient assembly is the full-array expression too, on the half
     # spectrum (what an evaluation carries) and on the grid (``gradient``)
-    ev = evaluate(u, PARAMS, variant, with_gradient=True)
+    ev = evaluate(u, params, with_gradient=True)
     kernel = coulomb_kernel(grid16)
     density = u.density()
     local = fft.irfftn(kernel.half_symbol * fft.rfftn(density), s=grid16.shape)
     local *= 4.0 * PARAMS.alpha
     local -= density ** (0.5 * (PARAMS.p - 2.0)) * (PARAMS.beta * PARAMS.p)
     mult = grid16.kinetic_symbol(variant)
-    grid_form = sl.gradient(u, PARAMS, variant).parts
+    grid_form = sl.gradient(u, params).parts
     assert len(ev.gradient_fft) == len(grid_form) == len(u.parts)
     for g_hat, g, c in zip(ev.gradient_fft, grid_form, u.parts):
         assert np.array_equal(g_hat, fft.rfftn(local * c) + mult * fft.rfftn(c))

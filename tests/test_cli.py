@@ -634,6 +634,41 @@ class TestVerifyCommand:
         for key in ("virial_rel", "pohozaev_rel", "el_residual_rel"):
             assert report[key] == result["residuals"][key], key
 
+    def test_params_variant_round_trips(self, tmp_path):
+        # the kinetic variant is written where it is read, in the params
+        # block: a run's own params block gives energy and verify its problem
+        cfg = write_config(
+            tmp_path,
+            "run.json",
+            {
+                "grid": {"n": 16, "box_length": 16.0},
+                "params": {"alpha": 1.0, "beta": 1.0, "p": 8.0 / 3.0, "rho": 0.05,
+                           "variant": "homogeneous"},
+                "minimize": {"max_iters": 20, "init_width": 2.0},
+            },
+        )
+        run_dir = tmp_path / "gs"
+        assert run(["minimize", "--config", cfg, "--out", str(run_dir)]) == EXIT_OK
+        result = json.loads((run_dir / "result.json").read_text())
+        assert result["params"]["variant"] == "homogeneous"
+        assert "variant" not in result and "variant" not in result["config"]
+        assert "initial_step" not in result["config"]
+        inputs = {"snapshot": str(run_dir / "field.spsf"), "params": result["params"]}
+        energy_cfg = write_config(tmp_path, "energy.json", inputs)
+        assert run(["energy", "--config", energy_cfg, "--out", str(tmp_path / "e")]) == EXIT_OK
+        energy_doc = json.loads((tmp_path / "e" / "energy.json").read_text())
+        assert energy_doc["params"] == result["params"] and "variant" not in energy_doc
+        assert energy_doc["energy"] == result["energy"]
+        verify_cfg = write_config(
+            tmp_path, "verify.json",
+            {**inputs, "tolerances": {"pohozaev_rel": 1e9, "el_rel": 1e9}},
+        )
+        assert run(["verify", "--config", verify_cfg, "--out", str(tmp_path / "v")]) == EXIT_OK
+        report_doc = json.loads((tmp_path / "v" / "report.json").read_text())
+        assert report_doc["params"] == result["params"] and "variant" not in report_doc
+        for key in ("virial_rel", "pohozaev_rel", "el_residual_rel"):
+            assert report_doc["report"][key] == result["residuals"][key], key
+
     def test_off_minimizer_fails(self, tmp_path):
         grid = sl.make_grid(16, 8.0)
         snap, _ = make_gaussian_snapshot(tmp_path, grid)
@@ -826,6 +861,10 @@ def test_non_numeric_config_number_is_config_error(tmp_path, capsys, command, ke
         ("minimize", "minimize.backtrack_factor", 0.5),
         ("minimize", "minimize.armijo_c", 1e-4),
         ("minimize", "minimize.recenter_every", 0),
+        # the kinetic variant is a params key and the step cap follows it
+        ("minimize", "minimize.variant", "homogeneous"),
+        ("energy", "variant", "homogeneous"),
+        ("verify", "variant", "homogeneous"),
     ],
 )
 def test_unknown_key_or_non_object_block_is_config_error(
@@ -864,7 +903,15 @@ RANGE_ERRORS = [
     ("best-constant", "ascent.step_size", 0.0, "ascent step size must be positive"),
     ("best-constant", "ascent.init_kind", "flat", "ascent init must be gaussian or random"),
     ("minimize", "minimize.grad_tol", 0.0, "grad_tol must be positive"),
-    ("minimize", "minimize.initial_step", 0.0, "initial_step must be positive"),
+    # the step cap is STEP_CAP[params.variant], no longer a minimize key
+    ("minimize", "minimize.initial_step", 0.0, "unknown minimize config keys: ['initial_step']"),
+    # a negative seed is refused before np.random.default_rng sees it
+    ("minimize", "minimize.init_seed", -1, "init_seed must be >= 0"),
+    ("minimize", "seeds", [0, -1], "each seed must be >= 0"),
+    ("best-constant", "ascent.seed", -2, "ascent seed must be >= 0"),
+    ("verify", "tolerances.pohozaev_rel", -1.0, "tolerances.pohozaev_rel must be positive"),
+    ("minimize", "params.variant", "mixed", "variant must be one of"),
+    ("scaling", "params.variant", "homogeneous", "require the inhomogeneous variant"),
     ("minimize", "minimize.init_kind", "flat", "init_kind must be gaussian, random"),
     ("minimize", "minimize.init_width", 0.0, "init_width must be positive"),
     ("minimize", "grid", ABSENT, "run config is missing the key 'grid'"),

@@ -191,9 +191,8 @@ class TestPreconditionedFlow:
 
     @staticmethod
     def _solve(variant, p):
-        params = sl.Params(alpha=1.0, beta=1.0, p=p, rho=0.1)
-        cfg = sl.MinimizeConfig(max_iters=8000, grad_tol=5e-7, init_width=2.0,
-                                variant=variant)
+        params = sl.Params(alpha=1.0, beta=1.0, p=p, rho=0.1, variant=variant)
+        cfg = sl.MinimizeConfig(max_iters=8000, grad_tol=5e-7, init_width=2.0)
         return sl.minimize(sl.make_grid(16, 40.0), params, cfg)
 
     def test_c4_parity(self):
@@ -235,51 +234,45 @@ class TestPreconditionedFlow:
 
 
 class TestStepCap:
-    """``initial_step`` left unset resolves to the variant's cap: 2 for the
+    """The flow's step cap is ``STEP_CAP[params.variant]``: 2 for the
     Riesz-map flow, whose preconditioned kinetic Hessian is the identity,
     and 1 for the shifted homogeneous preconditioner."""
 
     def test_default_per_variant(self):
         assert STEP_CAP == {"inhomogeneous": 2.0, "homogeneous": 1.0}
-        assert sl.MinimizeConfig().initial_step == 2.0
-        assert sl.MinimizeConfig(initial_step=None).initial_step == 2.0
-        assert sl.MinimizeConfig(variant="homogeneous").initial_step == 1.0
 
-    @pytest.mark.parametrize("variant", ["inhomogeneous", "homogeneous"])
-    @pytest.mark.parametrize("step", [0.5, 1.0, 2.0, 4.0])
-    def test_explicit_step_kept(self, variant, step):
-        assert sl.MinimizeConfig(initial_step=step, variant=variant).initial_step == step
-
-    def test_explicit_step_is_the_cap(self):
+    def test_explicit_step_is_the_cap(self, monkeypatch):
         # at the old cap 1 the C4 flow takes 223 iterations, at its default 2
         # 109; both reach the same state
         params = sl.Params(alpha=1.0, beta=1.0, p=2.5, rho=0.1)
         grid = sl.make_grid(16, 40.0)
-        capped = sl.minimize(grid, params, sl.MinimizeConfig(
-            max_iters=8000, grad_tol=5e-7, init_width=2.0, initial_step=1.0))
-        default = sl.minimize(grid, params, sl.MinimizeConfig(
-            max_iters=8000, grad_tol=5e-7, init_width=2.0))
+        config = sl.MinimizeConfig(max_iters=8000, grad_tol=5e-7, init_width=2.0)
+        with monkeypatch.context() as patch:
+            patch.setitem(STEP_CAP, "inhomogeneous", 1.0)
+            capped = sl.minimize(grid, params, config)
+        default = sl.minimize(grid, params, config)
         assert capped.converged and default.converged
         assert default.iterations < capped.iterations
         assert relerr(default.energy.total, capped.energy.total) <= 1e-10
 
     @pytest.mark.parametrize("block, expected", [
         ({}, 2.0),
-        ({"initial_step": None}, 2.0),
+        ({"variant": "inhomogeneous"}, 2.0),
         ({"variant": "homogeneous"}, 1.0),
-        ({"initial_step": 0.75}, 0.75),
     ])
     def test_result_echoes_resolved_step(self, tmp_path, block, expected):
+        # the result echoes the variant its cap follows, in the params block
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps({
             "grid": {"n": 16, "box_length": 20.0},
-            "params": {"alpha": 1.0, "beta": 1.0, "p": 2.5, "rho": 0.1},
-            "minimize": {"max_iters": 3, **block},
+            "params": {"alpha": 1.0, "beta": 1.0, "p": 2.5, "rho": 0.1, **block},
+            "minimize": {"max_iters": 3},
         }))
         out = tmp_path / "out"
         assert run(["minimize", "--config", str(config), "--out", str(out)]) == EXIT_OK
         doc = json.loads((out / "result.json").read_text())
-        assert doc["config"]["initial_step"] == expected
+        assert STEP_CAP[doc["params"]["variant"]] == expected
+        assert "initial_step" not in doc["config"] and "variant" not in doc["config"]
 
 
 class TestSpectralIterate:
@@ -338,9 +331,8 @@ class TestSpectralIterate:
         # C10's homogeneous flow reaches the flat-state floor within about
         # 50 iterations; a step that no longer moves the iterate ends it
         grid = sl.make_grid(32, 16.0)
-        params = sl.Params(alpha=1.0, beta=1.0, p=8.0 / 3.0, rho=0.05)
-        cfg = sl.MinimizeConfig(max_iters=1500, grad_tol=1e-12, init_width=1.0,
-                                variant="homogeneous")
+        params = sl.Params(alpha=1.0, beta=1.0, p=8.0 / 3.0, rho=0.05, variant="homogeneous")
+        cfg = sl.MinimizeConfig(max_iters=1500, grad_tol=1e-12, init_width=1.0)
         res = sl.minimize(grid, params, cfg)
         assert res.stagnated and not res.converged
         assert res.iterations < 200
@@ -470,7 +462,7 @@ class TestEdgeCases:
         with pytest.raises(sl.ConfigurationError):
             sl.MinimizeConfig(init_kind="from_file")
         with pytest.raises(sl.ConfigurationError):
-            sl.MinimizeConfig(variant="other")
+            sl.Params(alpha=1.0, beta=1.0, p=2.5, rho=0.1, variant="other")
 
     def test_lagrange_multiplier_consistency(self, bump_result, bump_params):
         v = bump_result.field

@@ -43,11 +43,11 @@ def test_homogeneous_energy_scaling(grid64, theta, tol):
     # widening (theta < 1) pays both interpolation error and the coarse
     # k-quadrature of the |k| seminorm, narrowing with node-aligned theta
     # is nearly exact
-    params = sl.Params(alpha=1.0, beta=1.0, p=8.0 / 3.0, rho=1.0)
+    params = sl.Params(alpha=1.0, beta=1.0, p=8.0 / 3.0, rho=1.0, variant="homogeneous")
     u = sl.gaussian_field(grid64, 1.5)
-    base = sl.energy(u, params, variant="homogeneous").total
+    base = sl.energy(u, params).total
     out = sl.scale_mass_preserving(u, theta)
-    scaled = sl.energy(out, params, variant="homogeneous").total
+    scaled = sl.energy(out, params).total
     assert relerr(scaled, theta * base) < tol
 
 
