@@ -19,7 +19,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy import fft as _fft
+# perfbench/tracing.py replaces this alias by attribute on this module
+from scipy import fft as _fft  # noqa: F401
 
 from .energy import Evaluation, _gradient, _lp_power, evaluate
 # perfbench/tracing.py wraps these two by attribute on this module
@@ -36,6 +37,7 @@ from .fields import (
     boundary_mass_fraction,
     dot,
     gaussian_field,
+    irfftn_consuming,
     random_field,
 )
 from .grid import Grid
@@ -134,25 +136,33 @@ def _dilation_generator(
     phi: Field, parts_fft: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, ...]:
     """Generator 3/2 phi + x . grad phi of the mass-preserving dilation,
-    per component, from the half spectra ``parts_fft``."""
+    per component, from the half spectra ``parts_fft``.  Each derivative's
+    spectrum i k_j f is built in one reused buffer, which its inverse
+    (``fields.irfftn_consuming``) consumes, and is then multiplied by its
+    coordinate in place."""
     grid = phi.grid
     k1 = grid.wavenumbers
     kz = k1[: grid.n // 2 + 1]
-    x, y, z = np.meshgrid(grid.axis, grid.axis, grid.axis, indexing="ij", sparse=True)
+    coords = np.meshgrid(grid.axis, grid.axis, grid.axis, indexing="ij", sparse=True)
+    symbols = (1j * k1[:, None, None], 1j * k1[None, :, None], 1j * kz[None, None, :])
+    spectrum = np.empty_like(parts_fft[0])
     out = []
     for c, f in zip(phi.parts, parts_fft):
         g = 1.5 * c
-        g += x * _fft.irfftn(1j * k1[:, None, None] * f, s=grid.shape)
-        g += y * _fft.irfftn(1j * k1[None, :, None] * f, s=grid.shape)
-        g += z * _fft.irfftn(1j * kz[None, None, :] * f, s=grid.shape)
+        for x, ik in zip(coords, symbols):
+            derivative = irfftn_consuming(np.multiply(ik, f, out=spectrum), grid.shape)
+            derivative *= x
+            g += derivative
         out.append(g)
     return tuple(out)
 
 
 def _gauge_fixed_direction(
-    phi: Field, raw: tuple[np.ndarray, ...], parts_fft: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, ...]:
-    """Remove the flat directions of Q from the ascent direction.
+    phi: Field, direction: tuple[np.ndarray, ...], parts_fft: tuple[np.ndarray, ...]
+) -> None:
+    """Remove the flat directions of Q from the ascent direction, in place on
+    the fresh gradient ``direction``: its mean, then its components along
+    phi and along the dilation generator.
 
     On the continuum Q is invariant under amplitude scaling and dilation, so
     the true gradient has no component along phi or along the dilation
@@ -163,13 +173,14 @@ def _gauge_fixed_direction(
     localized shapes, where the discrete quotient is a meaningful lower
     bound for the continuum constant.
     """
-    direction = tuple(r - np.mean(r) for r in raw)  # no pumping of the uniform mode
+    for d in direction:
+        d -= np.mean(d)  # no pumping of the uniform mode
     for flat in (phi.parts, _dilation_generator(phi, parts_fft)):
         overlap = dot(direction, flat)
         norm_sq = dot(flat, flat)
         if norm_sq > 0:
-            direction = tuple(d - (overlap / norm_sq) * f for d, f in zip(direction, flat))
-    return direction
+            for d, f in zip(direction, flat):
+                d -= (overlap / norm_sq) * f
 
 
 def _is_localized(phi: Field, density: np.ndarray | None = None) -> bool:
@@ -186,7 +197,11 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
     ||phi||_{8/3} and D read |phi| only and the seminorm does not rise
     under phi -> |phi|, so a random start enters as its modulus; the
     gradient, the gauge projection and the retraction of a real field are
-    real, and an accepted step costs two rfftn and five irfftn.
+    real, and an accepted step costs two rfftn and five inverse transforms.
+    The inverses (Phi, the kinetic term and the generator's three
+    derivatives) are of freshly built products, which
+    ``fields.irfftn_consuming`` takes in place, and the direction is built
+    in place on the fresh gradient (``_gauge_fixed_direction``).
 
     A trial is accepted only when it raises Q and is localized (see
     ``_is_localized``), so every accepted iterate is certified: the trace
@@ -225,10 +240,9 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
         if direction is None:
             # each array is freed once spent: the gauge projection is the
             # ascent's memory peak
-            gradient = _log_quotient_gradient(ev, density)
+            direction = _log_quotient_gradient(ev, density)
             density = None
-            direction = _gauge_fixed_direction(phi, gradient, ev.parts_fft)
-            del gradient
+            _gauge_fixed_direction(phi, direction, ev.parts_fft)
         projected = _onto_sphere(
             grid, tuple(c + step * d for c, d in zip(phi.parts, direction)), 1.0
         )

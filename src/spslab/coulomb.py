@@ -12,9 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import fft as _fft
+# perfbench/tracing.py replaces this alias by attribute on this module
+from scipy import fft as _fft  # noqa: F401
 
-from .fields import REDUCTION_BLOCK, blocked_sum
+from .fields import REDUCTION_BLOCK, blocked_sum, irfftn_consuming
 from .grid import Grid
 
 
@@ -65,9 +66,11 @@ def _potential_values(
     """Phi from ``density_fft = rfftn(density)`` of a real density.
 
     The density and Phi are real, so both transforms run on the half
-    spectrum kz >= 0.
+    spectrum kz >= 0; the inverse consumes the product
+    ``half_symbol * density_fft`` (``fields.irfftn_consuming``), so
+    ``density_fft`` is left as it was.
     """
-    return _fft.irfftn(kernel.half_symbol * density_fft, s=kernel.grid.shape)
+    return irfftn_consuming(kernel.half_symbol * density_fft, kernel.grid.shape)
 
 
 def _double_integral_from_density_fft(

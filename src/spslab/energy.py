@@ -30,7 +30,7 @@ import numpy as np
 from scipy import fft as _fft
 
 from .coulomb import _double_integral_from_density_fft, _potential_values, coulomb_kernel
-from .fields import Field, blocked_sum, dot
+from .fields import Field, blocked_sum, dot, irfftn_consuming
 from .params import P_CRITICAL, Params
 
 
@@ -132,8 +132,10 @@ def evaluate(
     The kinetic term is the norm of ``params.variant``.
 
     ``with_gradient`` adds the gradient's half spectra (``gradient_fft``:
-    one ``irfftn`` for Phi and one ``rfftn`` per component), or with
-    ``"grid"`` its grid components (one ``irfftn`` each).  ``parts_fft``,
+    one inverse for Phi and one ``rfftn`` per component), or with
+    ``"grid"`` its grid components (one inverse each).  Every inverse is
+    of a freshly built product, which ``fields.irfftn_consuming`` takes in
+    place.  ``parts_fft``,
     the half spectra of u's components when the caller already holds them,
     replaces their transforms.
     """
@@ -191,7 +193,9 @@ def _gradient(ev: Evaluation, params: Params, power: np.ndarray,
               spectral: bool = False) -> tuple[np.ndarray, ...]:
     """L2 energy gradient at ``ev.u`` from its transforms, one real array per
     component (K c + local c), or with ``spectral`` their half spectra
-    (K f + rfftn(local c)); ``power`` is |u|^{p-2}, and is overwritten."""
+    (K f + rfftn(local c)); ``power`` is |u|^{p-2}, and is overwritten.
+    Phi and the grid form's kinetic terms K c are inverses of fresh
+    products, taken by ``fields.irfftn_consuming``; ``ev`` is not written."""
     u = ev.u
     # grad_j = K c_j + (4 alpha Phi - beta p |u|^{p-2}) c_j per component
     mult = u.grid.kinetic_symbol(params.variant)
@@ -210,7 +214,7 @@ def _gradient(ev: Evaluation, params: Params, power: np.ndarray,
             g = _fft.rfftn(np.multiply(local, c, out=out))
             g += mult * f
         else:
-            g = _fft.irfftn(mult * f, s=u.grid.shape)
+            g = irfftn_consuming(mult * f, u.grid.shape)
             g += np.multiply(local, c, out=out)
         gradient.append(g)
     return tuple(gradient)

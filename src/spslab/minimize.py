@@ -88,7 +88,10 @@ class MinimizeConfig:
     ``STEP_CAP[params.variant]`` (2 for the inhomogeneous Riesz-map flow, 1
     for the homogeneous one): it starts at the cap, doubles after each
     accepted iteration up to the cap and is cut by ``BACKTRACK_FACTOR``
-    until the Armijo test with constant ``ARMIJO_C`` holds.  Below the flow's rounding floor a tolerance may not be reached:
+    until the Armijo test with constant ``ARMIJO_C`` holds.  The stopping
+    test reads every iterate, the last allowed step's included, so a run
+    that ends at ``max_iters`` has ``max_iters + 1`` trace points.  Below
+    the flow's rounding floor a tolerance may not be reached:
     the flow then ends ``stagnated`` when no step passes the test or an
     accepted step leaves the iterate bitwise unchanged, and otherwise at
     ``max_iters``.  ``init_kind``
@@ -282,16 +285,18 @@ def minimize(
     tau = step_cap = STEP_CAP[params.variant]
     converged = False
     stagnated = False
-    iterations = 0
 
-    for iteration in range(config.max_iters):
+    # the last turn only tests the iterate of the last allowed step
+    for iteration in range(config.max_iters + 1):
         # the iterate is u with its half spectra f, the gradient its half
         # spectra g; the stopping test reads |g - (<g, u>/rho) u| on them
         grad_norm = float(np.sqrt(_tangential_sq(ev, _rayleigh_quotient(ev, rho))))
         trace.append(TracePoint(iteration, ev.breakdown.total, grad_norm))
+        iterations = iteration
         if grad_norm <= config.grad_tol * sqrt_rho:
             converged = True
-            iterations = iteration
+            break
+        if iteration == config.max_iters:
             break
 
         # d = P(g - beta u) with <d, u> = 0: the residual r = g - beta u,
@@ -348,21 +353,19 @@ def minimize(
                     accepted = True
                     break
             tau *= BACKTRACK_FACTOR
-        iterations = iteration + 1
         if not accepted or fixed_point:
+            iterations = iteration + 1
             stagnated = True
             break
         if ev.breakdown.total < config.energy_floor:
             trace.append(
-                TracePoint(iterations, ev.breakdown.total, float("nan"))
+                TracePoint(iteration + 1, ev.breakdown.total, float("nan"))
             )
             raise UnboundedEnergyError(
                 f"energy {ev.breakdown.total:.6g} fell below the floor "
                 f"{config.energy_floor:.6g}; unbounded regime detected",
                 trace=[t.to_list() for t in trace],
             )
-    else:
-        iterations = config.max_iters
 
     # output normalization: a translation, an exact isometry of the energy
     v = recenter(u)

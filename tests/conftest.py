@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,14 @@ def relerr(a, b):
     return abs(a - b) / max(abs(a), abs(b))
 
 
+def _logged(fn, name, events):
+    def call(*args, **kwargs):
+        events.append(name)
+        return fn(*args, **kwargs)
+
+    return call
+
+
 class LoggedFft:
     """Stands in for a module's ``scipy.fft`` alias and logs each
     ``rfftn``/``irfftn`` call: as ``label`` when one is given, else as the
@@ -54,16 +64,22 @@ class LoggedFft:
 
     def __init__(self, real, events, label=None):
         self._real = real
-
-        def logged(fn):
-            def call(*args, **kwargs):
-                events.append(label or fn.__name__)
-                return fn(*args, **kwargs)
-
-            return call
-
-        self.rfftn = logged(real.rfftn)
-        self.irfftn = logged(real.irfftn)
+        self.rfftn = _logged(real.rfftn, label or "rfftn", events)
+        self.irfftn = _logged(real.irfftn, label or "irfftn", events)
 
     def __getattr__(self, attr):
         return getattr(self._real, attr)
+
+
+def log_transforms(monkeypatch, names, events, label=None):
+    """Log every 3-D transform that the spslab modules ``names`` make: each
+    call through a module's ``_fft`` alias (``LoggedFft``), and each call of
+    its ``irfftn_consuming`` as one ``irfftn`` (or ``label``), since from
+    32^3 on that helper runs the inverse as two scipy calls on the alias of
+    ``fields``, which is not logged."""
+    for name in names:
+        module = importlib.import_module(f"spslab.{name}")
+        monkeypatch.setattr(module, "_fft", LoggedFft(module._fft, events, label))
+        if hasattr(module, "irfftn_consuming"):
+            monkeypatch.setattr(module, "irfftn_consuming",
+                                _logged(module.irfftn_consuming, label or "irfftn", events))

@@ -1,12 +1,10 @@
 """Weinstein quotient, ascent lower bounds, boundedness threshold."""
 
-import importlib
-
 import numpy as np
 import pytest
 
 import spslab as sl
-from conftest import GAUSS_WEINSTEIN, LoggedFft, relerr
+from conftest import GAUSS_WEINSTEIN, log_transforms, relerr
 from spslab import bestconst
 from spslab.bestconst import _QUOTIENT_PARAMS, _is_localized, _log_quotient_gradient
 from spslab.energy import evaluate
@@ -207,9 +205,7 @@ class TestModulusStart:
         # |phi|^2, then the next direction's irfftn of Phi, of the gradient's
         # kinetic term and of the dilation generator's three derivatives
         events = []
-        for name in ("energy", "coulomb", "bestconst"):
-            module = importlib.import_module(f"spslab.{name}")
-            monkeypatch.setattr(module, "_fft", LoggedFft(module._fft, events))
+        log_transforms(monkeypatch, ("energy", "coulomb", "bestconst"), events)
 
         def logged(*args, _evaluate=bestconst.evaluate, **kwargs):
             events.append("evaluate")

@@ -7,10 +7,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.fft
 
 import spslab as sl
-from conftest import relerr
+from conftest import log_transforms, relerr
 from oracles import smooth_random_field
 
 
@@ -161,18 +160,8 @@ class TestSharedEvaluation:
             assert relerr(report.el_residual_rel, np.sqrt(resid.mass() / u.mass())) < 1e-12
 
     def test_report_is_one_evaluation_of_four_transforms(self, grid32, params, monkeypatch):
-        counts = Counter()
-
-        class CountingFft:
-            def __getattr__(self, name):
-                def counted(*args, **kwargs):
-                    counts[name] += 1
-                    return getattr(scipy.fft, name)(*args, **kwargs)
-
-                return counted
-
-        for name in ("energy", "coulomb", "identities"):
-            monkeypatch.setattr(importlib.import_module(f"spslab.{name}"), "_fft", CountingFft())
+        events = []
+        log_transforms(monkeypatch, ("energy", "coulomb", "identities"), events)
         identities = importlib.import_module("spslab.identities")
         evaluate = identities.evaluate
         calls = []
@@ -186,10 +175,10 @@ class TestSharedEvaluation:
         for field, n_parts in ((sl.Field(grid32, u.values.real), 1), (u, 2)):
             for omega in (None, 0.3):
                 calls.clear()
-                counts.clear()
+                events.clear()
                 sl.identity_report(field, params, omega=omega)
                 assert calls == [True]
                 # rfftn of each real component, of |u|^2 and of each
                 # gradient component's local term, irfftn of Phi: 3 + 1
                 # real, 5 + 1 complex
-                assert counts == {"rfftn": 2 * n_parts + 1, "irfftn": 1}
+                assert Counter(events) == {"rfftn": 2 * n_parts + 1, "irfftn": 1}

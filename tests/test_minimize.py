@@ -11,7 +11,7 @@ import pytest
 import spslab as sl
 from spslab.cli import DEFAULT_VERIFY_TOLERANCES, EXIT_OK, run
 from spslab.minimize import STEP_CAP, _flow_weights, _start_field
-from conftest import LoggedFft, relerr
+from conftest import log_transforms, relerr
 from oracles import smooth_random_field
 
 
@@ -286,8 +286,7 @@ class TestSpectralIterate:
     def _transforms_per_iteration(monkeypatch, grid, config):
         events = []
         for name in ("energy", "coulomb", "minimize"):
-            module = importlib.import_module(f"spslab.{name}")
-            monkeypatch.setattr(module, "_fft", LoggedFft(module._fft, events, label=name))
+            log_transforms(monkeypatch, (name,), events, label=name)
         minimize_module = importlib.import_module("spslab.minimize")
 
         def logged(*args, _evaluate=minimize_module.evaluate, **kwargs):
@@ -363,6 +362,28 @@ class TestSmallBoxArtifact:
         assert relerr(res.energy.total, flat) < 1e-3
         assert res.residuals.virial_rel > 1e-2
         assert res.residuals.pohozaev_rel > DEFAULT_VERIFY_TOLERANCES["pohozaev_rel"]
+
+
+class TestFinalIterate:
+    """The stopping test reads the iterate of the last allowed step too."""
+
+    def test_last_allowed_step_is_tested(self):
+        grid = sl.make_grid(16, 40.0)
+        params = sl.Params(alpha=1.0, beta=1.0, p=2.5, rho=0.1)
+        cfg = sl.MinimizeConfig(max_iters=8000, grad_tol=5e-7, init_width=2.0)
+        full = sl.minimize(grid, params, cfg)
+        assert full.converged and full.iterations > 1
+        capped = sl.minimize(grid, params, dataclasses.replace(cfg, max_iters=full.iterations))
+        assert capped.converged and capped.iterations == full.iterations
+        assert capped.trace == full.trace
+        short = sl.minimize(grid, params, dataclasses.replace(cfg, max_iters=full.iterations - 1))
+        assert not short.converged and short.iterations == full.iterations - 1
+        assert short.trace == full.trace[:-1]
+        again = sl.minimize(grid, params, dataclasses.replace(cfg, max_iters=0),
+                            initial=full.field)
+        assert again.converged and again.iterations == 0
+        assert len(again.trace) == 1
+        assert again.trace[0].grad_norm <= cfg.grad_tol * np.sqrt(params.rho)
 
 
 class TestEdgeCases:

@@ -1,6 +1,5 @@
 """Norms, operators, Coulomb machinery against frozen values and oracles."""
 
-import importlib
 from collections import Counter
 from dataclasses import replace
 
@@ -21,6 +20,7 @@ from conftest import (
     GAUSS_LP_83,
     GAUSS_PHI0,
     GAUSS_WIDTH,
+    log_transforms,
     relerr,
 )
 from oracles import (
@@ -195,23 +195,13 @@ class TestCoulomb:
             u = sl.Field(grid32, u.values.real)
         ev = evaluate(u, sl.Params(1.0, 1.0, 2.5, 1.0))
         phi_ev = coulomb._potential_values(ev.density_fft, sl.coulomb_kernel(grid32))
-        counts = Counter()
-
-        class CountingFft:
-            def __getattr__(self, name):
-                def counted(*args, **kwargs):
-                    counts[name] += 1
-                    return getattr(fft, name)(*args, **kwargs)
-
-                return counted
-
-        for name in ("energy", "coulomb"):
-            monkeypatch.setattr(importlib.import_module(f"spslab.{name}"), "_fft", CountingFft())
+        events = []
+        log_transforms(monkeypatch, ("energy", "coulomb"), events)
         d_value = sl.hartree_double_integral(u)
-        assert counts == {"rfftn": 1}
-        counts.clear()
+        assert Counter(events) == {"rfftn": 1}
+        events.clear()
         phi = sl.hartree_potential(u)
-        assert counts == {"rfftn": 1, "irfftn": 1}
+        assert Counter(events) == {"rfftn": 1, "irfftn": 1}
         assert d_value == ev.breakdown.d_value
         assert len(phi.parts) == 1 and np.array_equal(phi.parts[0], phi_ev)
 
