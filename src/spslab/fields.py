@@ -115,7 +115,8 @@ class Field:
 
 
 # reductions read their operands in blocks of this many elements, so each
-# block's product is summed while it is still in cache
+# block's product is summed while it is still in cache; irfftn_consuming's
+# size rule reads it too, so a retuned block must keep 16^3 spectra under it
 REDUCTION_BLOCK = 2**15
 
 
@@ -158,6 +159,10 @@ def irfftn_consuming(spectrum: np.ndarray, shape: tuple[int, ...]) -> np.ndarray
     two, so the split's scalings 1/n^2 and 1/n are exact, as irfftn's 1/n^3
     is: the bits agree barring subnormals.
     """
+    # the cutoff deliberately borrows the reduction block: it only has to
+    # keep 16^3 (4,608 floats) on the one call and put 64^3 and up in place;
+    # at 32^3 (34,816 floats) a lone inverse reads 3-4% slower in place, yet
+    # a whole 32^3 ascent reads 0.8-1.8% faster
     if 2 * spectrum.size <= REDUCTION_BLOCK:
         return _fft.irfftn(spectrum, s=shape)
     spectrum = _fft.ifftn(spectrum, axes=(0, 1), overwrite_x=True)

@@ -58,21 +58,24 @@ def _logged(fn, name, events):
 
 
 class LoggedFft:
-    """Stands in for a module's ``scipy.fft`` alias and logs each
-    ``rfftn``/``irfftn`` call: as ``label`` when one is given, else as the
+    """Stands in for a module's ``scipy.fft`` alias and logs each call of
+    any of its functions: as ``label`` when one is given, else as the
     function's name."""
 
     def __init__(self, real, events, label=None):
         self._real = real
-        self.rfftn = _logged(real.rfftn, label or "rfftn", events)
-        self.irfftn = _logged(real.irfftn, label or "irfftn", events)
+        self._events = events
+        self._label = label
 
     def __getattr__(self, attr):
-        return getattr(self._real, attr)
+        value = getattr(self._real, attr)
+        if not callable(value):
+            return value
+        return _logged(value, self._label or attr, self._events)
 
 
 def log_transforms(monkeypatch, names, events, label=None):
-    """Log every 3-D transform that the spslab modules ``names`` make: each
+    """Log every scipy.fft call that the spslab modules ``names`` make: each
     call through a module's ``_fft`` alias (``LoggedFft``), and each call of
     its ``irfftn_consuming`` as one ``irfftn`` (or ``label``), since from
     32^3 on that helper runs the inverse as two scipy calls on the alias of

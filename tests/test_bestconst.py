@@ -1,5 +1,7 @@
 """Weinstein quotient, ascent lower bounds, boundedness threshold."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -226,8 +228,8 @@ class TestModulusStart:
             else:
                 chunks[-1].append(event)
         assert len(chunks) == steps + 1
-        per_step = [(c.count("rfftn"), c.count("irfftn")) for c in chunks[:-1]]
-        assert per_step == [(2, 5)] * steps
+        per_step = [Counter(c) for c in chunks[:-1]]
+        assert per_step == [{"rfftn": 2, "irfftn": 5}] * steps
         assert chunks[-1] == ["rfftn", "rfftn"]
 
 
