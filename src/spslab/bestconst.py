@@ -34,8 +34,8 @@ from .errors import (
 from .fields import (
     Field,
     _onto_sphere,
+    blocked_sum,
     boundary_mass_fraction,
-    dot,
     gaussian_field,
     irfftn_consuming,
     random_field,
@@ -115,28 +115,25 @@ class BestConstantEstimate:
         }
 
 
-def _log_quotient_gradient(ev: Evaluation, density: np.ndarray) -> tuple[np.ndarray, ...]:
-    """L2 gradient of log Q at ``ev.u`` from its quotient evaluation, one real
-    array per component.  log Q = 3/8 log ||phi||_{8/3}^{8/3} - 1/4 log hdot
+def _log_quotient_gradient(ev: Evaluation, density: np.ndarray) -> np.ndarray:
+    """L2 gradient of log Q at the real field ``ev.u`` from its quotient
+    evaluation.  log Q = 3/8 log ||phi||_{8/3}^{8/3} - 1/4 log hdot
     - 1/8 log D, so it is -grad E / (2 hdot) for the homogeneous energy at
     alpha = hdot / (4 D), beta = 3 hdot / (4 ||phi||_{8/3}^{8/3}), p = 8/3.
-    ``density`` is |phi|^2, and is overwritten by the gradient's
+    ``density`` is phi^2, and is overwritten by the gradient's
     |phi|^{2/3}."""
     ns = ev.breakdown.norms
     hdot = ns.hdot_half_sq
     params = Params(hdot / (4.0 * ev.breakdown.d_value), 0.75 * hdot / ns.lp_p, P_CRITICAL, 1.0,
                     variant="homogeneous")
-    gradient = _gradient(ev, params, _lp_power(density, P_CRITICAL, out=density))
-    for g in gradient:
-        g *= -0.5 / hdot
+    (gradient,) = _gradient(ev, params, _lp_power(density, P_CRITICAL, out=density))
+    gradient *= -0.5 / hdot
     return gradient
 
 
-def _dilation_generator(
-    phi: Field, parts_fft: tuple[np.ndarray, ...]
-) -> tuple[np.ndarray, ...]:
-    """Generator 3/2 phi + x . grad phi of the mass-preserving dilation,
-    per component, from the half spectra ``parts_fft``.  Each derivative's
+def _dilation_generator(phi: Field, f: np.ndarray) -> np.ndarray:
+    """Generator 3/2 phi + x . grad phi of the mass-preserving dilation at
+    the real field ``phi``, from its half spectrum ``f``.  Each derivative's
     spectrum i k_j f is built in one reused buffer, which its inverse
     (``fields.irfftn_consuming``) consumes, and is then multiplied by its
     coordinate in place."""
@@ -145,24 +142,20 @@ def _dilation_generator(
     kz = k1[: grid.n // 2 + 1]
     coords = np.meshgrid(grid.axis, grid.axis, grid.axis, indexing="ij", sparse=True)
     symbols = (1j * k1[:, None, None], 1j * k1[None, :, None], 1j * kz[None, None, :])
-    spectrum = np.empty_like(parts_fft[0])
-    out = []
-    for c, f in zip(phi.parts, parts_fft):
-        g = 1.5 * c
-        for x, ik in zip(coords, symbols):
-            derivative = irfftn_consuming(np.multiply(ik, f, out=spectrum), grid.shape)
-            derivative *= x
-            g += derivative
-        out.append(g)
-    return tuple(out)
+    spectrum = np.empty_like(f)
+    generator = 1.5 * phi.parts[0]
+    for x, ik in zip(coords, symbols):
+        derivative = irfftn_consuming(np.multiply(ik, f, out=spectrum), grid.shape)
+        derivative *= x
+        generator += derivative
+    return generator
 
 
-def _gauge_fixed_direction(
-    phi: Field, direction: tuple[np.ndarray, ...], parts_fft: tuple[np.ndarray, ...]
-) -> None:
+def _gauge_fixed_direction(phi: Field, direction: np.ndarray, f: np.ndarray) -> None:
     """Remove the flat directions of Q from the ascent direction, in place on
-    the fresh gradient ``direction``: its mean, then its components along
-    phi and along the dilation generator.
+    the fresh gradient ``direction`` at the real field ``phi`` of half
+    spectrum ``f``: its mean, then its components along phi and along the
+    dilation generator.
 
     On the continuum Q is invariant under amplitude scaling and dilation, so
     the true gradient has no component along phi or along the dilation
@@ -173,14 +166,12 @@ def _gauge_fixed_direction(
     localized shapes, where the discrete quotient is a meaningful lower
     bound for the continuum constant.
     """
-    for d in direction:
-        d -= np.mean(d)  # no pumping of the uniform mode
-    for flat in (phi.parts, _dilation_generator(phi, parts_fft)):
-        overlap = dot(direction, flat)
-        norm_sq = dot(flat, flat)
+    direction -= np.mean(direction)  # no pumping of the uniform mode
+    for flat in (phi.parts[0], _dilation_generator(phi, f)):
+        overlap = blocked_sum(np.multiply, direction, flat)
+        norm_sq = blocked_sum(np.multiply, flat, flat)
         if norm_sq > 0:
-            for d, f in zip(direction, flat):
-                d -= (overlap / norm_sq) * f
+            direction -= (overlap / norm_sq) * flat
 
 
 def _is_localized(phi: Field, density: np.ndarray | None = None) -> bool:
@@ -212,13 +203,13 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
     if config is None:
         config = AscentConfig()
     width = grid.box_length / 10.0 if config.init_width is None else config.init_width
-    parts = gaussian_field(grid, width).parts
+    (start,) = gaussian_field(grid, width).parts
     if config.init_kind == "random":
         # |gaussian (1 + 0.3 noise / scale)|, as the Gaussian is positive
         noise = random_field(grid, config.seed).values
         scale = np.max(np.abs(noise)) or 1.0
-        parts = (parts[0] * np.abs(1.0 + 0.3 * noise / scale),)
-    phi, _ = _onto_sphere(grid, parts, 1.0)
+        start *= np.abs(1.0 + 0.3 * noise / scale)
+    phi, _ = _onto_sphere(grid, (start,), 1.0)
 
     try:
         ev = evaluate(phi, _QUOTIENT_PARAMS)
@@ -242,10 +233,8 @@ def estimate_best_constant(grid: Grid, config: AscentConfig | None = None) -> Be
             # ascent's memory peak
             direction = _log_quotient_gradient(ev, density)
             density = None
-            _gauge_fixed_direction(phi, direction, ev.parts_fft)
-        projected = _onto_sphere(
-            grid, tuple(c + step * d for c, d in zip(phi.parts, direction)), 1.0
-        )
+            _gauge_fixed_direction(phi, direction, ev.parts_fft[0])
+        projected = _onto_sphere(grid, (phi.parts[0] + step * direction,), 1.0)
         if projected is None:
             step *= 0.5
             continue

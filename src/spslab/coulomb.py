@@ -32,19 +32,13 @@ class CoulombKernel:
 
     ``half_symbol`` is the symbol on the half spectrum kz >= 0 (it drives
     Phi), ``double_integral_weight`` the same times the Hermitian plane
-    weights (it drives D); ``symbol`` is the full array, built on demand.
+    weights (it drives D).  No full-spectrum symbol is kept.
     """
 
     grid: Grid
     truncation_radius: float
     half_symbol: np.ndarray = field(repr=False)
     double_integral_weight: np.ndarray = field(repr=False)
-
-    @property
-    def symbol(self) -> np.ndarray:
-        return self.grid.cached(
-            "coulomb_symbol", lambda: _symbol(self.grid.wave_sq(), self.truncation_radius)
-        )
 
 
 def coulomb_kernel(grid: Grid) -> CoulombKernel:

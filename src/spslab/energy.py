@@ -237,20 +237,17 @@ def _weighted_product(weight, a, b, out=None):
     return out
 
 
-def _spectral_dot(weight: np.ndarray, a: tuple[np.ndarray, ...],
-                  b: tuple[np.ndarray, ...]) -> float:
-    """Re <a, b> (or Re <a, P b>) of two fields given by the half spectra
-    of their components, with ``_spectral_weight`` (or P times it)."""
-    return float(sum(
-        blocked_sum(_weighted_product, weight, x.view(np.float64), y.view(np.float64))
-        for x, y in zip(a, b)
-    ))
+def _spectral_dot(weight: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
+    """Re <a, b> (or Re <a, P b>) of two real arrays given by their half
+    spectra, with ``_spectral_weight`` (or P times it)."""
+    return float(blocked_sum(_weighted_product, weight, a.view(np.float64), b.view(np.float64)))
 
 
 def _rayleigh_quotient(ev: Evaluation, mass: float | None = None) -> float:
     """omega = Re <g, u> / ||u||_2^2 of a gradient evaluation, on its half
     spectra; ``mass`` given (the flow's rho) replaces ||u||_2^2."""
-    overlap = _spectral_dot(_spectral_weight(ev.u.grid), ev.gradient_fft, ev.parts_fft)
+    weight = _spectral_weight(ev.u.grid)
+    overlap = sum(_spectral_dot(weight, g, f) for g, f in zip(ev.gradient_fft, ev.parts_fft))
     return overlap / (ev.breakdown.norms.l2_sq if mass is None else mass)
 
 

@@ -16,19 +16,19 @@ construction, every iterate carries mass rho exactly up to rounding, and
 the stopping test reads the L2 norm of the tangential gradient
 g - (Re<g, u>/rho) u.
 
-The iterate is held as its real array u together with its half spectra
-f = rfftn(u), and the gradient as its half spectra
+The flow runs on one real array: a complex start enters as its modulus,
+since E(|u|) <= E(u) (D and the L^p term read |u| only, and the kinetic
+form does not rise under u -> |u|).  The iterate u is held with its half
+spectrum f = rfftn(u), and the gradient as its half spectrum
 K f + rfftn((4 alpha Phi - beta p |u|^{p-2}) u), so that every inner
 product above is a Hermitian-weighted half-spectrum sum.  A trial
-s (u - tau d) has the half spectra s (f - tau d^), d^ those of d, so an
+s (u - tau d) has the half spectrum s (f - tau d^), d^ that of d, so an
 iteration whose first trial is accepted costs four real transforms (the
 direction's irfftn, then rfftn(|u|^2), Phi's irfftn and the local term's
-rfftn).  The flow runs on one real component: a complex start enters as its
-modulus, since E(|u|) <= E(u) (D and the L^p term read |u| only, and the
-kinetic form does not rise under u -> |u|).  The output evaluation
-transforms from the grid.  A trial that Armijo accepts with the
-current energy and the current iterate's exact bits is a floating-point
-fixed point: the flow stops there with ``stagnated`` set.
+rfftn).  The output evaluation transforms from the grid.  A trial that
+Armijo accepts with the current energy and the current iterate's exact bits
+is a floating-point fixed point: the flow stops there with ``stagnated``
+set.
 """
 
 from __future__ import annotations
@@ -300,18 +300,15 @@ def minimize(
             break
 
         # d = P(g - beta u) with <d, u> = 0: the residual r = g - beta u,
-        # then the direction's half spectra overwrite the gradient's
-        grad_fft, parts_fft = ev.gradient_fft, ev.parts_fft
-        beta = _spectral_dot(precond_weight, grad_fft, parts_fft) / _spectral_dot(
-            precond_weight, parts_fft, parts_fft
+        # then the direction's half spectrum overwrites the gradient's
+        (f,), (direction_fft,) = ev.parts_fft, ev.gradient_fft
+        beta = _spectral_dot(precond_weight, direction_fft, f) / _spectral_dot(
+            precond_weight, f, f
         )
-        for g, f in zip(grad_fft, parts_fft):
-            g -= beta * f
-        slope = _spectral_dot(precond_weight, grad_fft, grad_fft)
-        for g in grad_fft:
-            g *= precond
-        direction_fft = grad_fft
-        direction = tuple(_fft.irfftn(d, s=grid.shape) for d in direction_fft)
+        direction_fft -= beta * f
+        slope = _spectral_dot(precond_weight, direction_fft, direction_fft)
+        direction_fft *= precond
+        direction = _fft.irfftn(direction_fft, s=grid.shape)
 
         # Armijo backtracking on E(project(u - tau * d)); the step grows
         # again each iteration up to the cap.
@@ -319,17 +316,14 @@ def minimize(
         current = ev.breakdown.total
         accepted = fixed_point = False
         while tau >= MIN_STEP:
-            projected = _onto_sphere(
-                grid, tuple(c - tau * d for c, d in zip(u.parts, direction)), rho
-            )
+            projected = _onto_sphere(grid, (u.parts[0] - tau * direction,), rho)
             if projected is not None:
-                # the trial's half spectra are the same combination s (f - tau d^)
+                # the trial's half spectrum is the same combination s (f - tau d^)
                 trial, scale = projected
-                trial_fft = tuple(np.multiply(d, -tau) for d in direction_fft)
-                for trial_f, f in zip(trial_fft, parts_fft):
-                    trial_f += f
-                    trial_f *= scale
-                trial_ev = evaluate(trial, params, with_gradient=True, parts_fft=trial_fft)
+                trial_f = np.multiply(direction_fft, -tau)
+                trial_f += f
+                trial_f *= scale
+                trial_ev = evaluate(trial, params, with_gradient=True, parts_fft=(trial_f,))
                 trial_energy = trial_ev.breakdown.total
                 if trial_energy == -np.inf:
                     raise UnboundedEnergyError(
@@ -345,8 +339,8 @@ def minimize(
                 if trial_energy <= current - ARMIJO_C * tau * slope:
                     # a step that leaves the iterate bitwise unchanged is a
                     # floating-point fixed point: the flow cannot move on
-                    fixed_point = trial_energy == current and all(
-                        map(np.array_equal, trial.parts, u.parts)
+                    fixed_point = trial_energy == current and np.array_equal(
+                        trial.parts[0], u.parts[0]
                     )
                     u = trial
                     ev = trial_ev
@@ -354,7 +348,8 @@ def minimize(
                     break
             tau *= BACKTRACK_FACTOR
         if not accepted or fixed_point:
-            iterations = iteration + 1
+            # a failed line search took no step; a fixed point took one
+            iterations = iteration + accepted
             stagnated = True
             break
         if ev.breakdown.total < config.energy_floor:

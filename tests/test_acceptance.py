@@ -50,6 +50,7 @@ import numpy as np
 import pytest
 
 import spslab as sl
+from spslab import coulomb
 from spslab.cli import EXIT_CONFIG, EXIT_OK, EXIT_UNBOUNDED, run
 from oracles import (
     direct_sum_potential,
@@ -129,7 +130,7 @@ def test_criterion_01_coulomb_oracle_equivalence():
     c = Clauses("C1")
     grid = sl.make_grid(16, 8.0)
     kern = sl.coulomb_kernel(grid)
-    kappa = kernel_table_slow(grid, kern.symbol)
+    kappa = kernel_table_slow(grid, coulomb._symbol(grid.wave_sq(), kern.truncation_radius))
     worst_phi, worst_d = 0.0, 0.0
     for seed in range(5):
         u = smooth_random_field(grid, 300 + seed)

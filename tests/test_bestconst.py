@@ -8,7 +8,13 @@ import pytest
 import spslab as sl
 from conftest import GAUSS_WEINSTEIN, log_transforms, relerr
 from spslab import bestconst
-from spslab.bestconst import _QUOTIENT_PARAMS, _is_localized, _log_quotient_gradient
+from spslab.bestconst import (
+    _QUOTIENT_PARAMS,
+    _dilation_generator,
+    _gauge_fixed_direction,
+    _is_localized,
+    _log_quotient_gradient,
+)
 from spslab.energy import evaluate
 from spslab.fields import _onto_sphere, dot
 
@@ -49,43 +55,72 @@ class TestQuotient:
         assert relerr(q_b, q_d) < 1e-3
 
 
-def _modulated_gaussian(grid, complex_valued):
-    """A localized field that is no Gaussian: a Gaussian times 1 + 0.3 of
-    smooth noise, or of its real part."""
+def _modulated_gaussian(grid, signed):
+    """A localized real field that is no Gaussian: a Gaussian times
+    1 + 0.3 of smooth real noise, or times the noise itself, which makes
+    about half the samples negative."""
     noise = sl.random_field(grid, 5).values
-    modulation = 1.0 + 0.3 * noise / np.max(np.abs(noise))
-    if not complex_valued:
-        modulation = modulation.real
+    noise = noise.real / np.max(np.abs(noise))
+    modulation = noise if signed else 1.0 + 0.3 * noise
     return sl.Field(grid, sl.gaussian_field(grid, 1.6).values * modulation)
 
 
 class TestLogQuotientGradient:
-    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
-    def test_central_difference(self, grid32, complex_valued):
-        phi = _modulated_gaussian(grid32, complex_valued)
+    @pytest.mark.parametrize("signed", [False, True], ids=["real", "signed"])
+    def test_central_difference(self, grid32, signed):
+        phi = _modulated_gaussian(grid32, signed)
         ev = evaluate(phi, _QUOTIENT_PARAMS)
         grad = _log_quotient_gradient(ev, phi.density())
-        assert len(grad) == len(phi.parts)
-        v = sl.random_field(grid32, 11).parts[: len(phi.parts)]
-        v = tuple(c / np.max(np.abs(c)) for c in v)
+        assert grad.shape == grid32.shape
+        v = sl.random_field(grid32, 11).parts[0]
+        v = v / np.max(np.abs(v))
 
         def log_q(t):
-            moved = tuple(c + t * d for c, d in zip(phi.parts, v))
-            return np.log(sl.weinstein_quotient(sl.Field.of_parts(grid32, moved)))
+            moved = sl.Field.of_parts(grid32, (phi.parts[0] + t * v,))
+            return np.log(sl.weinstein_quotient(moved))
 
         eps = 1.0e-4
         central = (log_q(eps) - log_q(-eps)) / (2.0 * eps)
-        assert relerr(central, dot(grad, v) * grid32.cell_volume) < 1e-6
+        assert relerr(central, dot((grad,), (v,)) * grid32.cell_volume) < 1e-6
 
-    @pytest.mark.parametrize("complex_valued", [False, True], ids=["real", "complex"])
-    def test_orthogonal_to_amplitude(self, grid32, complex_valued):
+    @pytest.mark.parametrize("signed", [False, True], ids=["real", "signed"])
+    def test_orthogonal_to_amplitude(self, grid32, signed):
         # Q is invariant under amplitude scaling, so the gradient has no
         # component along phi
-        phi = _modulated_gaussian(grid32, complex_valued)
+        phi = _modulated_gaussian(grid32, signed)
         ev = evaluate(phi, _QUOTIENT_PARAMS)
-        grad = _log_quotient_gradient(ev, phi.density())
+        grad = (_log_quotient_gradient(ev, phi.density()),)
         scale = np.sqrt(dot(grad, grad) * dot(phi.parts, phi.parts))
         assert abs(dot(grad, phi.parts)) < 1e-12 * scale
+
+
+class TestGaugeFixing:
+    @pytest.mark.parametrize("width, tol", [(1.0, 1e-7), (1.6, 1e-4)])
+    def test_dilation_generator_of_gaussian(self, grid32, width, tol):
+        # d/dtheta theta^{3/2} phi(theta x) at theta = 1 is
+        # (3/2 - |x|^2 / w^2) phi for a Gaussian of width w; the wider one
+        # feels the torus edge
+        phi = sl.gaussian_field(grid32, width)
+        ev = evaluate(phi, _QUOTIENT_PARAMS)
+        generator = _dilation_generator(phi, ev.parts_fft[0])
+        expected = (1.5 - grid32.radius_sq() / width**2) * phi.parts[0]
+        assert np.max(np.abs(generator - expected)) < tol * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("signed", [False, True], ids=["real", "signed"])
+    def test_direction_orthogonal_to_flat_directions(self, grid32, signed):
+        phi = _modulated_gaussian(grid32, signed)
+        ev = evaluate(phi, _QUOTIENT_PARAMS)
+        (f,) = ev.parts_fft
+        direction = _log_quotient_gradient(ev, phi.density())
+        _gauge_fixed_direction(phi, direction, f)
+
+        def cosine(a, b):
+            return abs(np.vdot(a, b)) / np.sqrt(np.vdot(a, a) * np.vdot(b, b))
+
+        # the generator's projection is the last, so it is removed to
+        # rounding; phi's is undone only by the generator's small overlap
+        assert cosine(direction, _dilation_generator(phi, f)) < 1e-12
+        assert cosine(direction, phi.parts[0]) < 1e-9
 
 
 class TestAscent:

@@ -83,7 +83,8 @@ def _full_array_terms(u, params):
 def _blocked_terms(u, params):
     ev = evaluate(u, params, with_gradient=True)
     ns = ev.breakdown.norms
-    dot = _spectral_dot(_spectral_weight(u.grid), ev.gradient_fft, ev.parts_fft)
+    weight = _spectral_weight(u.grid)
+    dot = sum(_spectral_dot(weight, g, f) for g, f in zip(ev.gradient_fft, ev.parts_fft))
     report = identity_report(u, params)
     return {
         "lp_p": ns.lp_p,

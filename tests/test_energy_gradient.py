@@ -63,9 +63,19 @@ class TestGradient:
         hw = np.fft.ifftn(np.sqrt(1.0 + grid32.wave_sq()) * np.fft.fftn(u.values))
         assert np.max(np.abs(g.values - hw)) < 1e-12 * np.max(np.abs(hw))
 
-    @pytest.mark.parametrize("variant", ["inhomogeneous", "homogeneous"])
-    def test_finite_difference_gaussian(self, grid64, params, variant):
-        u = sl.gaussian_field(grid64, GAUSS_WIDTH)
+    @pytest.mark.parametrize(
+        "variant, complex_valued",
+        [("inhomogeneous", False), ("homogeneous", False), ("homogeneous", True)],
+        ids=["inhomogeneous", "homogeneous", "complex"],
+    )
+    def test_finite_difference_gaussian(self, grid64, params, variant, complex_valued):
+        # the solvers run on real fields; the complex point checks the
+        # gradient of the complex snapshots that ``energy`` and ``verify`` read
+        if complex_valued:
+            u = smooth_random_field(grid64, 8)
+            assert len(u.parts) == 2
+        else:
+            u = sl.gaussian_field(grid64, GAUSS_WIDTH)
         params = replace(params, variant=variant)
         g = sl.gradient(u, params)
         rng = np.random.default_rng(0)

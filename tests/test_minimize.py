@@ -342,6 +342,17 @@ class TestSpectralIterate:
         energies = [t.energy for t in res.trace]
         assert all(b <= a for a, b in zip(energies, energies[1:]))
 
+    def test_failed_line_search_counts_no_step(self, grid16, monkeypatch):
+        # with MIN_STEP above the step cap no trial is tried: the run ends
+        # stagnated on its start and has taken no step
+        minimize_module = importlib.import_module("spslab.minimize")
+        monkeypatch.setattr(minimize_module, "MIN_STEP", 4.0)
+        params = sl.Params(alpha=1.0, beta=1.0, p=2.5, rho=0.1)
+        res = sl.minimize(grid16, params, sl.MinimizeConfig())
+        assert res.stagnated and not res.converged
+        assert len(res.trace) == 1
+        assert res.iterations == 0 == res.trace[-1].iteration
+
 
 class TestSmallBoxArtifact:
     def test_small_box_drains_to_torus_constant(self):
