@@ -121,7 +121,7 @@ def _log_quotient_gradient(ev: Evaluation, density: np.ndarray) -> np.ndarray:
     - 1/8 log D, so it is -grad E / (2 hdot) for the homogeneous energy at
     alpha = hdot / (4 D), beta = 3 hdot / (4 ||phi||_{8/3}^{8/3}), p = 8/3.
     ``density`` is phi^2, and is overwritten by the gradient's
-    |phi|^{2/3}."""
+    |phi|^{2/3}; the gradient consumes ``ev.density_fft``."""
     ns = ev.breakdown.norms
     hdot = ns.hdot_half_sq
     params = Params(hdot / (4.0 * ev.breakdown.d_value), 0.75 * hdot / ns.lp_p, P_CRITICAL, 1.0,

@@ -57,14 +57,16 @@ def coulomb_kernel(grid: Grid) -> CoulombKernel:
 def _potential_values(
     density_fft: np.ndarray, kernel: CoulombKernel
 ) -> np.ndarray:
-    """Phi from ``density_fft = rfftn(density)`` of a real density.
+    """Phi from ``density_fft = rfftn(density)`` of a real density, which
+    the caller gives up.
 
     The density and Phi are real, so both transforms run on the half
-    spectrum kz >= 0; the inverse consumes the product
-    ``half_symbol * density_fft`` (``fields.irfftn_consuming``), so
-    ``density_fft`` is left as it was.
+    spectrum kz >= 0; the product ``half_symbol * density_fft`` is formed in
+    place on ``density_fft``, and its inverse consumes it
+    (``fields.irfftn_consuming``), so no second spectrum is built.
     """
-    return irfftn_consuming(kernel.half_symbol * density_fft, kernel.grid.shape)
+    spectrum = np.multiply(kernel.half_symbol, density_fft, out=density_fft)
+    return irfftn_consuming(spectrum, kernel.grid.shape)
 
 
 def _double_integral_from_density_fft(

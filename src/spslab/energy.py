@@ -30,7 +30,7 @@ import numpy as np
 from scipy import fft as _fft
 
 from .coulomb import _double_integral_from_density_fft, _potential_values, coulomb_kernel
-from .fields import Field, blocked_sum, dot, irfftn_consuming
+from .fields import REDUCTION_BLOCK, Field, blocked_sum, dot, irfftn_consuming
 from .params import P_CRITICAL, Params
 
 
@@ -72,25 +72,34 @@ class EnergyBreakdown:
         return asdict(self)
 
 
-def _power_spectrum(parts_fft: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Summed power spectrum of the half spectra ``parts_fft``, which is the
-    half of |fftn(u)|^2 that the Hermitian weights complete."""
-    spectrum_sq = np.square(parts_fft[0].real)
-    square = np.square(parts_fft[0].imag)
-    spectrum_sq += square
-    for f in parts_fft[1:]:
-        spectrum_sq += np.square(f.real, out=square)
-        spectrum_sq += np.square(f.imag, out=square)
-    return spectrum_sq
+def _power_sum(weight: np.ndarray, parts_fft: tuple[np.ndarray, ...]) -> np.ndarray:
+    """sum_k weight(k) sum_j |f_j(k)|^2 over the half spectra ``parts_fft``,
+    for a ``weight`` of their shape, or one sum per row of a (rows, N)
+    ``weight`` over the flattened spectrum.  The summed power spectrum is
+    formed block by block inside the sum, squared and added as Re f_0,
+    Im f_0, Re f_1, Im f_1, and is never held whole."""
+    spectra = [f.reshape(-1) for f in parts_fft]
+    power = np.empty(min(spectra[0].size, REDUCTION_BLOCK))
+    square = np.empty_like(power)
+
+    def weighted_power(w, *blocks, out=None):
+        size = blocks[0].size
+        total = np.square(blocks[0].real, out=power[:size])
+        total += np.square(blocks[0].imag, out=square[:size])
+        for z in blocks[1:]:
+            total += np.square(z.real, out=square[:size])
+            total += np.square(z.imag, out=square[:size])
+        return np.multiply(w, total, out=out)
+
+    return blocked_sum(weighted_power, weight if weight.ndim == 2 else weight.reshape(-1),
+                       *spectra)
 
 
-def _norm_set(u: Field, lp_p: float, spectrum_sq: np.ndarray) -> NormSet:
-    """The five norms of u from ||u||_p^p and its half power spectrum."""
+def _norm_set(u: Field, lp_p: float, parts_fft: tuple[np.ndarray, ...]) -> NormSet:
+    """The five norms of u from ||u||_p^p and the half spectra of its parts."""
     # pairwise sums (not BLAS dots): the flow's Armijo test compares
     # energies, and their rounding sets the smallest gradient it can reach
-    h_half, hdot_half, h_minus_half = blocked_sum(
-        np.multiply, u.grid.plancherel_weights, spectrum_sq.ravel()
-    )
+    h_half, hdot_half, h_minus_half = _power_sum(u.grid.plancherel_weights, parts_fft)
     return NormSet(
         l2_sq=u.mass(),
         lp_p=lp_p,
@@ -106,17 +115,17 @@ class Evaluation:
     every other quantity of that field is read from.
 
     ``u`` is the field, ``parts_fft`` the half spectra ``rfftn`` of its
-    real components, ``spectrum_sq`` the summed half power spectrum and
-    ``density_fft`` the half spectrum ``rfftn(|u|^2)``.  ``gradient_fft``
-    holds the half spectra of the gradient's components, or with
-    ``with_gradient="grid"`` the components.
+    real components and ``density_fft`` the half spectrum ``rfftn(|u|^2)``,
+    which the gradient consumes: it is ``None`` once ``gradient_fft`` is
+    built.  No power spectrum is kept; the norms form |f|^2 block by block
+    inside their sums.  ``gradient_fft`` holds the half spectra of the
+    gradient's components, or with ``with_gradient="grid"`` the components.
     """
 
     breakdown: EnergyBreakdown
     u: Field
     parts_fft: tuple[np.ndarray, ...]
-    spectrum_sq: np.ndarray
-    density_fft: np.ndarray
+    density_fft: np.ndarray | None
     gradient_fft: tuple[np.ndarray, ...] | None = None
 
 
@@ -155,13 +164,14 @@ def evaluate(
 
         lp_sum = blocked_sum(lp_terms, density)
     lp_p = float(lp_sum * grid.cell_volume)
-    if parts_fft is None:
-        parts_fft = tuple(_fft.rfftn(c) for c in u.parts)
-    spectrum_sq = _power_spectrum(parts_fft)
-    ns = _norm_set(u, lp_p, spectrum_sq)
+    # every array is freed after its last read: the density once
+    # transformed, before the parts are
     density_fft = _fft.rfftn(density)
     del density
     d_value = _double_integral_from_density_fft(density_fft, kernel)
+    if parts_fft is None:
+        parts_fft = tuple(_fft.rfftn(c) for c in u.parts)
+    ns = _norm_set(u, lp_p, parts_fft)
 
     kinetic = 0.5 * (ns.h_half_sq if params.variant == "inhomogeneous" else ns.hdot_half_sq)
     hartree = params.alpha * d_value
@@ -174,7 +184,8 @@ def evaluate(
         norms=ns,
         d_value=d_value,
     )
-    ev = Evaluation(breakdown, u, parts_fft, spectrum_sq, density_fft)
+    ev = Evaluation(breakdown, u, parts_fft, density_fft)
+    del density_fft  # the evaluation's is the one reference the gradient consumes
     if with_gradient:
         ev.gradient_fft = _gradient(ev, params, powers.pop(),
                                     spectral=with_gradient != "grid")
@@ -194,30 +205,45 @@ def _gradient(ev: Evaluation, params: Params, power: np.ndarray,
     """L2 energy gradient at ``ev.u`` from its transforms, one real array per
     component (K c + local c), or with ``spectral`` their half spectra
     (K f + rfftn(local c)); ``power`` is |u|^{p-2}, and is overwritten.
-    Phi and the grid form's kinetic terms K c are inverses of fresh
-    products, taken by ``fields.irfftn_consuming``; ``ev`` is not written."""
+    Phi is the inverse of ``half_symbol * ev.density_fft`` formed in place,
+    so ``ev.density_fft`` is spent and set to ``None``; the grid form's
+    kinetic terms K c are inverses of fresh products.  Both inverses are
+    taken by ``fields.irfftn_consuming``."""
     u = ev.u
     # grad_j = K c_j + (4 alpha Phi - beta p |u|^{p-2}) c_j per component
     mult = u.grid.kinetic_symbol(params.variant)
     local = _potential_values(ev.density_fft, coulomb_kernel(u.grid))
+    ev.density_fft = None
     local *= 4.0 * params.alpha
     if params.beta != 0.0:
         power *= params.beta * params.p
         local -= power
-    # each product local * c_j goes into an array that is dead after
-    # it: ``power`` for Re u of a complex field, then ``local`` itself
-    outs = (power, local)[2 - len(u.parts) :]
+    # each product local * c_j goes into an array that is dead after it,
+    # and is freed once read: ``power`` for Re u of a complex field, then
+    # ``local`` itself
+    outs = [power, local][2 - len(u.parts) :]
     del power
     gradient = []
-    for c, f, out in zip(u.parts, ev.parts_fft, outs):
+    for c, f in zip(u.parts, ev.parts_fft):
         if spectral:
-            g = _fft.rfftn(np.multiply(local, c, out=out))
-            g += mult * f
+            g = _fft.rfftn(np.multiply(local, c, out=outs.pop(0)))
+            _add_product(g, mult, f)
         else:
             g = irfftn_consuming(mult * f, u.grid.shape)
-            g += np.multiply(local, c, out=out)
+            g += np.multiply(local, c, out=outs.pop(0))
         gradient.append(g)
     return tuple(gradient)
+
+
+def _add_product(g: np.ndarray, mult: np.ndarray, f: np.ndarray) -> None:
+    """``g += mult * f`` on half spectra, a slab of planes of at most one
+    reduction block at a time, so that no full-size product is built; the
+    bits are those of the one-piece sum."""
+    step = min(len(f), max(1, REDUCTION_BLOCK // f[0].size))
+    product = np.empty((step,) + f.shape[1:], dtype=f.dtype)
+    for start in range(0, len(f), step):
+        slab = slice(start, start + step)
+        g[slab] += np.multiply(mult[slab], f[slab], out=product[: len(f[slab])])
 
 
 def _spectral_weight(grid) -> np.ndarray:

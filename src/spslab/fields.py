@@ -216,6 +216,16 @@ def constant_field(grid: Grid, value: complex) -> Field:
     return Field(grid, np.full(grid.shape, value, dtype=np.complex128))
 
 
+def _gaussian(grid: Grid, width: float) -> np.ndarray:
+    """exp(-|x|^2 / (2 width^2)) on ``grid``, with the bits of
+    ``np.exp(-r2 / (2 width^2))``: negated, divided and exponentiated in
+    place on a fresh ``grid.radius_sq()``."""
+    values = grid.radius_sq()
+    np.negative(values, out=values)
+    values /= 2.0 * width**2
+    return np.exp(values, out=values)
+
+
 @dataclass(frozen=True)
 class GaussianProfile:
     """Closed-form centered Gaussian amplitude * exp(-|x|^2 / (2 width^2)).
@@ -233,7 +243,10 @@ class GaussianProfile:
             raise ConfigurationError(f"gaussian width must be positive, got {self.width}")
 
     def sample(self, grid: Grid) -> Field:
-        values = self.amplitude * np.exp(-grid.radius_sq() / (2.0 * self.width**2))
+        """The profile on ``grid``, scaled in place on ``_gaussian``'s array,
+        with the bits of ``amplitude * np.exp(-r2 / (2 width^2))``."""
+        values = _gaussian(grid, self.width)
+        values *= self.amplitude
         return Field.of_parts(grid, (values,))
 
     def mass_preserving_rescaled(self, theta: float) -> "GaussianProfile":
@@ -264,8 +277,8 @@ def random_field(grid: Grid, seed: int) -> Field:
     k_abs = np.sqrt(grid.wave_sq())
     mask = k_abs <= RANDOM_K_CUT * np.max(k_abs)
     smooth = np.fft.ifftn(np.fft.fftn(noise) * mask)
-    envelope = np.exp(-grid.radius_sq() / (2.0 * (grid.box_length / 6.0) ** 2))
-    return Field(grid, smooth * envelope)
+    smooth *= _gaussian(grid, grid.box_length / 6.0)
+    return Field(grid, smooth)
 
 
 def save_snapshot(field: Field, path: str | Path) -> None:
@@ -316,14 +329,9 @@ def load_snapshot(path: str | Path) -> Field:
         except ConfigurationError as exc:
             raise SnapshotFormatError(f"snapshot {path} header invalid: {exc}") from exc
         data = np.frombuffer(raw, dtype="<c16", offset=offset).reshape((n, n, n)).T
-        # one transpose pass to the internal layout: of the real plane alone
-        # when the imaginary one is zero, else of the complex samples, whose
-        # planes are then split off without a second scan
-        if np.any(data.imag):
-            values = np.ascontiguousarray(data)
-            planes = (values.real, values.imag)
-        else:
-            planes = (data.real,)
+        # each plane is copied to the internal layout straight from the map,
+        # the imaginary one only when it is not zero
+        planes = (data.real, data.imag) if np.any(data.imag) else (data.real,)
         parts = tuple(np.array(c, dtype=np.float64, order="C") for c in planes)
         del data, planes  # the map closes only once no view of it is left
     return Field.of_parts(grid, parts)

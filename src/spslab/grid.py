@@ -47,7 +47,8 @@ class Grid:
     at -L/2 + j h) and ``wavenumbers`` (1-D angular wavenumbers
     (2 pi / L) * {-n/2, ..., n/2 - 1} in FFT storage order).  The
     half-spectrum multiplier and weight arrays the operators read are built
-    on first use and cached; ``wave_sq`` builds |k|^2 uncached.  Equality
+    on first use and cached; ``wave_sq`` builds |k|^2 and ``radius_sq``
+    |x|^2 uncached.  Equality
     and the hash read the (n, L) pair alone.
     """
 
@@ -157,13 +158,11 @@ class Grid:
         return np.meshgrid(self.axis, self.axis, self.axis, indexing="ij")
 
     def radius_sq(self) -> np.ndarray:
-        """|x|^2 on the grid, cached (used by every Gaussian constructor)."""
-
-        def build():
-            x, y, z = self.meshgrid()
-            return x**2 + y**2 + z**2
-
-        return self.cached("radius_sq", build)
+        """|x|^2 on the grid, a fresh array the caller may write into
+        (uncached).  Summed as x^2 + y^2 + z^2 on the broadcast squared
+        axis, the additions of the dense ``meshgrid`` form."""
+        a = self.axis**2
+        return a[:, None, None] + a[None, :, None] + a[None, None, :]
 
     def describe(self) -> dict:
         return {"n": self.n, "box_length": self.box_length, "spacing": self.spacing}

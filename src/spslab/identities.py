@@ -29,11 +29,11 @@ import numpy as np
 # perfbench/tracing.py replaces this alias by attribute on this module
 from scipy import fft as _fft  # noqa: F401
 
-from .energy import Evaluation, _rayleigh_quotient, _tangential_sq, evaluate
+from .energy import Evaluation, _power_sum, _rayleigh_quotient, _tangential_sq, evaluate
 # perfbench/tracing.py wraps these two by attribute on this module
 from .coulomb import coulomb_kernel  # noqa: F401
 from .energy import hartree_double_integral  # noqa: F401
-from .fields import Field, blocked_sum
+from .fields import Field
 from .params import Params
 
 
@@ -99,9 +99,9 @@ def _report(ev: Evaluation, params: Params, omega: float | None) -> IdentityRepo
     virial = v_coulomb - v_power
 
     # dilation: the kinetic term's derivative is read off the half power
-    # spectrum, 1/2 sum |k|^2 / sqrt(1 + |k|^2) |v_hat|^2 (|k| homogeneous)
-    dilation_weight = grid.dilation_weight(params.variant)
-    kinetic = 0.5 * float(blocked_sum(np.multiply, dilation_weight, ev.spectrum_sq))
+    # spectrum, 1/2 sum |k|^2 / sqrt(1 + |k|^2) |v_hat|^2 (|k| homogeneous),
+    # formed block by block inside the sum
+    kinetic = 0.5 * float(_power_sum(grid.dilation_weight(params.variant), ev.parts_fft))
     coulomb = params.alpha * d_value
     power = params.beta * (3.0 * params.p - 6.0) / 2.0 * ns.lp_p
     pohozaev = kinetic + coulomb - power

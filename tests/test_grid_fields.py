@@ -50,7 +50,7 @@ class TestMakeGrid:
     )
     def test_same_pair_is_equal_and_hashes_alike(self, a, b):
         g, h = sl.Grid(*a), sl.Grid(*b)
-        g.radius_sq()  # a filled cache does not enter equality
+        g.kinetic_symbol("inhomogeneous")  # a filled cache does not enter equality
         assert g is not h
         assert g == h and hash(g) == hash(h)
         assert len({g, h}) == 1
@@ -78,6 +78,33 @@ class TestMakeGrid:
         assert np.array_equal(g.kinetic_symbol("homogeneous"), np.sqrt(k_sq)[..., :9])
         w = g.hermitian_weight / g.fourier_weight
         assert w[0] == w[-1] == 1.0 and np.all(w[1:-1] == 2.0)
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_radius_sq_is_the_dense_sum_and_uncached(self, n):
+        g = sl.make_grid(n, 8.0)
+        x, y, z = g.meshgrid()
+        r2 = g.radius_sq()
+        assert r2.tobytes() == (x**2 + y**2 + z**2).tobytes()
+        assert r2.flags.c_contiguous and r2.flags.writeable
+        assert g.radius_sq() is not r2
+
+    @pytest.mark.parametrize("width, amplitude", [(1.0, 1.0), (0.7, 2.5), (3.0, 1e-3)])
+    def test_gaussian_sample_bit_for_bit(self, width, amplitude):
+        g = sl.make_grid(32, 8.0)
+        x, y, z = g.meshgrid()
+        expected = amplitude * np.exp(-(x**2 + y**2 + z**2) / (2.0 * width**2))
+        (got,) = sl.GaussianProfile(width, amplitude).sample(g).parts
+        assert got.tobytes() == expected.tobytes()
+
+    def test_random_field_envelope_bit_for_bit(self):
+        g = sl.make_grid(16, 8.0)
+        rng = np.random.default_rng(7)
+        noise = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        k_abs = np.sqrt(g.wave_sq())
+        smooth = np.fft.ifftn(np.fft.fftn(noise) * (k_abs <= 0.25 * np.max(k_abs)))
+        x, y, z = g.meshgrid()
+        envelope = np.exp(-(x**2 + y**2 + z**2) / (2.0 * (g.box_length / 6.0) ** 2))
+        assert sl.random_field(g, 7).values.tobytes() == (smooth * envelope).tobytes()
 
     def test_wavenumber_count_and_range(self):
         g = sl.make_grid(16, 8.0)
