@@ -17,9 +17,10 @@ unconstrained L2 gradient is
 A field is held as its real components (``Field.parts``): every term is
 real-linear in u or depends on |u| only, so each component takes one
 real-to-complex transform, and an evaluation's gradient one of its local
-term per component, as half spectra; omega and the residual |g - omega u|
-are Hermitian-weighted sums over them.  The grid form of the gradient is
-built on request (``gradient``, the best-constant ascent).
+term per component, as half spectra; the residual |g - omega u| is a
+Hermitian-weighted sum over them, and omega is read off the energy terms.
+The grid form of the gradient is built on request (``gradient``, the
+best-constant ascent).
 """
 
 from __future__ import annotations
@@ -74,10 +75,10 @@ class EnergyBreakdown:
 
 def _power_sum(weight: np.ndarray, parts_fft: tuple[np.ndarray, ...]) -> np.ndarray:
     """sum_k weight(k) sum_j |f_j(k)|^2 over the half spectra ``parts_fft``,
-    for a ``weight`` of their shape, or one sum per row of a (rows, N)
-    ``weight`` over the flattened spectrum.  The summed power spectrum is
-    formed block by block inside the sum, squared and added as Re f_0,
-    Im f_0, Re f_1, Im f_1, and is never held whole."""
+    one sum per row of a (rows, N) ``weight`` over the flattened spectrum.
+    The summed power spectrum is formed block by block inside the sum,
+    squared and added as Re f_0, Im f_0, Re f_1, Im f_1, and is never held
+    whole."""
     spectra = [f.reshape(-1) for f in parts_fft]
     power = np.empty(min(spectra[0].size, REDUCTION_BLOCK))
     square = np.empty_like(power)
@@ -91,8 +92,7 @@ def _power_sum(weight: np.ndarray, parts_fft: tuple[np.ndarray, ...]) -> np.ndar
             total += np.square(z.imag, out=square[:size])
         return np.multiply(w, total, out=out)
 
-    return blocked_sum(weighted_power, weight if weight.ndim == 2 else weight.reshape(-1),
-                       *spectra)
+    return blocked_sum(weighted_power, weight, *spectra)
 
 
 def _norm_set(u: Field, lp_p: float, parts_fft: tuple[np.ndarray, ...]) -> NormSet:
@@ -269,12 +269,16 @@ def _spectral_dot(weight: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(blocked_sum(_weighted_product, weight, a.view(np.float64), b.view(np.float64)))
 
 
-def _rayleigh_quotient(ev: Evaluation, mass: float | None = None) -> float:
-    """omega = Re <g, u> / ||u||_2^2 of a gradient evaluation, on its half
-    spectra; ``mass`` given (the flow's rho) replaces ||u||_2^2."""
-    weight = _spectral_weight(ev.u.grid)
-    overlap = sum(_spectral_dot(weight, g, f) for g, f in zip(ev.gradient_fft, ev.parts_fft))
-    return overlap / (ev.breakdown.norms.l2_sq if mass is None else mass)
+def _rayleigh_quotient(ev: Evaluation, p: float, mass: float | None = None) -> float:
+    """omega = Re <grad E(u), u> / ||u||_2^2 of an evaluation at exponent
+    ``p``, read off its breakdown: the kinetic term is homogeneous of degree
+    2 in u, the Hartree term of degree 4 and the potential of degree p, so
+    Re <grad E(u), u> = 2 kinetic + 4 hartree - p potential.  ``mass`` given
+    (the flow's rho) replaces ||u||_2^2."""
+    b = ev.breakdown
+    return (2.0 * b.kinetic + 4.0 * b.hartree - p * b.potential) / (
+        b.norms.l2_sq if mass is None else mass
+    )
 
 
 def _tangential_sq(ev: Evaluation, coeff: float) -> float:

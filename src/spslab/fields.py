@@ -329,12 +329,10 @@ def load_snapshot(path: str | Path) -> Field:
         except ConfigurationError as exc:
             raise SnapshotFormatError(f"snapshot {path} header invalid: {exc}") from exc
         data = np.frombuffer(raw, dtype="<c16", offset=offset).reshape((n, n, n)).T
-        # each plane is copied to the internal layout straight from the map,
-        # the imaginary one only when it is not zero
-        planes = (data.real, data.imag) if np.any(data.imag) else (data.real,)
-        parts = tuple(np.array(c, dtype=np.float64, order="C") for c in planes)
-        del data, planes  # the map closes only once no view of it is left
-    return Field.of_parts(grid, parts)
+        # each plane is copied to the internal layout straight from the map
+        field = Field(grid, data)
+        del data  # the map closes only once no view of it is left
+    return field
 
 
 def export_abs_slice(field: Field, path: str | Path) -> None:

@@ -46,10 +46,11 @@ class Grid:
     ``spacing`` (h = L/n), ``axis`` (1-D physical coordinates, cell-centered
     at -L/2 + j h) and ``wavenumbers`` (1-D angular wavenumbers
     (2 pi / L) * {-n/2, ..., n/2 - 1} in FFT storage order).  The
-    half-spectrum multiplier and weight arrays the operators read are built
-    on first use and cached; ``wave_sq`` builds |k|^2 and ``radius_sq``
-    |x|^2 uncached.  Equality
-    and the hash read the (n, L) pair alone.
+    half-spectrum arrays the operators read (``hermitian_weight``,
+    ``kinetic_symbol``, ``plancherel_weights`` and what other modules keep
+    through ``cached``) are built on first use and cached; ``wave_sq``
+    builds |k|^2 and ``radius_sq`` |x|^2 uncached.  Equality and the hash
+    read the (n, L) pair alone.
     """
 
     n: int
@@ -138,21 +139,6 @@ class Grid:
             return rows.reshape(3, -1)
 
         return self.cached("plancherel_weights", build)
-
-    def dilation_weight(self, variant: str) -> np.ndarray:
-        """Weighted half-spectrum multiplier of the kinetic term's dilation
-        derivative: |k|^2 / sqrt(1 + |k|^2) (inhomogeneous) or |k|."""
-
-        def build():
-            k_sq = self.wave_sq(half=True)
-            if variant == "inhomogeneous":
-                mult = k_sq / np.sqrt(1.0 + k_sq)
-            else:
-                mult = np.sqrt(k_sq)
-            mult *= self.hermitian_weight
-            return mult
-
-        return self.cached(("dilation_weight", variant), build)
 
     def meshgrid(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return np.meshgrid(self.axis, self.axis, self.axis, indexing="ij")

@@ -15,8 +15,11 @@ omega rho - 2 E(v) = 2 rho^2 d/drho [I(rho)/rho], so it vanishes only at
 stationary masses of the ratio curve I(rho)/rho, not at every minimizer.
 
 ``identity_report`` is the one read: every residual is arithmetic on one
-gradient evaluation of the field (``energy.evaluate``); omega and the
-Euler-Lagrange residual are half-spectrum sums shared with the flow's stop.
+gradient evaluation of the field (``energy.evaluate``).  Omega, the virial
+and the dilation residual are read off its energy breakdown, the kinetic
+dilation term as 1/2 ||v||^2_{H^{1/2}} - 1/2 ||v||^2_{H^{-1/2}} (1/2 the
+homogeneous seminorm).  Only the Euler-Lagrange residual reads the half
+spectra, in the sum shared with the flow's stop.
 Each residual is reported raw together with a positive magnitude scale so
 tolerances are dimensionless.  The zero field reports residual 0, scale 1.
 """
@@ -29,7 +32,7 @@ import numpy as np
 # perfbench/tracing.py replaces this alias by attribute on this module
 from scipy import fft as _fft  # noqa: F401
 
-from .energy import Evaluation, _power_sum, _rayleigh_quotient, _tangential_sq, evaluate
+from .energy import Evaluation, _rayleigh_quotient, _tangential_sq, evaluate
 # perfbench/tracing.py wraps these two by attribute on this module
 from .coulomb import coulomb_kernel  # noqa: F401
 from .energy import hartree_double_integral  # noqa: F401
@@ -87,21 +90,25 @@ def identity_report(
 
 def _report(ev: Evaluation, params: Params, omega: float | None) -> IdentityReport:
     """``identity_report`` of a nonzero field from its gradient evaluation
-    ``ev``: every residual is arithmetic on that one evaluation."""
-    grid = ev.u.grid
+    ``ev``: omega, the virial and the dilation residual are arithmetic on its
+    breakdown, and the Euler-Lagrange residual one sum over its half
+    spectra."""
     d_value, ns = ev.breakdown.d_value, ev.breakdown.norms
     if omega is None:
-        omega = _rayleigh_quotient(ev)
+        omega = _rayleigh_quotient(ev, params.p)
 
     # virial: 2 alpha D - beta (p - 2) ||v||_p^p
     v_coulomb = 2.0 * params.alpha * d_value
     v_power = params.beta * (params.p - 2.0) * ns.lp_p
     virial = v_coulomb - v_power
 
-    # dilation: the kinetic term's derivative is read off the half power
-    # spectrum, 1/2 sum |k|^2 / sqrt(1 + |k|^2) |v_hat|^2 (|k| homogeneous),
-    # formed block by block inside the sum
-    kinetic = 0.5 * float(_power_sum(grid.dilation_weight(params.variant), ev.parts_fft))
+    # dilation: the kinetic term's derivative 1/2 sum |k|^2 / sqrt(1 + |k|^2)
+    # |v_hat|^2 (|k| homogeneous) is a difference of two norms, since
+    # sqrt(1 + |k|^2) - 1 / sqrt(1 + |k|^2) = |k|^2 / sqrt(1 + |k|^2)
+    if params.variant == "inhomogeneous":
+        kinetic = 0.5 * (ns.h_half_sq - ns.h_minus_half_sq)
+    else:
+        kinetic = 0.5 * ns.hdot_half_sq
     coulomb = params.alpha * d_value
     power = params.beta * (3.0 * params.p - 6.0) / 2.0 * ns.lp_p
     pohozaev = kinetic + coulomb - power

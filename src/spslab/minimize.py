@@ -20,10 +20,11 @@ The flow runs on one real array: a complex start enters as its modulus,
 since E(|u|) <= E(u) (D and the L^p term read |u| only, and the kinetic
 form does not rise under u -> |u|).  The iterate u is held with its half
 spectrum f = rfftn(u), and the gradient as its half spectrum
-K f + rfftn((4 alpha Phi - beta p |u|^{p-2}) u), so that every inner
-product above is a Hermitian-weighted half-spectrum sum.  A trial
-s (u - tau d) has the half spectrum s (f - tau d^), d^ that of d, so an
-iteration whose first trial is accepted costs four real transforms (the
+K f + rfftn((4 alpha Phi - beta p |u|^{p-2}) u), so that beta, the slope
+and the tangential norm are Hermitian-weighted half-spectrum sums;
+Re<g, u> is read off the energy terms (``energy._rayleigh_quotient``).  A
+trial s (u - tau d) has the half spectrum s (f - tau d^), d^ that of d, so
+an iteration whose first trial is accepted costs four real transforms (the
 direction's irfftn, then rfftn(|u|^2), Phi's irfftn and the local term's
 rfftn).  The output evaluation transforms from the grid.  A trial that
 Armijo accepts with the current energy and the current iterate's exact bits
@@ -289,8 +290,9 @@ def minimize(
     # the last turn only tests the iterate of the last allowed step
     for iteration in range(config.max_iters + 1):
         # the iterate is u with its half spectra f, the gradient its half
-        # spectra g; the stopping test reads |g - (<g, u>/rho) u| on them
-        grad_norm = float(np.sqrt(_tangential_sq(ev, _rayleigh_quotient(ev, rho))))
+        # spectra g; the stopping test reads |g - (<g, u>/rho) u| on them,
+        # with <g, u> from the energy terms
+        grad_norm = float(np.sqrt(_tangential_sq(ev, _rayleigh_quotient(ev, params.p, rho))))
         trace.append(TracePoint(iteration, ev.breakdown.total, grad_norm))
         iterations = iteration
         if grad_norm <= config.grad_tol * sqrt_rho:
@@ -368,7 +370,7 @@ def minimize(
 
     # omega and the residuals are the ones ``identity_report`` reads off v
     final_ev = evaluate(v, params, with_gradient=True)
-    omega = _rayleigh_quotient(final_ev)
+    omega = _rayleigh_quotient(final_ev, params.p)
     residuals = _report(final_ev, params, omega)
     return GroundStateResult(
         field=v,

@@ -62,8 +62,18 @@ def _full_array_terms(u, params):
     ]
     dot = float(sum(np.sum(weight * g * f) for g, f in views))
     l2_sq = float(np.sum(density) * h3)
-    omega = dot / l2_sq
-    dilation = 0.5 * float(np.sum(grid.dilation_weight(params.variant) * spectrum_sq))
+    # omega and the kinetic dilation term from the norms: the energy terms'
+    # degrees of homogeneity, and sqrt(1 + |k|^2) - 1 / sqrt(1 + |k|^2)
+    # = |k|^2 / sqrt(1 + |k|^2)
+    if params.variant == "inhomogeneous":
+        kinetic = 0.5 * float(h_half)
+        dilation = 0.5 * (float(h_half) - float(h_minus_half))
+    else:
+        kinetic = 0.5 * float(hdot_half)
+        dilation = 0.5 * float(hdot_half)
+    omega = (
+        2.0 * kinetic + 4.0 * (params.alpha * d_value) - params.p * (params.beta * lp_p)
+    ) / l2_sq
     el_sq = float(sum(np.sum(weight * (g - omega * f) ** 2) for g, f in views))
     return {
         "lp_p": lp_p,
@@ -93,7 +103,7 @@ def _blocked_terms(u, params):
         "h_minus_half_sq": ns.h_minus_half_sq,
         "d_value": ev.breakdown.d_value,
         "dot": dot,
-        "omega": _rayleigh_quotient(ev),
+        "omega": _rayleigh_quotient(ev, params.p),
         "pohozaev_residual": report.pohozaev_residual,
         "el_residual_rel": report.el_residual_rel,
     }

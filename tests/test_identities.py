@@ -7,8 +7,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.fft as fft
 
 import spslab as sl
+from spslab.energy import _rayleigh_quotient, _spectral_dot, _spectral_weight, evaluate
 from conftest import log_transforms, relerr
 from oracles import smooth_random_field
 
@@ -68,13 +70,47 @@ class TestEigenmodeCases:
 
 class TestAlgebraicEquivalences:
     def test_pohozaev_multiplier_form_vs_two_norm_difference(self, grid32):
+        # the multiplier form 1/2 sum_w m(k) |v_hat|^2 of the kinetic dilation
+        # derivative, m = |k|^2 / sqrt(1 + |k|^2) (|k| homogeneous), built
+        # here from the half spectra of the parts
+        k_sq = grid32.wave_sq(half=True)
+        mults = {
+            "inhomogeneous": k_sq / np.sqrt(1.0 + k_sq) * grid32.hermitian_weight,
+            "homogeneous": np.sqrt(k_sq) * grid32.hermitian_weight,
+        }
         for seed in range(5):
             u = smooth_random_field(grid32, seed + 10)
-            # with zero couplings the dilation residual is the kinetic term
-            kin = sl.identity_report(u, free()).pohozaev_residual
+            spectra = [fft.rfftn(c) for c in u.parts]
             ns = sl.norms(u, p=2.5)
-            two_norm = 0.5 * (ns.h_half_sq - ns.h_minus_half_sq)
-            assert relerr(kin, two_norm) < 1e-10
+            two_norms = {
+                "inhomogeneous": 0.5 * (ns.h_half_sq - ns.h_minus_half_sq),
+                "homogeneous": 0.5 * ns.hdot_half_sq,
+            }
+            for variant, mult in mults.items():
+                multiplier_form = 0.5 * sum(np.sum(mult * np.abs(f) ** 2) for f in spectra)
+                assert relerr(multiplier_form, two_norms[variant]) < 1e-12
+                # with zero couplings the dilation residual is the kinetic term
+                params = replace(free(), variant=variant)
+                kin = sl.identity_report(u, params).pohozaev_residual
+                assert relerr(kin, multiplier_form) < 1e-12
+
+    @pytest.mark.parametrize("p", [2.5, 8.0 / 3.0])
+    @pytest.mark.parametrize("variant", ["inhomogeneous", "homogeneous"])
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_omega_from_breakdown_is_the_overlap(self, n, kind, variant, p):
+        # omega off the energy terms is Re <g, u>_w / ||u||^2 on the half
+        # spectra; 64^3 spans many reduction blocks
+        grid = sl.make_grid(n, 16.0)
+        u = smooth_random_field(grid, 41)
+        if kind == "real":
+            u = sl.Field(grid, u.values.real)
+        params = sl.Params(alpha=1.0, beta=1.0, p=p, rho=1.0, variant=variant)
+        ev = evaluate(u, params, with_gradient=True)
+        weight = _spectral_weight(grid)
+        overlap = sum(_spectral_dot(weight, g, f) for g, f in zip(ev.gradient_fft, ev.parts_fft))
+        expected = overlap / ev.breakdown.norms.l2_sq
+        assert relerr(_rayleigh_quotient(ev, p), expected) <= 1e-14
 
     def test_f_prime_is_virial_over_mass(self, grid32, params):
         u = smooth_random_field(grid32, 17)
