@@ -15,7 +15,7 @@ import numpy as np
 # perfbench/tracing.py replaces this alias by attribute on this module
 from scipy import fft as _fft  # noqa: F401
 
-from .fields import REDUCTION_BLOCK, blocked_sum, irfftn_consuming
+from .fields import irfftn_consuming, power_sum
 from .grid import Grid
 
 
@@ -73,14 +73,6 @@ def _double_integral_from_density_fft(
     density_fft: np.ndarray, kernel: CoulombKernel
 ) -> float:
     """sum_k symbol(k) |rho_hat(k)|^2 from the half spectrum ``rfftn(density)``,
-    with the Hermitian plane weights (see ``grid``).  The squared imaginary
-    part of every block goes to one buffer of this call."""
-    imag_sq = np.empty(min(density_fft.size, REDUCTION_BLOCK))
-
-    def weighted_power(weight, z, out=None):
-        power = np.square(z.real, out=out)
-        power += np.square(z.imag, out=imag_sq[: z.size].reshape(z.shape))
-        power *= weight
-        return power
-
-    return float(blocked_sum(weighted_power, kernel.double_integral_weight, density_fft))
+    with the Hermitian plane weights (see ``grid``): one ``fields.power_sum``
+    over the flattened ``double_integral_weight``."""
+    return float(power_sum(kernel.double_integral_weight.reshape(-1), (density_fft,)))

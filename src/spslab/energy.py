@@ -31,7 +31,8 @@ import numpy as np
 from scipy import fft as _fft
 
 from .coulomb import _double_integral_from_density_fft, _potential_values, coulomb_kernel
-from .fields import REDUCTION_BLOCK, Field, blocked_sum, dot, irfftn_consuming
+from . import fields
+from .fields import Field, blocked_sum, dot, irfftn_consuming, power_sum
 from .params import P_CRITICAL, Params
 
 
@@ -73,33 +74,11 @@ class EnergyBreakdown:
         return asdict(self)
 
 
-def _power_sum(weight: np.ndarray, parts_fft: tuple[np.ndarray, ...]) -> np.ndarray:
-    """sum_k weight(k) sum_j |f_j(k)|^2 over the half spectra ``parts_fft``,
-    one sum per row of a (rows, N) ``weight`` over the flattened spectrum.
-    The summed power spectrum is formed block by block inside the sum,
-    squared and added as Re f_0, Im f_0, Re f_1, Im f_1, and is never held
-    whole."""
-    spectra = [f.reshape(-1) for f in parts_fft]
-    power = np.empty(min(spectra[0].size, REDUCTION_BLOCK))
-    square = np.empty_like(power)
-
-    def weighted_power(w, *blocks, out=None):
-        size = blocks[0].size
-        total = np.square(blocks[0].real, out=power[:size])
-        total += np.square(blocks[0].imag, out=square[:size])
-        for z in blocks[1:]:
-            total += np.square(z.real, out=square[:size])
-            total += np.square(z.imag, out=square[:size])
-        return np.multiply(w, total, out=out)
-
-    return blocked_sum(weighted_power, weight, *spectra)
-
-
 def _norm_set(u: Field, lp_p: float, parts_fft: tuple[np.ndarray, ...]) -> NormSet:
     """The five norms of u from ||u||_p^p and the half spectra of its parts."""
     # pairwise sums (not BLAS dots): the flow's Armijo test compares
     # energies, and their rounding sets the smallest gradient it can reach
-    h_half, hdot_half, h_minus_half = _power_sum(u.grid.plancherel_weights, parts_fft)
+    h_half, hdot_half, h_minus_half = power_sum(u.grid.plancherel_weights, parts_fft)
     return NormSet(
         l2_sq=u.mass(),
         lp_p=lp_p,
@@ -239,7 +218,7 @@ def _add_product(g: np.ndarray, mult: np.ndarray, f: np.ndarray) -> None:
     """``g += mult * f`` on half spectra, a slab of planes of at most one
     reduction block at a time, so that no full-size product is built; the
     bits are those of the one-piece sum."""
-    step = min(len(f), max(1, REDUCTION_BLOCK // f[0].size))
+    step = min(len(f), max(1, fields.REDUCTION_BLOCK // f[0].size))
     product = np.empty((step,) + f.shape[1:], dtype=f.dtype)
     for start in range(0, len(f), step):
         slab = slice(start, start + step)
@@ -247,14 +226,19 @@ def _add_product(g: np.ndarray, mult: np.ndarray, f: np.ndarray) -> None:
 
 
 def _spectral_weight(grid) -> np.ndarray:
-    """The Hermitian weights on the float view of a half spectrum (each
-    weight twice, for the real and imaginary parts); cached per grid."""
+    """The Hermitian weights on the float view of a half spectrum, each
+    twice (real and imaginary part), cached per grid and reduction block:
+    the full table when the view fits in one block, else the row of n + 2
+    weights tiled over one block plus one row (see ``blocked_sum``)."""
+    block = fields.REDUCTION_BLOCK
 
     def build():
-        half_shape = grid.shape[:2] + (grid.n // 2 + 1,)
-        return np.repeat(np.broadcast_to(grid.hermitian_weight, half_shape), 2, axis=-1)
+        row = np.repeat(grid.hermitian_weight, 2)
+        if grid.n**2 * row.size <= block:
+            return np.broadcast_to(row, grid.shape[:2] + row.shape).copy()
+        return np.resize(row, block + row.size)
 
-    return grid.cached("spectral_weight", build)
+    return grid.cached(("spectral_weight", block), build)
 
 
 def _weighted_product(weight, a, b, out=None):

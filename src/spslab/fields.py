@@ -127,7 +127,10 @@ def blocked_sum(product, *operands):
     over the flattened grid, which gives one sum per row.  An array of at
     most one block is summed in one piece, exactly as by ``np.sum``; beyond
     that ``product`` writes each block into a reused scratch buffer passed
-    as ``out``, and the block sums are summed pairwise.
+    as ``out``, and the block sums are summed pairwise.  There a 1-D operand
+    of another size is a tile, a row of length m repeated over
+    ``REDUCTION_BLOCK + m`` elements that stands for the row repeated over
+    the whole array; each block reads it from its phase ``start % m``.
     """
     # np.add.reduce is np.sum's pairwise sum without its Python dispatch
     size = operands[-1].size
@@ -139,12 +142,36 @@ def blocked_sum(product, *operands):
     scratch = np.empty(rows + (REDUCTION_BLOCK,))
     starts = range(0, size, REDUCTION_BLOCK)
     sums = np.empty(rows + (len(starts),))
+    # a block starts at offset start % period: a tile's period is its row
+    periods = [size if v.shape[-1] == size else v.size - REDUCTION_BLOCK for v in views]
     for i, start in enumerate(starts):
-        block = slice(start, start + REDUCTION_BLOCK)
         out = scratch[..., : min(REDUCTION_BLOCK, size - start)]
-        terms = product(*(v[..., block] for v in views), out=out)
+        blocks = (v[..., start % m :][..., : out.shape[-1]] for v, m in zip(views, periods))
+        terms = product(*blocks, out=out)
         sums[..., i] = np.add.reduce(terms, axis=-1)
     return np.add.reduce(sums, axis=-1)
+
+
+def power_sum(weight: np.ndarray, spectra: tuple[np.ndarray, ...]) -> np.ndarray:
+    """sum_k weight(k) sum_j |f_j(k)|^2 over the half spectra ``spectra``:
+    one sum per row of a (rows, N) ``weight`` over the flattened spectrum,
+    or one sum of a weight of N.  The summed power spectrum is formed block
+    by block inside the sum, squared and added as Re f_0, Im f_0, Re f_1,
+    Im f_1, and is never held whole."""
+    flat = [f.reshape(-1) for f in spectra]
+    power = np.empty(min(flat[0].size, REDUCTION_BLOCK))
+    square = np.empty_like(power)
+
+    def weighted_power(w, *blocks, out=None):
+        size = blocks[0].size
+        total = np.square(blocks[0].real, out=power[:size])
+        total += np.square(blocks[0].imag, out=square[:size])
+        for z in blocks[1:]:
+            total += np.square(z.real, out=square[:size])
+            total += np.square(z.imag, out=square[:size])
+        return np.multiply(w, total, out=out)
+
+    return blocked_sum(weighted_power, weight, *flat)
 
 
 def irfftn_consuming(spectrum: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

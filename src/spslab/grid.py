@@ -15,8 +15,8 @@ and Nyquist planes appear once.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,12 +45,13 @@ class Grid:
     Derived attributes (set in ``__post_init__``):
     ``spacing`` (h = L/n), ``axis`` (1-D physical coordinates, cell-centered
     at -L/2 + j h) and ``wavenumbers`` (1-D angular wavenumbers
-    (2 pi / L) * {-n/2, ..., n/2 - 1} in FFT storage order).  The
-    half-spectrum arrays the operators read (``hermitian_weight``,
-    ``kinetic_symbol``, ``plancherel_weights`` and what other modules keep
-    through ``cached``) are built on first use and cached; ``wave_sq``
-    builds |k|^2 and ``radius_sq`` |x|^2 uncached.  Equality and the hash
-    read the (n, L) pair alone.
+    (2 pi / L) * {-n/2, ..., n/2 - 1} in FFT storage order).  The arrays
+    the operators read are built on first use and cached:
+    ``hermitian_weight``, ``kinetic_symbol``, ``plancherel_weights``, and
+    through ``cached`` the Coulomb kernel, the flow's preconditioner and
+    the Hermitian weights on the float view of a half spectrum (one
+    block's tile past one block).  ``wave_sq`` builds |k|^2 and
+    ``radius_sq`` |x|^2 uncached.  Equality and the hash read (n, L) alone.
     """
 
     n: int
@@ -154,9 +155,6 @@ class Grid:
         return {"n": self.n, "box_length": self.box_length, "spacing": self.spacing}
 
 
-_grids: OrderedDict[tuple[int, float], Grid] = OrderedDict()
-
-
 def make_grid(n: int, box_length: float) -> Grid:
     """Validated grid; rejects non-power-of-two n and nonpositive L.
 
@@ -164,13 +162,10 @@ def make_grid(n: int, box_length: float) -> Grid:
     repeated pair returns the kept grid with the spectral arrays it has
     already built.
     """
-    grid = Grid(n=n, box_length=box_length)
-    key = (grid.n, grid.box_length)
-    kept = _grids.get(key)
-    if kept is not None:
-        _grids.move_to_end(key)
-        return kept
-    _grids[key] = grid
-    if len(_grids) > GRID_MEMO_SIZE:
-        _grids.popitem(last=False)
+    return _kept_grid(Grid(n=n, box_length=box_length))
+
+
+@lru_cache(maxsize=GRID_MEMO_SIZE)
+def _kept_grid(grid: Grid) -> Grid:
+    """The first grid passed equal to ``grid``: grids compare by (n, L)."""
     return grid

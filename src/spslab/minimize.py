@@ -39,7 +39,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import fft as _fft
 
-from .energy import EnergyBreakdown, _rayleigh_quotient, _spectral_dot, _spectral_weight
+from .energy import EnergyBreakdown, _rayleigh_quotient, _spectral_dot
 from .energy import _tangential_sq, evaluate
 from .errors import (
     ConfigurationError,
@@ -238,12 +238,13 @@ def _flow_weights(grid: Grid, variant: str) -> tuple[np.ndarray, np.ndarray]:
     """The flow's preconditioner P = (K(k) + c)^-1 on the half spectrum, with
     the variant's ``PRECONDITIONER_SHIFT`` c: the Riesz map K^-1 of H^1/2 for
     the inhomogeneous variant and (|k| + 1/2)^-1 for the homogeneous one.
-    Returned with P times the Hermitian weights on the float view of a half
-    spectrum, so that <a, P b> is one ``_spectral_dot``; cached per grid."""
+    Returned with P times the Hermitian plane weights, each entry twice on
+    the float view of a half spectrum, so that <a, P b> is one
+    ``_spectral_dot``; cached per grid."""
 
     def build():
         precond = 1.0 / (grid.kinetic_symbol(variant) + PRECONDITIONER_SHIFT[variant])
-        return precond, np.repeat(precond, 2, axis=-1) * _spectral_weight(grid)
+        return precond, np.repeat(precond * grid.hermitian_weight, 2, axis=-1)
 
     return grid.cached(("flow_preconditioner", variant), build)
 

@@ -15,7 +15,8 @@ import scipy.fft as fft
 import spslab as sl
 from spslab import fields
 from spslab.coulomb import _double_integral_from_density_fft, coulomb_kernel
-from spslab.energy import _rayleigh_quotient, _spectral_dot, _spectral_weight, evaluate
+from spslab.energy import _rayleigh_quotient, _spectral_dot, _spectral_weight, _tangential_sq
+from spslab.energy import _weighted_product, evaluate
 from spslab.identities import identity_report
 from oracles import smooth_random_field
 
@@ -199,6 +200,57 @@ def test_inner_on_parts_matches_complex_sum(n):
             product = sl.inner(a, b)
             assert abs(product - expected) <= 1e-13 * abs(expected)
             assert product == sl.inner(b, a).conjugate()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_tiled_weight_sums_equal_the_full_table(n, kind):
+    # past one block the Hermitian weights are one row tiled over a block;
+    # 32^3 spans two blocks, the second read from phase 32768 % 34 = 26
+    grid = sl.make_grid(n, 24.0)
+    ev = evaluate(_field(grid, kind), PARAMS, with_gradient=True)
+    weight = _spectral_weight(grid)
+    assert weight.shape == (fields.REDUCTION_BLOCK + n + 2,)
+    half_shape = grid.shape[:2] + (n // 2 + 1,)
+    table = np.repeat(np.broadcast_to(grid.hermitian_weight, half_shape), 2, axis=-1)
+    omega = _rayleigh_quotient(ev, PARAMS.p)
+
+    def residual_sq(w, g, f, out=None):
+        out = np.multiply(f, -omega, out=out)
+        out += g
+        out *= out
+        out *= w
+        return out
+
+    pairs = list(zip(ev.gradient_fft, ev.parts_fft))
+    views = [(g.view(np.float64), f.view(np.float64)) for g, f in pairs]
+    assert _tangential_sq(ev, omega) == float(
+        sum(fields.blocked_sum(residual_sq, table, g, f) for g, f in views)
+    )
+    for (g, f), (g_view, f_view) in zip(pairs, views):
+        expected = float(fields.blocked_sum(_weighted_product, table, g_view, f_view))
+        assert _spectral_dot(weight, g, f) == expected
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_double_integral_is_the_per_block_power_sum(n, kind):
+    # D is the power sum of rho_hat; the reference is the weighted |z|^2
+    # that each block once formed on its own
+    grid = sl.make_grid(n, 24.0)
+    u = _field(grid, kind)
+    density_fft = fft.rfftn(u.density())
+    imag_sq = np.empty(fields.REDUCTION_BLOCK)
+
+    def weighted_power(w, z, out=None):
+        power = np.square(z.real, out=out)
+        power += np.square(z.imag, out=imag_sq[: z.size].reshape(z.shape))
+        power *= w
+        return power
+
+    weight = coulomb_kernel(grid).double_integral_weight
+    expected = float(fields.blocked_sum(weighted_power, weight, density_fft))
+    assert sl.hartree_double_integral(u) == expected
 
 
 def _reference_blocked_sum(product, *operands):

@@ -14,8 +14,8 @@ import pytest
 import scipy.fft as fft
 
 import spslab as sl
-from spslab import coulomb
-from spslab.energy import evaluate
+from spslab import coulomb, fields
+from spslab.energy import _spectral_weight, evaluate
 from oracles import smooth_random_field
 
 PARAMS = sl.Params(1.0, 1.0, 2.5, 1.0)
@@ -73,3 +73,16 @@ def test_potential_values_consume_their_argument(grid32):
     phi = coulomb._potential_values(density_fft, kernel)
     assert not np.array_equal(density_fft, kept)  # spent by the inverse
     assert phi.tobytes() == fft.irfftn(kernel.half_symbol * kept, s=grid32.shape).tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_no_cached_array_repeats_the_plane_weights(n):
+    # the Hermitian plane weights on the float view of a half spectrum are
+    # cached as one row tiled over a block, not as an (n, n, n + 2) table
+    grid = sl.Grid(n, 24.0)
+    sl.identity_report(sl.gaussian_field(grid, 1.0), PARAMS)
+    arrays = [a for a in grid._cache.values() if isinstance(a, np.ndarray)]
+    assert all(a.shape != (n, n, n + 2) for a in arrays)
+    weight = _spectral_weight(grid)
+    assert any(a is weight for a in arrays)
+    assert weight.size <= fields.REDUCTION_BLOCK + n + 2
