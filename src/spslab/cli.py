@@ -3,10 +3,13 @@
 Subcommands: ``energy``, ``minimize``, ``curve``, ``best-constant``,
 ``scaling``, ``verify``.  Every run takes a JSON config (``--config``) and
 an output directory (``--out``), and no other flag; the multi-start seeds
-of ``minimize`` run one after another in the command's process.  A run
-writes ``manifest.json`` (config echo, code version, grid metadata, wall
-time) before any result file, then its result documents, tables, and field
-snapshots.  A config that is rejected leaves no output directory.
+of ``minimize`` run one after another in the command's process.  A command
+first reads and checks its whole input, a snapshot start included; only
+then does it write ``manifest.json`` (config echo, code version, grid
+metadata), before its result documents, tables, and field snapshots.  The
+manifest closes itself with ``wall_time_s`` when the command returns, and
+keeps it null when the command raises.  A config that is rejected leaves
+no output directory.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure,
 4 unbounded regime detected, 5 verification failure.
@@ -51,7 +54,7 @@ from .fields import (
 )
 from .grid import Grid, make_grid
 from .identities import identity_report
-from .minimize import GroundStateResult, MinimizeConfig, _start_field, minimize
+from .minimize import GroundStateResult, MinimizeConfig, _checked_start, _start_field, minimize
 # perfbench/tracing.py wraps this by attribute on this module
 from .minimize import project_mass  # noqa: F401
 from .params import Params, read_block, read_list, read_value
@@ -123,16 +126,22 @@ VERDICT_COLUMNS = ("alpha", "beta", "lhs", "rhs_lower", "verdict")
 
 
 class _Manifest:
-    """Run manifest written before results and finalized with the wall time."""
+    """The run manifest, opened once a command's input is read and checked.
+
+    Making it makes ``--out`` and writes ``manifest.json`` before any result
+    file.  As a context manager around the command's computation, writes
+    and summary, it writes the manifest again with ``wall_time_s`` when the
+    block returns, and leaves ``wall_time_s`` null when the block raises.
+    """
 
     def __init__(self, out_dir: Path, command: str, config: dict, grid: Grid):
         self.path = out_dir / "manifest.json"
         self.started = time.monotonic()
-        # the first write of a run: an --out that cannot be a directory is
-        # a configuration error, a failed write later on is not
+        # the first write of a run: an --out that cannot be made is a
+        # configuration error, a failed write later on is not
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
-        except (FileExistsError, NotADirectoryError) as exc:
+        except OSError as exc:
             raise ConfigurationError(f"--out {out_dir}: {exc.strerror}") from exc
         self.document = {
             "command": command,
@@ -143,9 +152,13 @@ class _Manifest:
         }
         write_json(self.path, self.document)
 
-    def finalize(self) -> None:
-        self.document["wall_time_s"] = time.monotonic() - self.started
-        write_json(self.path, self.document)
+    def __enter__(self) -> "_Manifest":
+        return self
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if exc_type is None:
+            self.document["wall_time_s"] = time.monotonic() - self.started
+            write_json(self.path, self.document)
 
 
 def _require(config: dict, key: str, context: str):
@@ -184,6 +197,13 @@ def _snapshot_inputs(config: dict) -> tuple[Field, Params]:
     return field, params
 
 
+def _snapshot_start(kind: str, path: str | None, grid: Grid) -> Field | None:
+    """The start of a ``from_file`` ``kind`` (None for any other): the
+    snapshot at ``path``, read and checked to lie on ``grid`` and be finite
+    before any output is written."""
+    return _checked_start(load_snapshot(path), grid) if kind == "from_file" else None
+
+
 def _result_files(out: Path, result: GroundStateResult, params: Params,
                   config: MinimizeConfig) -> None:
     write_json(out / "result.json", result.to_document(params, config))
@@ -193,19 +213,18 @@ def _result_files(out: Path, result: GroundStateResult, params: Params,
 
 def cmd_energy(config: dict, out: Path) -> int:
     field, params = _snapshot_inputs(config)
-    manifest = _Manifest(out, "energy", config, field.grid)
-    breakdown = energy_of(field, params)
-    document = {
-        "params": params.to_dict(),
-        "grid": field.grid.describe(),
-        "energy": breakdown.to_dict(),
-        "boundary_mass_fraction": boundary_mass_fraction(field),
-    }
-    write_json(out / "energy.json", document)
-    export_abs_slice(field, out / "slice.csv")
-    manifest.finalize()
-    print(json.dumps(document["energy"], indent=2, sort_keys=True))
-    return EXIT_OK
+    with _Manifest(out, "energy", config, field.grid):
+        breakdown = energy_of(field, params)
+        document = {
+            "params": params.to_dict(),
+            "grid": field.grid.describe(),
+            "energy": breakdown.to_dict(),
+            "boundary_mass_fraction": boundary_mass_fraction(field),
+        }
+        write_json(out / "energy.json", document)
+        export_abs_slice(field, out / "slice.csv")
+        print(json.dumps(document["energy"], indent=2, sort_keys=True))
+        return EXIT_OK
 
 
 def _run_seed(
@@ -236,41 +255,36 @@ def cmd_minimize(config: dict, out: Path) -> int:
         raise ConfigurationError("multi-start 'seeds' requires init_kind 'random'")
     if any(s < 0 for s in seeds):
         raise ConfigurationError(f"bad seeds {seeds!r}: each seed must be >= 0")
-    manifest = _Manifest(out, "minimize", config, grid)
+    initial = _snapshot_start(mconfig.init_kind, mconfig.init_path, grid)
 
-    if seeds:
-        outcomes = [_run_seed(grid, params, replace(mconfig, init_seed=s)) for s in seeds]
-        summaries = [summary for summary, _ in outcomes]
-        write_json(out / "multistart.json", {"seeds": summaries})
-        finished = [(s["energy"], s["seed"], r) for s, r in outcomes if r is not None]
-        if not finished:
-            # all seeds collapsed: the unbounded signature
-            write_json(out / "unbounded.json", {"seeds": summaries})
-            manifest.finalize()
-            print("unbounded regime detected on every start")
-            return EXIT_UNBOUNDED
-        _, best_seed, result = min(finished, key=lambda item: item[:2])
-        best_config = replace(mconfig, init_seed=best_seed)
-    else:
-        try:
-            result = minimize(grid, params, mconfig)
-        except UnboundedEnergyError as exc:
-            write_json(
-                out / "unbounded.json",
-                {"message": str(exc), "trace": exc.trace},
-            )
-            manifest.finalize()
-            print(f"unbounded regime detected: {exc}")
-            return EXIT_UNBOUNDED
-        best_config = mconfig
+    with _Manifest(out, "minimize", config, grid):
+        if seeds:
+            outcomes = [_run_seed(grid, params, replace(mconfig, init_seed=s)) for s in seeds]
+            summaries = [summary for summary, _ in outcomes]
+            write_json(out / "multistart.json", {"seeds": summaries})
+            finished = [(s["energy"], s["seed"], r) for s, r in outcomes if r is not None]
+            if not finished:
+                # all seeds collapsed: the unbounded signature
+                write_json(out / "unbounded.json", {"seeds": summaries})
+                print("unbounded regime detected on every start")
+                return EXIT_UNBOUNDED
+            _, best_seed, result = min(finished, key=lambda item: item[:2])
+            best_config = replace(mconfig, init_seed=best_seed)
+        else:
+            try:
+                result = minimize(grid, params, mconfig, initial=initial)
+            except UnboundedEnergyError as exc:
+                write_json(out / "unbounded.json", {"message": str(exc), "trace": exc.trace})
+                print(f"unbounded regime detected: {exc}")
+                return EXIT_UNBOUNDED
+            best_config = mconfig
 
-    _result_files(out, result, params, best_config)
-    manifest.finalize()
-    print(
-        f"energy {result.energy.total:.10g}  omega {result.omega:.10g}  "
-        f"converged {result.converged}  iterations {result.iterations}"
-    )
-    return EXIT_OK
+        _result_files(out, result, params, best_config)
+        print(
+            f"energy {result.energy.total:.10g}  omega {result.omega:.10g}  "
+            f"converged {result.converged}  iterations {result.iterations}"
+        )
+        return EXIT_OK
 
 
 def cmd_curve(config: dict, out: Path) -> int:
@@ -289,49 +303,49 @@ def cmd_curve(config: dict, out: Path) -> int:
         )
     # every point's parameters are validated before any computation starts
     sweep = [(rho, read_block(Params, base, "params", rho=rho)) for rho in rhos]
-    manifest = _Manifest(out, "curve", config, grid)
+    # a from_file start is the first point's warm start
+    warm = _snapshot_start(mconfig.init_kind, mconfig.init_path, grid)
 
-    points = []
-    warm: Field | None = None
-    for (rho, params), name in zip(sweep, snapshot_names):
-        result = minimize(grid, params, mconfig, initial=warm)
-        warm = result.field
-        points.append((rho, params, result))
-        if save_fields:
-            save_snapshot(result.field, out / name)
+    with _Manifest(out, "curve", config, grid):
+        points = []
+        for (rho, params), name in zip(sweep, snapshot_names):
+            result = minimize(grid, params, mconfig, initial=warm)
+            warm = result.field
+            points.append((rho, params, result))
+            if save_fields:
+                save_snapshot(result.field, out / name)
 
-    points.sort(key=lambda item: item[0])
-    rows = []
-    for rho, params, result in points:
-        rows.append(
-            [
-                rho,
-                result.energy.total,
-                result.energy.total / rho,
-                result.converged,
-                result.iterations,
-                result.residuals.virial_rel,
-                result.residuals.pohozaev_rel,
-                result.residuals.el_residual_rel,
-                result.energy.norms.h_half_sq,
-            ]
-        )
-    write_table(out / "curve.csv", "curve", CURVE_COLUMNS, rows)
+        points.sort(key=lambda item: item[0])
+        rows = []
+        for rho, params, result in points:
+            rows.append(
+                [
+                    rho,
+                    result.energy.total,
+                    result.energy.total / rho,
+                    result.converged,
+                    result.iterations,
+                    result.residuals.virial_rel,
+                    result.residuals.pohozaev_rel,
+                    result.residuals.el_residual_rel,
+                    result.energy.norms.h_half_sq,
+                ]
+            )
+        write_table(out / "curve.csv", "curve", CURVE_COLUMNS, rows)
 
-    # the ratio verdicts are None unless every point converged
-    converged = all(result.converged for _, _, result in points)
-    ratios = [row[2] for row in rows]  # sorted by increasing rho
-    verdicts = {
-        "all_ratios_below_half": all(r < 0.5 for r in ratios) if converged else None,
-        "ratios_increase_as_rho_decreases": all(
-            ratios[i] > ratios[i + 1] for i in range(len(ratios) - 1)
-        ) if converged else None,
-        "converged": converged,
-    }
-    write_json(out / "verdicts.json", verdicts)
-    manifest.finalize()
-    print(json.dumps(verdicts, indent=2, sort_keys=True))
-    return EXIT_OK
+        # the ratio verdicts are None unless every point converged
+        converged = all(result.converged for _, _, result in points)
+        ratios = [row[2] for row in rows]  # sorted by increasing rho
+        verdicts = {
+            "all_ratios_below_half": all(r < 0.5 for r in ratios) if converged else None,
+            "ratios_increase_as_rho_decreases": all(
+                ratios[i] > ratios[i + 1] for i in range(len(ratios) - 1)
+            ) if converged else None,
+            "converged": converged,
+        }
+        write_json(out / "verdicts.json", verdicts)
+        print(json.dumps(verdicts, indent=2, sort_keys=True))
+        return EXIT_OK
 
 
 def cmd_best_constant(config: dict, out: Path) -> int:
@@ -343,21 +357,20 @@ def cmd_best_constant(config: dict, out: Path) -> int:
     # checked before the ascent, as ``classify_boundedness`` would after it
     if any(a <= 0 or b <= 0 for a, b in pairs):
         raise ConfigurationError(f"bad pairs {pairs!r}: alpha and beta must be positive")
-    manifest = _Manifest(out, "best-constant", config, grid)
 
-    estimate = estimate_best_constant(grid, ascent)
-    write_json(out / "estimate.json", estimate.to_document(ascent))
-    save_snapshot(estimate.maximizer, out / "maximizer.spsf")
+    with _Manifest(out, "best-constant", config, grid):
+        estimate = estimate_best_constant(grid, ascent)
+        write_json(out / "estimate.json", estimate.to_document(ascent))
+        save_snapshot(estimate.maximizer, out / "maximizer.spsf")
 
-    if pairs:
-        rows = []
-        for alpha, beta in pairs:
-            verdict = classify_boundedness(alpha, beta, estimate.s_lower)
-            rows.append([alpha, beta, verdict.lhs, verdict.rhs_lower, verdict.verdict])
-        write_table(out / "verdicts.csv", "threshold", VERDICT_COLUMNS, rows)
-    manifest.finalize()
-    print(f"s_lower {estimate.s_lower:.10g}  ({len(pairs)} verdicts)")
-    return EXIT_OK
+        if pairs:
+            rows = []
+            for alpha, beta in pairs:
+                verdict = classify_boundedness(alpha, beta, estimate.s_lower)
+                rows.append([alpha, beta, verdict.lhs, verdict.rhs_lower, verdict.verdict])
+            write_table(out / "verdicts.csv", "threshold", VERDICT_COLUMNS, rows)
+        print(f"s_lower {estimate.s_lower:.10g}  ({len(pairs)} verdicts)")
+        return EXIT_OK
 
 
 def cmd_scaling(config: dict, out: Path) -> int:
@@ -372,31 +385,30 @@ def cmd_scaling(config: dict, out: Path) -> int:
     _check_critical(params)
     thetas = _validated_thetas(thetas, increasing=experiment == "blowup")
     init = read_block(_ScalingInit, config.get("init", {}), "init")
-    snapshot = load_snapshot(init.path) if init.kind == "from_file" else None
+    snapshot = _snapshot_start(init.kind, init.path, grid)
     field, profile = _start_field(grid, params.rho, init.kind, init.width, initial=snapshot)
-    manifest = _Manifest(out, "scaling", config, grid)
 
-    follow = blowup_experiment if experiment == "blowup" else blowdown_experiment
-    result = follow(field, params, thetas, profile=profile)
+    with _Manifest(out, "scaling", config, grid):
+        follow = blowup_experiment if experiment == "blowup" else blowdown_experiment
+        result = follow(field, params, thetas, profile=profile)
 
-    rows = [r.to_list() for r in result.rows]
-    for theta in result.skipped_thetas:
-        rows.append([theta, np.nan, np.nan, np.nan, np.nan, np.nan, "skipped"])
-    write_table(out / "table.csv", f"scaling-{experiment}", TABLE_COLUMNS, rows)
-    write_json(out / "summary.json", result.to_document())
-    manifest.finalize()
-    if not result.proceeded:
-        print(
-            f"homogeneous energy of the seed is {result.e_tilde_base:.6g} >= 0; "
-            "blow-up needs a negative seed (sign report written)"
-        )
-    else:
-        print(
-            f"{experiment}: {len(result.rows)} rows, base homogeneous energy "
-            f"{result.e_tilde_base:.6g}"
-            + (", schedule truncated" if result.truncated else "")
-        )
-    return EXIT_OK
+        rows = [r.to_list() for r in result.rows]
+        for theta in result.skipped_thetas:
+            rows.append([theta, np.nan, np.nan, np.nan, np.nan, np.nan, "skipped"])
+        write_table(out / "table.csv", f"scaling-{experiment}", TABLE_COLUMNS, rows)
+        write_json(out / "summary.json", result.to_document())
+        if not result.proceeded:
+            print(
+                f"homogeneous energy of the seed is {result.e_tilde_base:.6g} >= 0; "
+                "blow-up needs a negative seed (sign report written)"
+            )
+        else:
+            print(
+                f"{experiment}: {len(result.rows)} rows, base homogeneous energy "
+                f"{result.e_tilde_base:.6g}"
+                + (", schedule truncated" if result.truncated else "")
+            )
+        return EXIT_OK
 
 
 def cmd_verify(config: dict, out: Path) -> int:
@@ -405,25 +417,24 @@ def cmd_verify(config: dict, out: Path) -> int:
     if omega is not None:
         omega = read_value(omega, float, "omega")
     tolerances = read_block(_Tolerances, config.get("tolerances", {}), "tolerances").gates()
-    manifest = _Manifest(out, "verify", config, field.grid)
 
-    report = identity_report(field, params, omega=omega)
-    measured = {
-        "virial_rel": report.virial_rel,
-        "pohozaev_rel": report.pohozaev_rel,
-        "el_rel": report.el_residual_rel,
-    }
-    passed = all(measured[key] <= tol for key, tol in tolerances.items())
-    document = {
-        "params": params.to_dict(),
-        "tolerances": tolerances,
-        "report": report.to_dict(),
-        "passed": passed,
-    }
-    write_json(out / "report.json", document)
-    manifest.finalize()
-    print(json.dumps(document["report"], indent=2, sort_keys=True))
-    return EXIT_OK if passed else EXIT_VERIFY
+    with _Manifest(out, "verify", config, field.grid):
+        report = identity_report(field, params, omega=omega)
+        measured = {
+            "virial_rel": report.virial_rel,
+            "pohozaev_rel": report.pohozaev_rel,
+            "el_rel": report.el_residual_rel,
+        }
+        passed = all(measured[key] <= tol for key, tol in tolerances.items())
+        document = {
+            "params": params.to_dict(),
+            "tolerances": tolerances,
+            "report": report.to_dict(),
+            "passed": passed,
+        }
+        write_json(out / "report.json", document)
+        print(json.dumps(document["report"], indent=2, sort_keys=True))
+        return EXIT_OK if passed else EXIT_VERIFY
 
 
 # each command with the top-level config keys it reads
@@ -452,12 +463,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(path: str) -> dict:
-    """The JSON object in the config file ``path``."""
+    """The JSON object in the config file ``path``, read as UTF-8 (RFC
+    8259); a file that cannot be read or decoded is a configuration error."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
-    except IsADirectoryError as exc:
+    except OSError as exc:
         raise ConfigurationError(f"--config {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"--config {path}: not UTF-8 ({exc.reason})") from exc
     if not isinstance(config, dict):
         raise ConfigurationError("config root must be a JSON object")
     return config
@@ -474,9 +488,7 @@ def run(argv: list[str] | None = None) -> int:
                 f"unknown top-level keys {sorted(unknown)}: {args.command} reads {list(keys)}"
             )
         return command(config, Path(args.out))
-    except (
-        ConfigurationError, SnapshotFormatError, FileNotFoundError, json.JSONDecodeError
-    ) as exc:
+    except (ConfigurationError, SnapshotFormatError, json.JSONDecodeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except UnboundedEnergyError as exc:

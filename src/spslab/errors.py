@@ -21,7 +21,9 @@ class UnboundedEnergyError(SpsLabError):
     """The energy fell below the configured floor during minimization.
 
     This is the expected signature of a mass/coupling regime where the
-    constrained infimum is -infinity, not a solver bug.
+    constrained infimum is -infinity, not a solver bug.  ``trace`` lists
+    the flow's [iteration, energy, gradient norm] points; the last one
+    crossed the floor, and its gradient norm, never computed, is None.
     """
 
     def __init__(self, message, trace=None):

@@ -133,9 +133,13 @@ class MinimizeConfig:
 
 @dataclass(frozen=True)
 class TracePoint:
+    """One iterate of the flow.  ``grad_norm`` is None on the point that
+    crossed the energy floor, whose gradient norm is never computed; JSON
+    writes it as null."""
+
     iteration: int
     energy: float
-    grad_norm: float
+    grad_norm: float | None
 
     def to_list(self) -> list:
         return [self.iteration, self.energy, self.grad_norm]
@@ -180,18 +184,24 @@ def project_mass(u: Field, rho: float) -> Field:
     return projected[0]
 
 
+def _checked_start(initial: Field, grid: Grid) -> Field:
+    """``initial`` as a start on ``grid``: it must lie on ``grid`` and be
+    finite."""
+    if initial.grid != grid:
+        raise ConfigurationError(f"snapshot grid {initial.grid.describe()} does not match "
+                                 f"the run grid {grid.describe()}")
+    return initial.require_finite("snapshot")
+
+
 def _start_field(grid: Grid, rho: float, kind: str, width: float | None = None, seed: int = 0,
                  initial: Field | None = None) -> tuple[Field, GaussianProfile | None]:
     """The starting field on the mass sphere ``rho``, with its Gaussian
     profile when it has one: the ``initial`` field when there is one, which
-    must lie on ``grid`` and be finite; else by ``kind`` the centered
-    Gaussian of ``width`` (default L/8), which its profile samples bit for
-    bit, or the random field of ``seed``."""
+    the caller has passed through ``_checked_start``; else by ``kind`` the
+    centered Gaussian of ``width`` (default L/8), which its profile samples
+    bit for bit, or the random field of ``seed``."""
     if initial is not None:
-        if initial.grid != grid:
-            raise ConfigurationError(f"snapshot grid {initial.grid.describe()} does not match "
-                                     f"the run grid {grid.describe()}")
-        return project_mass(initial.require_finite("snapshot"), rho), None
+        return project_mass(initial, rho), None
     if kind == "gaussian":
         width = grid.box_length / 8.0 if width is None else width
         # the centre sample is exactly 1, so the mass is positive
@@ -259,9 +269,10 @@ def minimize(
 
     ``initial`` overrides the configured starting field (used to warm-start
     mass sweeps from a neighboring minimizer); a ``from_file`` config loads
-    its snapshot into it.  Either is projected onto the sphere first.  A
-    complex start is then replaced by its modulus, projected again; a real
-    start keeps its sign, so the flow runs on one real component.  Raises
+    its snapshot into it.  Either must lie on ``grid`` and be finite, and
+    is projected onto the sphere first.  A complex start is then replaced
+    by its modulus, projected again; a real start keeps its sign, so the
+    flow runs on one real component.  Raises
     ``UnboundedEnergyError`` when the energy passes below
     ``config.energy_floor`` (the signature of an unbounded regime).  A line
     search that cannot find a decreasing step at machine precision, or
@@ -276,6 +287,8 @@ def minimize(
     sqrt_rho = np.sqrt(rho)
     if initial is None and config.init_kind == "from_file":
         initial = load_snapshot(config.init_path)
+    if initial is not None:
+        initial = _checked_start(initial, grid)
     u, _ = _start_field(grid, rho, config.init_kind, config.init_width, config.init_seed, initial)
     if len(u.parts) > 1:
         # E(|u|) <= E(u): the modulus, back on the sphere, is a real start
@@ -356,9 +369,7 @@ def minimize(
             stagnated = True
             break
         if ev.breakdown.total < config.energy_floor:
-            trace.append(
-                TracePoint(iteration + 1, ev.breakdown.total, float("nan"))
-            )
+            trace.append(TracePoint(iteration + 1, ev.breakdown.total, None))
             raise UnboundedEnergyError(
                 f"energy {ev.breakdown.total:.6g} fell below the floor "
                 f"{config.energy_floor:.6g}; unbounded regime detected",

@@ -1,8 +1,10 @@
 """Command-line surface: configs, exit codes, persisted files, manifests."""
 
 import dataclasses
+import errno
 import importlib
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -109,33 +111,82 @@ class TestEnergyCommand:
         assert run(["energy", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
 
 
+def snapshot_config(command, path):
+    """A config of ``command`` that reads the snapshot at ``path``: as its
+    input (``energy``, ``verify``) or as its ``from_file`` start."""
+    start = {"init_kind": "from_file", "init_path": str(path), "max_iters": 2}
+    if command == "minimize":
+        return {"grid": GRID16, "params": {**PARAMS}, "minimize": start}
+    if command == "curve":
+        params = {"alpha": 1.0, "beta": 1.0, "p": 2.5}
+        return {"grid": GRID16, "params": params, "rhos": [0.1, 0.2], "minimize": start}
+    if command == "scaling":
+        return {
+            "grid": GRID16,
+            "params": {"alpha": 1.0, "beta": 1.0, "p": 8.0 / 3.0, "rho": 0.5},
+            "experiment": "blowdown",
+            "thetas": [1.0, 0.5],
+            "init": {"kind": "from_file", "path": str(path)},
+        }
+    return {"snapshot": str(path), "params": {"alpha": 1, "beta": 1, "p": 2.5}}
+
+
 class TestNonFiniteSnapshot:
     """A snapshot holding NaN or Inf is a numerical input error for every
     command that reads one, raised before the manifest is written."""
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("command", ["energy", "verify", "scaling"])
+    @pytest.mark.parametrize("command", ["energy", "verify", "scaling", "minimize", "curve"])
     def test_exit_code_and_no_manifest(self, tmp_path, capsys, command, bad):
         grid = sl.make_grid(16, 8.0)
         values = sl.gaussian_field(grid, 1.0).values.copy()
         values[3, 4, 5] = bad
         path = tmp_path / "bad.spsf"
         sl.save_snapshot(sl.Field(grid, values), path)
-        if command == "scaling":
-            config = {
-                "grid": GRID16,
-                "params": {"alpha": 1.0, "beta": 1.0, "p": 8.0 / 3.0, "rho": 0.5},
-                "experiment": "blowdown",
-                "thetas": [1.0, 0.5],
-                "init": {"kind": "from_file", "path": str(path)},
-            }
-        else:
-            config = {"snapshot": str(path), "params": {"alpha": 1, "beta": 1, "p": 2.5}}
-        cfg = write_config(tmp_path, "cfg.json", config)
+        cfg = write_config(tmp_path, "cfg.json", snapshot_config(command, path))
         out = tmp_path / "o"
         assert run([command, "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
         assert "snapshot contains NaN or Inf" in capsys.readouterr().err
         assert not (out / "manifest.json").exists()
+
+
+def missing_snapshot(tmp_path):
+    return tmp_path / "missing.spsf"
+
+
+def truncated_snapshot(tmp_path):
+    path = tmp_path / "short.spsf"
+    path.write_bytes(b"SPSF")
+    return path
+
+
+def wrong_grid_snapshot(tmp_path):
+    path = tmp_path / "n32.spsf"
+    sl.save_snapshot(sl.gaussian_field(sl.make_grid(32, 8.0), 1.0), path)
+    return path
+
+
+@pytest.mark.parametrize(
+    "make_snapshot, message",
+    [
+        (missing_snapshot, "cannot read snapshot"),
+        (truncated_snapshot, "is too short"),
+        (wrong_grid_snapshot, "does not match the run grid"),
+    ],
+    ids=["missing", "truncated", "wrong-grid"],
+)
+@pytest.mark.parametrize("command", ["minimize", "curve"])
+def test_rejected_snapshot_start_leaves_no_output(tmp_path, capsys, command, make_snapshot,
+                                                 message):
+    # the from_file start is read and checked before the manifest
+    cfg = write_config(tmp_path, "cfg.json", snapshot_config(command, make_snapshot(tmp_path)))
+    out = tmp_path / "o"
+    assert run([command, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and err.count("\n") == 1
+    assert message in err
+    assert not out.exists()
+
 
 class TestMinimizeCommand:
     def test_short_run_writes_files(self, tmp_path):
@@ -191,8 +242,17 @@ class TestMinimizeCommand:
         )
         out = tmp_path / "run"
         assert run(["minimize", "--config", cfg, "--out", str(out)]) == EXIT_UNBOUNDED
-        report = json.loads((out / "unbounded.json").read_text())
-        assert report["trace"]
+
+        def refuse(name):
+            raise ValueError(f"{name} is not JSON (RFC 8259)")
+
+        with open(out / "unbounded.json") as fh:
+            report = json.load(fh, parse_constant=refuse)
+        # the gradient norm of the point past the floor is never computed
+        assert report["trace"][-1][2] is None
+        assert all(point[2] is not None for point in report["trace"][:-1])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert isinstance(manifest["wall_time_s"], float)
 
     @pytest.mark.parametrize("seeds", [[], [0, 1]], ids=["single", "multistart"])
     def test_unbounded_report_written_before_the_manifest_is_finalized(
@@ -244,6 +304,9 @@ class TestMinimizeCommand:
         out = tmp_path / "run"
         assert run(["minimize", "--config", cfg, "--out", str(out)]) == EXIT_NUMERICAL
         assert not (out / "result.json").exists()
+        # a run that raises after its manifest leaves it without a wall time
+        assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
+        assert json.loads((out / "manifest.json").read_text())["wall_time_s"] is None
 
     @pytest.mark.parametrize("max_iters", [0, 3])
     def test_nan_snapshot_start_exit_code(self, tmp_path, capsys, max_iters):
@@ -743,6 +806,40 @@ class TestConfigErrors:
         assert run(["best-constant", "--config", cfg, "--out", str(parent / "o")]) == EXIT_CONFIG
         self.assert_one_line_config_error(capsys)
         assert parent.read_text() == "kept"
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        # a UTF-16 byte-order mark: JSON text is UTF-8 (RFC 8259)
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        out = tmp_path / "o"
+        assert run(["energy", "--config", str(path), "--out", str(out)]) == EXIT_CONFIG
+        self.assert_one_line_config_error(capsys)
+        assert not out.exists()
+
+    def test_unreadable_config(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, "cfg.json", {"grid": GRID16, "ascent": {"steps": 2}})
+
+        def denied(path, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+
+        # the module global shadows the builtin for the config read alone
+        monkeypatch.setattr(importlib.import_module("spslab.cli"), "open", denied, raising=False)
+        out = tmp_path / "o"
+        assert run(["best-constant", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        self.assert_one_line_config_error(capsys)
+        assert not out.exists()
+
+    def test_out_cannot_be_made(self, tmp_path, capsys, monkeypatch):
+        cfg = write_config(tmp_path, "cfg.json", {"grid": GRID16, "ascent": {"steps": 2}})
+
+        def denied(self, *args, **kwargs):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+
+        monkeypatch.setattr(Path, "mkdir", denied)
+        out = tmp_path / "o"
+        assert run(["best-constant", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        self.assert_one_line_config_error(capsys)
+        assert not out.exists()
 
 
 PARAMS ={"alpha": 1.0, "beta": 1.0, "p": 2.5, "rho": 0.1}
