@@ -214,12 +214,16 @@ def _result_files(out: Path, result: GroundStateResult, params: Params,
 def cmd_energy(config: dict, out: Path) -> int:
     field, params = _snapshot_inputs(config)
     with _Manifest(out, "energy", config, field.grid):
-        breakdown = energy_of(field, params)
+        # one density serves the shell fraction and the energy, which
+        # frees it after its transform
+        density = [field.density()]
+        fraction = boundary_mass_fraction(field, density[0])
+        breakdown = energy_of(field, params, density)
         document = {
             "params": params.to_dict(),
             "grid": field.grid.describe(),
             "energy": breakdown.to_dict(),
-            "boundary_mass_fraction": boundary_mass_fraction(field),
+            "boundary_mass_fraction": fraction,
         }
         write_json(out / "energy.json", document)
         export_abs_slice(field, out / "slice.csv")

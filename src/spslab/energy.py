@@ -114,6 +114,7 @@ def evaluate(
     *,
     with_gradient: bool | str = False,
     parts_fft: tuple[np.ndarray, ...] | None = None,
+    density: np.ndarray | None = None,
 ) -> Evaluation:
     """Shared evaluation path: one ``rfftn`` per real component of u and one
     of |u|^2 serve the norms, the energy, and (optionally) the gradient.
@@ -125,11 +126,14 @@ def evaluate(
     of a freshly built product, which ``fields.irfftn_consuming`` takes in
     place.  ``parts_fft``,
     the half spectra of u's components when the caller already holds them,
-    replaces their transforms.
+    replaces their transforms, and ``density``, the density |u|^2 when
+    the caller has built it, its build; it is freed after its transform
+    only once the caller has let go of it (see ``energy``).
     """
     grid = u.grid
     kernel = coulomb_kernel(grid)
-    density = u.density()
+    if density is None:
+        density = u.density()
     # |u|^{p-2} pairs with the density in the Lp term; kept only for the
     # gradient, which is handed the one reference so that it can free it
     if with_gradient:
@@ -248,8 +252,8 @@ def _weighted_product(weight, a, b, out=None):
 
 
 def _spectral_dot(weight: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """Re <a, b> (or Re <a, P b>) of two real arrays given by their half
-    spectra, with ``_spectral_weight`` (or P times it)."""
+    """Re <a, b> of two real arrays given by their half spectra, with
+    ``_spectral_weight``."""
     return float(blocked_sum(_weighted_product, weight, a.view(np.float64), b.view(np.float64)))
 
 
@@ -290,10 +294,14 @@ def norms(u: Field, p: float) -> NormSet:
     return evaluate(u, Params(0.0, 0.0, p, 1.0)).breakdown.norms
 
 
-def energy(u: Field, params: Params) -> EnergyBreakdown:
-    """Energy breakdown of ``u``; only the kinetic term depends on the variant."""
+def energy(u: Field, params: Params,
+           density: list[np.ndarray] | None = None) -> EnergyBreakdown:
+    """Energy breakdown of ``u``; only the kinetic term depends on the variant.
+    ``density`` is a one-item list holding |u|^2 when the caller has built
+    it: the evaluation takes it out of the list, so that it is freed after
+    its transform."""
     u.require_finite("energy input")
-    return evaluate(u, params).breakdown
+    return evaluate(u, params, density=density.pop() if density else None).breakdown
 
 
 def gradient(u: Field, params: Params) -> Field:

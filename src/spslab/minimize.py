@@ -1,27 +1,36 @@
 """Constrained minimization over the mass sphere by a kinetic-preconditioned
-projected gradient flow.
+projected flow along conjugate directions.
 
 One step: precondition the L2 gradient g with P = (K(k) + c)^-1, K the
 kinetic symbol of ``params.variant``: P = K^-1, the Riesz map of the energy
 space H^1/2, for the inhomogeneous K = sqrt(1 + |k|^2), and c = 1/2 for the
-homogeneous K = |k|, which vanishes at k = 0.  Take the direction
-d = P(g - beta u) with beta = <Pg, u>/<Pu, u>, so that d is tangent to the
-sphere (Sobolev-gradient preconditioning, Danaila & Kazemi, SIAM J. Sci.
-Comput. 2010).  Move against d, retract onto the sphere by mass
-projection, and accept the step under an Armijo decrease test with slope
-<g - beta u, d>.  P removes the stiffness of the kinetic operator, so
-steps up to the variant's cap ``STEP_CAP[params.variant]`` are accepted at
-every resolution.  The accepted energy sequence is non-increasing by
-construction, every iterate carries mass rho exactly up to rounding, and
-the stopping test reads the L2 norm of the tangential gradient
-g - (Re<g, u>/rho) u.
+homogeneous K = |k|, which vanishes at k = 0.  The residual is
+r = g - beta u with beta = <Pg, u>/<Pu, u>, so that z = P r is tangent to
+the sphere (Sobolev-gradient preconditioning, Danaila & Kazemi, SIAM J.
+Sci. Comput. 2010).  The direction is d = z + gamma Pi d_prev, with the
+Fletcher-Reeves ratio gamma = <r, z>/<r_prev, z_prev> and Pi the tangent
+projection d - (<d, u>/rho) u at the current u (preconditioned nonlinear
+CG on the sphere, Danaila & Protas, SIAM J. Sci. Comput. 2017).  Move
+against d, retract onto the sphere by mass projection, and accept the step
+under an Armijo decrease test with slope <r, d>.  The direction restarts
+at z (gamma = 0) on the first iteration, after a line search that
+backtracked below the cap, after an accepted step that did not lower the
+energy, when <r, d> <= 0, and once the tangential gradient is within
+``ENDGAME_FACTOR`` grad_tol sqrt(rho) of the stop.  P removes the
+stiffness of the kinetic operator, so steps up to the variant's cap
+``STEP_CAP[params.variant]`` are accepted at every resolution.  The
+accepted energy sequence is non-increasing by construction, every iterate
+carries mass rho exactly up to rounding, and the stopping test reads the
+L2 norm of the tangential gradient g - (Re<g, u>/rho) u.
 
 The flow runs on one real array: a complex start enters as its modulus,
 since E(|u|) <= E(u) (D and the L^p term read |u| only, and the kinetic
 form does not rise under u -> |u|).  The iterate u is held with its half
 spectrum f = rfftn(u), and the gradient as its half spectrum
-K f + rfftn((4 alpha Phi - beta p |u|^{p-2}) u), so that beta, the slope
-and the tangential norm are Hermitian-weighted half-spectrum sums;
+K f + rfftn((4 alpha Phi - beta p |u|^{p-2}) u), so that beta, gamma,
+Pi, the slope and the tangential norm are half-spectrum sums with the
+plain Hermitian weights (z = P r is formed, and only P is cached); the
+conjugate state is the last direction's half spectrum and <r, z>;
 Re<g, u> is read off the energy terms (``energy._rayleigh_quotient``).  A
 trial s (u - tau d) has the half spectrum s (f - tau d^), d^ that of d, so
 an iteration whose first trial is accepted costs four real transforms (the
@@ -39,7 +48,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 from scipy import fft as _fft
 
-from .energy import EnergyBreakdown, _rayleigh_quotient, _spectral_dot
+from .energy import EnergyBreakdown, _rayleigh_quotient, _spectral_dot, _spectral_weight
 from .energy import _tangential_sq, evaluate
 from .errors import (
     ConfigurationError,
@@ -77,6 +86,9 @@ PRECONDITIONER_SHIFT = {"inhomogeneous": 0.0, "homogeneous": 0.5}
 # Hessian is the identity, and a step of 2 is the largest that amplifies
 # no mode; the shifted homogeneous P is not the Riesz map
 STEP_CAP = {"inhomogeneous": 2.0, "homogeneous": 1.0}
+# within this many grad_tol of the stop the flow takes plain preconditioned
+# steps, so that it stops where the plain flow stops (see ``MinimizeConfig``)
+ENDGAME_FACTOR = 5.0
 
 
 @dataclass(frozen=True)
@@ -95,7 +107,14 @@ class MinimizeConfig:
     the flow's rounding floor a tolerance may not be reached:
     the flow then ends ``stagnated`` when no step passes the test or an
     accepted step leaves the iterate bitwise unchanged, and otherwise at
-    ``max_iters``.  ``init_kind``
+    ``max_iters``.  The direction is conjugate (see the module docstring),
+    and plain within ``ENDGAME_FACTOR`` (5) grad_tol of the stop.  That
+    endgame is kept for the C4 gates of the tests and the benchmark, which
+    pin the plain flow's own stopping point, not the converged state:
+    without it the conjugate flow stops 1e-6 to 3e-6 away from the plain
+    flow's pohozaev_rel, past their 1e-6 bound.  Converged references in
+    those gates would let the endgame go.
+    ``init_kind``
     selects the starting field: a centered real Gaussian (default width
     L/8), the modulus of the smooth random field of the nonnegative
     ``init_seed``, or a snapshot file (its modulus when it is complex).
@@ -244,19 +263,16 @@ def recenter(u: Field) -> Field:
     return Field.of_parts(u.grid, rolled)
 
 
-def _flow_weights(grid: Grid, variant: str) -> tuple[np.ndarray, np.ndarray]:
+def _preconditioner(grid: Grid, variant: str) -> np.ndarray:
     """The flow's preconditioner P = (K(k) + c)^-1 on the half spectrum, with
     the variant's ``PRECONDITIONER_SHIFT`` c: the Riesz map K^-1 of H^1/2 for
-    the inhomogeneous variant and (|k| + 1/2)^-1 for the homogeneous one.
-    Returned with P times the Hermitian plane weights, each entry twice on
-    the float view of a half spectrum, so that <a, P b> is one
-    ``_spectral_dot``; cached per grid."""
-
-    def build():
-        precond = 1.0 / (grid.kinetic_symbol(variant) + PRECONDITIONER_SHIFT[variant])
-        return precond, np.repeat(precond * grid.hermitian_weight, 2, axis=-1)
-
-    return grid.cached(("flow_preconditioner", variant), build)
+    the inhomogeneous variant and (|k| + 1/2)^-1 for the homogeneous one;
+    cached per grid.  The flow forms z = P r and reads every overlap with
+    the plain Hermitian weights."""
+    return grid.cached(
+        ("flow_preconditioner", variant),
+        lambda: 1.0 / (grid.kinetic_symbol(variant) + PRECONDITIONER_SHIFT[variant]),
+    )
 
 
 def minimize(
@@ -294,12 +310,16 @@ def minimize(
         # E(|u|) <= E(u): the modulus, back on the sphere, is a real start
         u, _ = _onto_sphere(grid, (np.sqrt(u.density()),), rho)
 
-    precond, precond_weight = _flow_weights(grid, params.variant)
+    precond = _preconditioner(grid, params.variant)
+    weight = _spectral_weight(grid)
     ev = evaluate(u, params, with_gradient=True)
     trace: list[TracePoint] = []
     tau = step_cap = STEP_CAP[params.variant]
     converged = False
     stagnated = False
+    # the conjugate state: the last direction's half spectrum and <r, z> of
+    # its residual; None restarts the next direction at z
+    direction_fft = residual_sq = None
 
     # the last turn only tests the iterate of the last allowed step
     for iteration in range(config.max_iters + 1):
@@ -314,16 +334,31 @@ def minimize(
             break
         if iteration == config.max_iters:
             break
+        if grad_norm <= ENDGAME_FACTOR * config.grad_tol * sqrt_rho:
+            residual_sq = None
 
-        # d = P(g - beta u) with <d, u> = 0: the residual r = g - beta u,
-        # then the direction's half spectrum overwrites the gradient's
-        (f,), (direction_fft,) = ev.parts_fft, ev.gradient_fft
-        beta = _spectral_dot(precond_weight, direction_fft, f) / _spectral_dot(
-            precond_weight, f, f
-        )
-        direction_fft -= beta * f
-        slope = _spectral_dot(precond_weight, direction_fft, direction_fft)
-        direction_fft *= precond
+        # the residual r = g - beta u overwrites the gradient's half spectra,
+        # with beta = <g, P u>/<u, P u> so that z = P r has <z, u> = 0; z
+        # holds P u until r is formed
+        (f,), (residual,) = ev.parts_fft, ev.gradient_fft
+        z = np.multiply(precond, f)
+        beta = _spectral_dot(weight, residual, z) / _spectral_dot(weight, f, z)
+        residual -= beta * f
+        np.multiply(precond, residual, out=z)
+        previous_sq, residual_sq = residual_sq, _spectral_dot(weight, residual, z)
+        slope = 0.0
+        if previous_sq is not None:
+            # d = z + gamma Pi d_prev, Pi the tangent projection at u and
+            # gamma the Fletcher-Reeves ratio; z is tangent, so Pi may act
+            # on the sum
+            direction_fft *= residual_sq / previous_sq
+            direction_fft += z
+            direction_fft -= (_spectral_dot(weight, direction_fft, f) / rho) * f
+            slope = _spectral_dot(weight, residual, direction_fft)
+        if slope <= 0.0:
+            # a restart, or a conjugate direction that does not descend
+            direction_fft, slope = z, residual_sq
+        del z
         direction = _fft.irfftn(direction_fft, s=grid.shape)
 
         # Armijo backtracking on E(project(u - tau * d)); the step grows
@@ -368,6 +403,9 @@ def minimize(
             iterations = iteration + accepted
             stagnated = True
             break
+        if tau < step_cap or not ev.breakdown.total < current:
+            # a backtracked or a level step restarts the conjugate direction
+            residual_sq = None
         if ev.breakdown.total < config.energy_floor:
             trace.append(TracePoint(iteration + 1, ev.breakdown.total, None))
             raise UnboundedEnergyError(

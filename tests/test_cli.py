@@ -84,6 +84,29 @@ class TestEnergyCommand:
         assert (mass > 0) == (amplitude > 0)
         assert doc["params"]["rho"] == (mass if amplitude else 1.0)
 
+    def test_density_built_once(self, tmp_path, monkeypatch):
+        # the shell fraction and the energy read one |u|^2
+        grid = sl.make_grid(16, 8.0)
+        snap, field = make_gaussian_snapshot(tmp_path, grid, width=2.0)
+        cfg = write_config(
+            tmp_path,
+            "cfg.json",
+            {"snapshot": snap, "params": {"alpha": 1, "beta": 1, "p": 2.5}},
+        )
+        built = []
+        density = sl.Field.density
+
+        def counted(u):
+            built.append(u)
+            return density(u)
+
+        monkeypatch.setattr(sl.Field, "density", counted)
+        out = tmp_path / "out"
+        assert run(["energy", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert len(built) == 1
+        doc = json.loads((out / "energy.json").read_text())
+        assert doc["boundary_mass_fraction"] == sl.boundary_mass_fraction(field) > 0.0
+
     def test_truncated_snapshot_is_config_error(self, tmp_path):
         grid = sl.make_grid(16, 8.0)
         snap, _ = make_gaussian_snapshot(tmp_path, grid)

@@ -16,6 +16,7 @@ import scipy.fft as fft
 import spslab as sl
 from spslab import coulomb, fields
 from spslab.energy import _spectral_weight, evaluate
+from spslab.minimize import _preconditioner
 from oracles import smooth_random_field
 
 PARAMS = sl.Params(1.0, 1.0, 2.5, 1.0)
@@ -78,9 +79,12 @@ def test_potential_values_consume_their_argument(grid32):
 @pytest.mark.parametrize("n", [64, 128])
 def test_no_cached_array_repeats_the_plane_weights(n):
     # the Hermitian plane weights on the float view of a half spectrum are
-    # cached as one row tiled over a block, not as an (n, n, n + 2) table
+    # cached as one row tiled over a block, not as an (n, n, n + 2) table;
+    # the flow caches its preconditioner P alone, not P times them
     grid = sl.Grid(n, 24.0)
     sl.identity_report(sl.gaussian_field(grid, 1.0), PARAMS)
+    sl.minimize(grid, PARAMS, sl.MinimizeConfig(max_iters=2))
+    assert any(a is _preconditioner(grid, PARAMS.variant) for a in grid._cache.values())
     arrays = [a for a in grid._cache.values() if isinstance(a, np.ndarray)]
     assert all(a.shape != (n, n, n + 2) for a in arrays)
     weight = _spectral_weight(grid)
